@@ -56,30 +56,6 @@ def test_fig14_timeline(benchmark, cs1_high):
         "CPU demand should drop during the GPU phase (frame-end idle)"
 
 
-def test_fig14_fastpath_artifact():
-    """Measure the fastpath on the Fig. 14 unit and emit BENCH_fig14.json.
-
-    Runs the case-study-I M1/BAS/high workload twice (fastpath on, then
-    off), checks bit-identity, and writes the artifact next to the repo
-    root (override with ``REPRO_BENCH_OUT``).  ``REPRO_BENCH_SCALE``
-    selects the operating point (default ``smoke`` here so the benchmark
-    suite stays fast; ``python -m repro bench`` publishes the default
-    scale).
-    """
-    import os
-
-    from repro import bench
-
-    scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    report = bench.run_fig14(scale)
-    path = bench.write_report(report, os.environ.get("REPRO_BENCH_OUT", "."))
-    print()
-    print(bench.format_summary(report))
-    print(f"wrote {path}")
-    failures = bench.gate(report)
-    assert not failures, "\n".join(failures)
-
-
 def test_fig14_trace_smoke(tmp_path):
     """One frame under tracing: phase spans must tile each app frame with
     no gap and no overlap (the Fig. 14 decomposition), and the emitted

@@ -57,25 +57,3 @@ def test_pipeline_equivalence(benchmark):
     assert (stats.fragments + stats.hiz_culled_fragments
             == ref_stats.fragments_shaded)
     assert stats.cycles > 0 and stats.tc_tiles > 0
-
-
-def test_pipeline_fastpath_artifact():
-    """Measure the fastpath on one GPU frame and emit BENCH_pipeline.json.
-
-    Same contract as the fig14 artifact benchmark: fastpath on vs off,
-    bit-identity gated, wall-time reported.  ``REPRO_BENCH_SCALE``
-    (default ``smoke``) and ``REPRO_BENCH_OUT`` (default ``.``) control
-    the operating point and the artifact directory.
-    """
-    import os
-
-    from repro import bench
-
-    scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    report = bench.run_pipeline(scale)
-    path = bench.write_report(report, os.environ.get("REPRO_BENCH_OUT", "."))
-    print()
-    print(bench.format_summary(report))
-    print(f"wrote {path}")
-    failures = bench.gate(report)
-    assert not failures, "\n".join(failures)

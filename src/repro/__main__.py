@@ -354,14 +354,13 @@ def _cmd_dfsl(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Fastpath measurement discipline: run the tracked benchmarks.
+    """Run the tracked benchmarks (see :mod:`repro.bench`).
 
-    Runs each workload fastpath-on and fastpath-off, verifies the two
-    modes computed the identical simulation, and writes one
-    ``BENCH_<name>.json`` artifact per benchmark (see
-    :mod:`repro.bench`).  ``--gate`` turns the machine-independent checks
-    (identity + on-not-slower-than-off) into the exit code — the CI
-    smoke job runs ``bench --scale smoke --gate``.
+    Runs each workload once, checks its identity fingerprint against the
+    values pinned for the scale, and writes one ``BENCH_<name>.json``
+    artifact per benchmark.  ``--gate`` turns the machine-independent
+    checks (pinned fingerprints, the ffwd CRC and error bounds) into the
+    exit code — the CI smoke job runs ``bench --scale smoke --gate``.
     """
     from repro import bench
 
@@ -1015,8 +1014,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_cs1)
 
     p = sub.add_parser("bench",
-                       help="fastpath benchmarks: on-vs-off wall time, "
-                            "identity check, BENCH_*.json artifacts")
+                       help="tracked benchmarks: wall time, pinned "
+                            "fingerprint check, BENCH_*.json artifacts")
     p.add_argument("--scale", choices=("default", "smoke", "micro"),
                    default="default",
                    help="workload size (default = the recorded operating "
@@ -1028,8 +1027,9 @@ def main(argv=None) -> int:
     p.add_argument("--summary", action="store_true",
                    help="print the human-readable table")
     p.add_argument("--gate", action="store_true",
-                   help="exit 1 when identity or the on-vs-off speed "
-                        "check fails (machine-independent checks only)")
+                   help="exit 1 when a fingerprint drifts from its pins "
+                        "or an ffwd check fails (machine-independent "
+                        "checks only)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest",

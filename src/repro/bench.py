@@ -1,10 +1,8 @@
-"""Fastpath measurement discipline: reproducible benchmark artifacts.
+"""Benchmark artifacts pinned to the event schedule.
 
-The fastpath layer (DESIGN.md §12) is only allowed to exist because it is
-*measured*: every claimed speedup is pinned to a JSON artifact produced by
-this module, and every artifact embeds the bit-identity fingerprint that
-proves the optimized run computed the same simulation.  Two reference
-workloads are tracked:
+Every artifact this module writes embeds the identity fingerprint that
+proves the run computed the pinned simulation.  Three reference workloads
+are tracked:
 
 * ``fig14`` — the case-study-I unit behind Fig. 14 (M1 under the BAS
   memory system, high-load scenario): DRAM-scheduler-bound, the worst
@@ -14,26 +12,24 @@ workloads are tracked:
 * ``ffwd`` — sampled simulation (DESIGN.md §13) against full detail on
   the Fig. 14 scene: wall-clock speedup, per-metric extrapolation error
   vs a symmetric per-frame ground truth, and the fast-forward
-  framebuffer-CRC identity check.  Unlike the fastpath benchmarks this
-  one compares an *approximation* to the exact run, so the gate bounds
-  the error (≤5 %) rather than demanding bit identity of the estimates —
-  the CRC identity of the fast-forwarded run stays exact.
+  framebuffer-CRC identity check.  It compares an *approximation* to the
+  exact run, so the gate bounds the error (≤5 %) rather than demanding
+  bit identity of the estimates — the CRC identity of the fast-forwarded
+  run stays exact.
 
-Each benchmark runs the workload twice — fastpath on, fastpath off — in
-that order, compares the identity fingerprint (end tick / cycles, events
-fired, framebuffer CRC), and reports wall time, events/sec and (for the
-GPU frame) fragments/sec plus the on-vs-off speedup.  ``scale="default"``
-additionally reports the speedup against :data:`SEED_BASELINE`, the wall
-time recorded for the same workload at the pre-fastpath seed commit.
+``fig14`` and ``pipeline`` run their workload once and report wall time,
+events/sec and (for the GPU frame) fragments/sec next to the identity
+fingerprint (end tick / cycles, events fired, framebuffer CRC, ...).
+:data:`PINS` holds the expected fingerprint for every scale, and
+:func:`gate` fails when a run drifts from it: the event schedule changed.
 
-Machine-independence: the on-vs-off ratio and the identity fingerprint
-are meaningful on any host — CI gates on those (:func:`gate`).  The
-seed-baseline speedup is only meaningful on hardware comparable to the
-machine the baseline was recorded on; it is reported, never gated.
+Machine-independence: a fingerprint is the same on every host, so CI gates
+on it.  A wall time is one sample on a host whose speed varies; it is
+reported, never gated.  ``perfbench/`` takes repeated, host-speed-corrected
+measurements with a per-layer host-time table (``perfbench/README.md``).
 
 Entry points: ``python -m repro bench --summary`` (writes
-``BENCH_fig14.json`` / ``BENCH_pipeline.json``), the CI smoke job
-(``--scale smoke --gate``), and the ``benchmarks/`` pytest modules.
+``BENCH_<name>.json``) and the CI smoke job (``--scale smoke --gate``).
 """
 
 from __future__ import annotations
@@ -43,35 +39,45 @@ import platform
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
-from repro import fastpath
-
-#: Wall times recorded for the ``scale="default"`` workloads at the seed
-#: commit (the tree immediately before the fastpath layer landed), same
-#: timing boundary (run only, assembly excluded), same machine as the
-#: committed BENCH_*.json artifacts.  ``events_fired`` doubles as an
-#: identity check: the fastpath must fire exactly as many events as the
-#: seed did.
-SEED_BASELINE = {
-    "commit": "f9eb076",
-    "fig14": {"wall_s": 2.875, "end_tick": 1_357_432,
-              "events_fired": 274_152},
-    "pipeline": {"wall_s": 1.914, "cycles": 35_612,
-                 "events_fired": 125_678, "fb_crc": 2197508556},
+#: Identity fingerprints per benchmark and scale.  The default-scale end
+#: tick / cycles and event counts are those first recorded at commit
+#: f9eb076; a legitimate schedule change re-pins these together with the
+#: golden tests, never alone.
+PINS = {
+    "fig14": {
+        "default": {"end_tick": 1_357_432, "events_fired": 274_152,
+                    "fb_crc": 967344438,
+                    "row_hit_rate": 0.7729785508955553,
+                    "mean_gpu_time": 206497.33333333334},
+        "smoke": {"end_tick": 240_000, "events_fired": 46_972,
+                  "fb_crc": 723212397, "row_hit_rate": 0.2994871794871795,
+                  "mean_gpu_time": 7703.0},
+        "micro": {"end_tick": 120_000, "events_fired": 25_446,
+                  "fb_crc": 511478711, "row_hit_rate": 0.3783783783783784,
+                  "mean_gpu_time": 0.0},
+    },
+    "pipeline": {
+        "default": {"cycles": 35_612, "fragments": 6_650,
+                    "events_fired": 125_678, "fb_crc": 2197508556,
+                    "dram_bytes": 146_944},
+        "smoke": {"cycles": 14_433, "fragments": 1_690,
+                  "events_fired": 58_735, "fb_crc": 4187011321,
+                  "dram_bytes": 55_424},
+        "micro": {"cycles": 9_863, "fragments": 417,
+                  "events_fired": 42_027, "fb_crc": 554418416,
+                  "dram_bytes": 35_456},
+    },
 }
 
 BENCHMARKS = ("fig14", "pipeline", "ffwd")
 SCALES = ("default", "smoke", "micro")
 
-#: Identity keys compared between the two modes, per benchmark.
-_IDENTITY = {
-    "fig14": ("end_tick", "events_fired", "fb_crc", "row_hit_rate",
-              "mean_gpu_time"),
-    "pipeline": ("cycles", "fragments", "events_fired", "fb_crc",
-                 "dram_bytes"),
-    "ffwd": ("fb_crc",),
-}
+#: Stamped next to every single-run wall time in an artifact.
+WALL_NOTE = ("wall_s is one sample on a host whose speed varies; "
+             "perfbench/ takes repeated, host-speed-corrected measurements "
+             "(perfbench/README.md)")
 
 #: Largest relative extrapolation error the ffwd gate tolerates, per
 #: metric, at the default (Fig. 14) operating point.  The estimates are
@@ -122,32 +128,28 @@ def _fig14_config(scale: str):
 
 
 def run_fig14(scale: str = "default") -> dict:
-    """Benchmark the Fig. 14 unit (M1 / BAS / high load), on vs off."""
+    """Benchmark the Fig. 14 unit (M1 / BAS / high load)."""
     from repro.harness.case_study1 import make_cs1_soc
 
     config = _fig14_config(scale)
-
-    def once(fast: bool) -> dict:
-        with fastpath.use_fastpath(fast):
-            soc = make_cs1_soc("M1", "BAS", "high", config=config)
-            wall, results = _timed(soc.run)
-        events = soc.events.events_fired
-        return {
-            "wall_s": round(wall, 4),
-            "events_fired": events,
-            "events_per_s": round(events / wall, 1),
-            "end_tick": results.end_tick,
-            "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
-            "row_hit_rate": results.row_hit_rate,
-            "mean_gpu_time": results.mean_gpu_time,
-        }
-
+    soc = make_cs1_soc("M1", "BAS", "high", config=config)
+    wall, results = _timed(soc.run)
+    events = soc.events.events_fired
+    row = {
+        "wall_s": round(wall, 4),
+        "events_fired": events,
+        "events_per_s": round(events / wall, 1),
+        "end_tick": results.end_tick,
+        "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
+        "row_hit_rate": results.row_hit_rate,
+        "mean_gpu_time": results.mean_gpu_time,
+    }
     workload = {
         "name": "cs1 M1/BAS/high",
         "width": config.width, "height": config.height,
         "num_frames": config.num_frames,
     }
-    return _report("fig14", scale, workload, once)
+    return _report("fig14", scale, workload, row)
 
 
 def run_pipeline(scale: str = "default") -> dict:
@@ -163,30 +165,27 @@ def run_pipeline(scale: str = "default") -> dict:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     width, height = sizes[scale]
 
-    def once(fast: bool) -> dict:
-        with fastpath.use_fastpath(fast):
-            session = SceneSession("teapot", width, height)
-            frame = session.frame(0)
-            events = EventQueue()
-            memory = build_baseline_memory(events, DRAMConfig(channels=2))
-            gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
-                             width, height, memory=memory)
-            wall, stats = _timed(lambda: gpu.run_frame(frame))
-        fired = events.events_fired
-        return {
-            "wall_s": round(wall, 4),
-            "events_fired": fired,
-            "events_per_s": round(fired / wall, 1),
-            "cycles": stats.cycles,
-            "fragments": stats.fragments,
-            "fragments_per_s": round(stats.fragments / wall, 1),
-            "dram_bytes": stats.dram_bytes,
-            "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
-        }
-
+    session = SceneSession("teapot", width, height)
+    frame = session.frame(0)
+    events = EventQueue()
+    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
+                     width, height, memory=memory)
+    wall, stats = _timed(lambda: gpu.run_frame(frame))
+    fired = events.events_fired
+    row = {
+        "wall_s": round(wall, 4),
+        "events_fired": fired,
+        "events_per_s": round(fired / wall, 1),
+        "cycles": stats.cycles,
+        "fragments": stats.fragments,
+        "fragments_per_s": round(stats.fragments / wall, 1),
+        "dram_bytes": stats.dram_bytes,
+        "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
+    }
     workload = {"name": "gpu teapot frame", "width": width,
                 "height": height, "clusters": 4, "channels": 2}
-    return _report("pipeline", scale, workload, once)
+    return _report("pipeline", scale, workload, row)
 
 
 def _ffwd_operating_point(scale: str):
@@ -329,46 +328,39 @@ def run_ffwd(scale: str = "default") -> dict:
         "identical": crc_identical,
         "identity": {"fb_crc": full_fb_crc},
         "speedup_sampled_vs_full": round(wall_full / wall_sampled, 3),
-        "seed_baseline": None,
-        "speedup_vs_seed": None,
         "host": _host(),
         "generated_by": "python -m repro bench",
     }
 
 
-def _report(name: str, scale: str, workload: dict, once: Callable) -> dict:
-    on = once(True)
-    off = once(False)
-    keys = _IDENTITY[name]
-    identity = {key: on[key] for key in keys}
-    identical = all(on[key] == off[key] for key in keys)
-    seed = SEED_BASELINE[name] if scale == "default" else None
-    seed_wall = seed.get("wall_s") if seed else None
+def _report(name: str, scale: str, workload: dict, row: dict) -> dict:
+    pinned = PINS[name][scale]
     return {
         "benchmark": name,
         "scale": scale,
         "workload": workload,
-        "fastpath_on": on,
-        "fastpath_off": off,
-        "identical": identical,
-        "identity": identity,
-        "speedup_on_vs_off": round(off["wall_s"] / on["wall_s"], 3),
-        "seed_baseline": dict(seed, commit=SEED_BASELINE["commit"])
-        if seed else None,
-        "speedup_vs_seed": round(seed_wall / on["wall_s"], 3)
-        if seed_wall else None,
+        "run": row,
+        "pinned": pinned,
+        "wall_note": WALL_NOTE,
         "host": _host(),
         "generated_by": "python -m repro bench",
     }
 
 
-def gate(report: dict, min_on_off: float = 0.9) -> list:
+def _drifted(report: dict) -> list:
+    """Fingerprint keys whose run value differs from the pinned one."""
+    return [key for key, expected in report["pinned"].items()
+            if report["run"][key] != expected]
+
+
+def gate(report: dict, min_speedup: float = 0.9) -> list:
     """Machine-independent pass/fail checks for one report.
 
-    Returns a list of failure strings (empty = pass).  Identity is a hard
-    requirement; the speed check only fails when fastpath-on is *slower*
-    than fastpath-off beyond the noise allowance (``min_on_off``), since
-    absolute wall times vary across hosts.
+    Returns a list of failure strings (empty = pass).  ``fig14`` and
+    ``pipeline`` fail when their fingerprint drifts from :data:`PINS`.
+    ``ffwd`` fails on a fast-forward CRC mismatch, an extrapolation error
+    over its bound, or a sampled run slower than the full-detail run of
+    the same process beyond the noise allowance ``min_speedup``.
     """
     failures = []
     name = report["benchmark"]
@@ -385,32 +377,17 @@ def gate(report: dict, min_on_off: float = 0.9) -> list:
                 failures.append(
                     f"ffwd: {metric} extrapolation error {error * 100:.2f}% "
                     f"exceeds the {bound * 100:.0f}% bound")
-        if report["speedup_sampled_vs_full"] < min_on_off:
+        if report["speedup_sampled_vs_full"] < min_speedup:
             failures.append(
                 f"ffwd: sampled run is slower than full detail "
                 f"({report['sampled']['wall_s']:.3f}s vs "
                 f"{report['full_detail']['wall_s']:.3f}s, ratio "
-                f"{report['speedup_sampled_vs_full']:.3f} < {min_on_off})")
+                f"{report['speedup_sampled_vs_full']:.3f} < {min_speedup})")
         return failures
-    if not report["identical"]:
-        keys = _IDENTITY[name]
-        diffs = [key for key in keys
-                 if report["fastpath_on"][key] != report["fastpath_off"][key]]
-        failures.append(f"{name}: fastpath on/off runs differ on "
-                        f"{', '.join(diffs)} — optimization changed the model")
-    if report["speedup_on_vs_off"] < min_on_off:
+    for key in _drifted(report):
         failures.append(
-            f"{name}: fastpath-on is slower than fastpath-off "
-            f"({report['fastpath_on']['wall_s']:.3f}s vs "
-            f"{report['fastpath_off']['wall_s']:.3f}s, ratio "
-            f"{report['speedup_on_vs_off']:.3f} < {min_on_off})")
-    seed = report.get("seed_baseline") or {}
-    for key in ("end_tick", "events_fired", "cycles", "fb_crc"):
-        expected = seed.get(key)
-        if expected is not None and report["identity"].get(key) != expected:
-            failures.append(
-                f"{name}: {key} {report['identity'][key]} != seed-recorded "
-                f"{expected} — the schedule drifted from the seed commit")
+            f"{name}: {key} {report['run'][key]} != pinned "
+            f"{report['pinned'][key]} — the event schedule drifted")
     return failures
 
 
@@ -448,22 +425,18 @@ def format_summary(report: dict) -> str:
         lines.append(f"  extrapolation error (bound "
                      f"{report['error_bound'] * 100:.0f}%): {errors}")
         return "\n".join(lines)
-    on, off = report["fastpath_on"], report["fastpath_off"]
+    row = report["run"]
+    drifted = _drifted(report)
     lines = [f"{report['benchmark']} ({report['scale']}): "
              f"{report['workload']['name']} "
              f"{report['workload']['width']}x{report['workload']['height']}"]
-    lines.append(f"  {'mode':<12}  {'wall':>8}  {'events/s':>12}"
-                 + (f"  {'frags/s':>10}" if "fragments_per_s" in on else ""))
-    for label, row in (("fastpath on", on), ("fastpath off", off)):
-        extra = (f"  {row['fragments_per_s']:>10,.0f}"
-                 if "fragments_per_s" in row else "")
-        lines.append(f"  {label:<12}  {row['wall_s']:>7.3f}s  "
-                     f"{row['events_per_s']:>12,.0f}{extra}")
-    lines.append(f"  identical: {report['identical']}   "
-                 f"on vs off: {report['speedup_on_vs_off']:.2f}x"
-                 + (f"   vs seed {report['seed_baseline']['commit']}: "
-                    f"{report['speedup_vs_seed']:.2f}x"
-                    if report["speedup_vs_seed"] else ""))
+    lines.append(f"  wall {row['wall_s']:.3f}s (one sample)  "
+                 f"{row['events_per_s']:,.0f} events/s"
+                 + (f"  {row['fragments_per_s']:,.0f} frags/s"
+                    if "fragments_per_s" in row else ""))
+    lines.append("  fingerprint: "
+                 + ("matches its pins" if not drifted
+                    else f"drifted on {', '.join(drifted)}"))
     return "\n".join(lines)
 
 

@@ -19,15 +19,14 @@ Robustness (the ``repro.health`` subsystem builds on these hooks):
   reports it — with a configurable fail-fast vs. quarantine-and-continue
   policy (``propagate`` keeps the seed behaviour of re-raising unchanged).
 
-Performance (the ``repro.fastpath`` layer, DESIGN.md §12): the queue has a
-*bucketed* calendar mode, on by default, that drains all same-tick events
-from a FIFO bucket instead of re-heapifying per event — MGSim's kernel
-idiom.  Ordering proof sketch: the bucket for tick T is filled from the
-heap in ascending ``seq`` order (heap pops at equal time break ties on
-``seq``), and any event scheduled *at* T while T is draining carries a
-``seq`` larger than every event already issued, so appending it at the
-tail preserves the global (time, seq) total order exactly.  Both modes are
-therefore bit-identical; the golden tests pin this.
+Performance (DESIGN.md §12): the queue is a calendar kernel that drains
+all same-tick events from a FIFO bucket instead of re-heapifying per
+event — MGSim's kernel idiom.  Ordering proof sketch: the bucket for tick
+T is filled from the heap in ascending ``seq`` order (heap pops at equal
+time break ties on ``seq``), and any event scheduled *at* T while T is
+draining carries a ``seq`` larger than every event already issued, so
+appending it at the tail preserves the global (time, seq) total order of
+a plain one-pop-per-event heap exactly; the golden tests pin this.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-from repro import fastpath
 
 
 class SimulationError(RuntimeError):
@@ -150,11 +147,6 @@ class EventQueue:
     * ``"quarantine"`` — record the wrapped error in :attr:`errors` and
       keep running (a poisoned component is sidelined, the frame survives).
 
-    ``bucketed`` selects the calendar-bucket drain for same-tick events
-    (see module docstring); ``None`` defers to the global
-    :mod:`repro.fastpath` switch.  Both modes fire the same events in the
-    same (time, seq) order — the mode is a constant-factor choice only.
-
     >>> q = EventQueue()
     >>> fired = []
     >>> _ = q.schedule(5, fired.append, "a")
@@ -166,8 +158,7 @@ class EventQueue:
     """
 
     def __init__(self, error_policy: str = "propagate",
-                 debug_provenance: bool = False,
-                 bucketed: Optional[bool] = None) -> None:
+                 debug_provenance: bool = False) -> None:
         if error_policy not in ERROR_POLICIES:
             raise ValueError(f"error_policy must be one of {ERROR_POLICIES},"
                              f" got {error_policy!r}")
@@ -181,7 +172,6 @@ class EventQueue:
         # drained.  ``_bucket_time`` is the tick the bucket belongs to
         # (-1 = no bucket yet); schedule() appends same-tick work here
         # directly, skipping the heap round-trip.
-        self._bucketed = fastpath.enabled() if bucketed is None else bucketed
         self._bucket: deque[Event] = deque()
         self._bucket_time: int = -1
         self._stop_requested = False
@@ -206,11 +196,6 @@ class EventQueue:
     def events_fired(self) -> int:
         """Total number of events executed so far (for debugging/limits)."""
         return self._events_fired
-
-    @property
-    def bucketed(self) -> bool:
-        """Whether the same-tick calendar-bucket drain is active."""
-        return self._bucketed
 
     def schedule(self, delay: int, callback: Callable[..., Any], *args: Any,
                  owner: Optional[str] = None) -> Event:
@@ -244,7 +229,7 @@ class EventQueue:
         self._seq = seq + 1
         if self.debug_provenance:
             event.site = self._capture_site()
-        if time == self._bucket_time and self._bucketed:
+        if time == self._bucket_time:
             # Same-tick schedule while (or after) that tick's bucket is
             # live: the new seq exceeds every pending one, so a tail
             # append preserves (time, seq) order with no heap traffic.
@@ -290,37 +275,31 @@ class EventQueue:
             bucket.popleft()
         if bucket:
             return self._bucket_time
-        self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        if self._bucketed:
-            bucket = self._bucket
-            while bucket:
-                event = bucket.popleft()
-                if not event.cancelled:
-                    return self._fire(event)
-            heap = self._heap
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-            if not heap:
-                return False
-            time, _, event = heapq.heappop(heap)
-            self._now = time
-            self._bucket_time = time
-            # Pull the whole same-tick cohort out of the heap in one pass
-            # (pops at equal time come out in seq order); the drain above
-            # then runs them FIFO with no further heap traffic.
-            while heap and heap[0][0] == time:
-                bucket.append(heapq.heappop(heap)[2])
-            return self._fire(event)
-        # Reference path (seed behaviour): one heap pop per event.
-        self._drop_cancelled_head()
-        if not self._heap:
+        bucket = self._bucket
+        while bucket:
+            event = bucket.popleft()
+            if not event.cancelled:
+                return self._fire(event)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return False
-        _, __, event = heapq.heappop(self._heap)
-        self._now = event.time
+        time, _, event = heapq.heappop(heap)
+        self._now = time
+        self._bucket_time = time
+        # Pull the whole same-tick cohort out of the heap in one pass
+        # (pops at equal time come out in seq order); the drain above
+        # then runs them FIFO with no further heap traffic.
+        while heap and heap[0][0] == time:
+            bucket.append(heapq.heappop(heap)[2])
         return self._fire(event)
 
     def _fire(self, event: Event) -> bool:
@@ -344,7 +323,7 @@ class EventQueue:
         return True
 
     def _apply_error_policy(self, event: Event, exc: Exception) -> None:
-        """Shared except-clause body for :meth:`_fire` and the fused loops.
+        """Shared except-clause body for :meth:`_fire` and :meth:`run`.
 
         Must be called from inside an active ``except`` block (the bare
         ``raise`` re-raises the exception being handled)."""
@@ -375,48 +354,25 @@ class EventQueue:
         count = 0
         heappop = heapq.heappop
         heap = self._heap
+        bucket = self._bucket
         self._stop_requested = False
-        if self._bucketed:
-            bucket = self._bucket
-            while count < budget:
-                event = None
-                while bucket:
-                    head = bucket.popleft()
-                    if not head.cancelled:
-                        event = head
-                        break
-                if event is None:
-                    while heap and heap[0][2].cancelled:
-                        heappop(heap)
-                    if not heap:
-                        return RunResult(count, StopReason.DRAINED)
-                    time, _, event = heappop(heap)
-                    self._now = time
-                    self._bucket_time = time
-                    while heap and heap[0][0] == time:
-                        bucket.append(heappop(heap)[2])
-                self._events_fired += 1
-                if self.tracer is not None:
-                    self.tracer.kernel_fired(event)
-                if self.sanitizer is not None:
-                    self.sanitizer.on_event(self._now, self._events_fired)
-                try:
-                    event.callback(*event.args)
-                except SimulationError:
-                    raise
-                except Exception as exc:
-                    self._apply_error_policy(event, exc)
-                count += 1
-                if self._stop_requested:
-                    return RunResult(count, StopReason.STOPPED)
-            return RunResult(count, StopReason.BUDGET)
         while count < budget:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            if not heap:
-                return RunResult(count, StopReason.DRAINED)
-            _, __, event = heappop(heap)
-            self._now = event.time
+            event = None
+            while bucket:
+                head = bucket.popleft()
+                if not head.cancelled:
+                    event = head
+                    break
+            if event is None:
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)
+                if not heap:
+                    return RunResult(count, StopReason.DRAINED)
+                time, _, event = heappop(heap)
+                self._now = time
+                self._bucket_time = time
+                while heap and heap[0][0] == time:
+                    bucket.append(heappop(heap)[2])
             self._events_fired += 1
             if self.tracer is not None:
                 self.tracer.kernel_fired(event)
@@ -471,10 +427,6 @@ class EventQueue:
             if next_time is None or next_time > time:
                 self._now = time
         return RunResult(count, reason)
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
 
 
 class Ticker:

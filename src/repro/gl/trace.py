@@ -10,13 +10,13 @@ support (§4.1).
 Format version 2 (written by :meth:`TraceRecorder.to_json`) interns
 vertex/index buffers and texture images into content-addressed top-level
 tables — draw calls reference them by digest id.  Real scenes bind the
-same meshes and textures in every frame, so a v1 document grew linearly
-in ``frames x draw calls x asset bytes`` while v2 grows linearly in the
-*distinct* assets plus a few hundred bytes per draw call.  That is what
-makes frequent checkpointing (and the fast-forward/sampling drivers that
-snapshot at every mode switch) cheap.  :func:`replay` accepts both
-versions; interned ids are content digests, so two captures of the same
-command stream serialize byte-identically.
+same meshes and textures in every frame, so an inline document would grow
+linearly in ``frames x draw calls x asset bytes``; v2 grows linearly in
+the *distinct* assets plus a few hundred bytes per draw call.  That is
+what makes frequent checkpointing (and the fast-forward/sampling drivers
+that snapshot at every mode switch) cheap.  Interned ids are content
+digests, so two captures of the same command stream serialize
+byte-identically.  :func:`replay` refuses the retired inline version 1.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class TraceDecodeError(ValueError):
 #: Format version :class:`TraceRecorder` writes.  :func:`replay` accepts
 #: every version in :data:`TRACE_VERSIONS`.
 TRACE_VERSION = 2
-TRACE_VERSIONS = (1, 2)
+TRACE_VERSIONS = (2,)
 
 
 def trace_digest(trace_json: str) -> str:
@@ -83,11 +83,9 @@ def _decode(trace_json: str) -> dict:
     if doc.get("version") not in TRACE_VERSIONS:
         raise TraceDecodeError(
             f"unsupported version {doc.get('version')!r}", detail="version")
-    if doc["version"] >= 2:
-        for table in ("buffers", "textures"):
-            if not isinstance(doc.get(table), dict):
-                raise TraceDecodeError("missing or not an object",
-                                       detail=table)
+    for table in ("buffers", "textures"):
+        if not isinstance(doc.get(table), dict):
+            raise TraceDecodeError("missing or not an object", detail=table)
     frames = doc.get("frames")
     if not isinstance(frames, list):
         raise TraceDecodeError("missing or not a list", detail="frames")
@@ -269,21 +267,15 @@ def replay(trace_json: str, roi: Optional[RegionOfInterest] = None) -> list[Fram
     :class:`TraceDecodeError` before any state is rebuilt.
     """
     doc = _decode(trace_json)
-    version = doc["version"]
-    buffer_table = doc.get("buffers", {})
-    texture_table = doc.get("textures", {})
+    buffer_table = doc["buffers"]
+    texture_table = doc["textures"]
 
     def resolve_buffer(ref, where: str):
-        """v1 inlines the array; v2 references the intern table by id."""
-        if version == 1:
-            return ref
         if not isinstance(ref, str) or ref not in buffer_table:
             raise TraceDecodeError(f"unknown buffer {ref!r}", detail=where)
         return buffer_table[ref]
 
     def resolve_texture(ref, where: str) -> dict:
-        if version == 1:
-            return ref
         if not isinstance(ref, str) or ref not in texture_table:
             raise TraceDecodeError(f"unknown texture {ref!r}", detail=where)
         return texture_table[ref]
@@ -310,8 +302,8 @@ def replay(trace_json: str, roi: Optional[RegionOfInterest] = None) -> list[Fram
             }
             indices = resolve_buffer(call_doc["indices"], f"{where}.indices")
             # Key on content (not call name) so repeated meshes share
-            # buffers — and therefore addresses — across frames.  v2 refs
-            # are content digests already, so the key stays content-true.
+            # buffers — and therefore addresses — across frames.  Refs
+            # are content digests, so the key stays content-true.
             mesh_key = json.dumps(
                 {"i": call_doc["indices"], "m": call_doc["mode"],
                  "a": call_doc["attributes"]}, sort_keys=True)

@@ -892,7 +892,7 @@ def compile_shader(source: str, stage: str, name: str = "shader") -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Compiled dispatch-table cache (fastpath, DESIGN.md §12)
+# Compiled dispatch-table cache (DESIGN.md §12)
 # ---------------------------------------------------------------------------
 
 # Keyed by (Program.digest, warp size): the digest is cached on the program

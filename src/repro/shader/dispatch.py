@@ -1,53 +1,92 @@
-"""Compiled per-program dispatch tables for the warp executor (fastpath).
+"""Compiled per-program dispatch tables: the warp executor's run loop.
 
-The reference :class:`~repro.shader.interpreter.WarpInterpreter` decodes
-every instruction on every dynamic execution: isinstance checks per
-operand, opcode dict probes, a fresh ``np.errstate`` context per op.  At
-hundreds of thousands of dynamic warp instructions per frame that decode
-cost dominates the actual numpy lane arithmetic.
+Interpreting a program naively decodes every instruction on every dynamic
+execution: isinstance checks per operand, opcode dict probes, a fresh
+``np.errstate`` context per op.  At hundreds of thousands of dynamic warp
+instructions per frame that decode cost dominates the actual numpy lane
+arithmetic.
 
 This module performs the decode **once per program**: each instruction is
 compiled to a pre-bound handler closure (operand register indices and
 immediate lane arrays captured at build time), and the run loop walks the
 handler table with a single ``errstate`` around the whole execution.  The
 table is cached per ``(program digest, warp size)`` by
-:func:`repro.shader.compiler.dispatch_for`.
+:func:`repro.shader.compiler.dispatch_for`;
+:meth:`repro.shader.interpreter.WarpInterpreter.run` always executes
+through it.
 
 Bit-identity contract: for any program/env/mask, :meth:`CompiledProgram.run`
 returns an :class:`~repro.shader.interpreter.ExecResult` whose trace
 (op/pc/active_lanes/accesses sequences), discarded and completed masks,
-register effects and env side effects are exactly those of the reference
-interpreter — same numpy operations on the same values in the same order,
-only the Python interpretation overhead removed.  ``tests/shader/
-test_dispatch.py`` pins this equivalence per opcode family.
+register effects and env side effects are exactly those of a
+decode-every-instruction reference interpreter — same numpy operations on
+the same values in the same order, only the Python interpretation overhead
+removed.  ``tests/shader/test_dispatch.py`` keeps that reference loop as
+its per-opcode oracle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.shader.interpreter import (
-    ExecResult,
-    TraceOp,
-    WarpTrace,
-    _ALU_BINARY,
-    _ALU_UNARY,
-    _SETP,
-    _StackEntry,
-)
+from repro.shader.interpreter import ExecResult, TraceOp, WarpTrace
 from repro.shader.isa import Imm, Instruction, Opcode, Pred, Reg
 from repro.shader.program import Program
 
 # Table-row kinds; control flow is handled by the run loop itself.
 _EXEC, _BRA, _EXIT, _DISCARD = 0, 1, 2, 3
 
+_ALU_BINARY = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.DIV: lambda a, b: a / b,
+    Opcode.MIN: np.minimum,
+    Opcode.MAX: np.maximum,
+    Opcode.POW: lambda a, b: np.power(np.maximum(a, 0.0), b),
+}
+
+_ALU_UNARY = {
+    Opcode.MOV: lambda a: a,
+    Opcode.ABS: np.abs,
+    Opcode.NEG: lambda a: -a,
+    Opcode.FLOOR: np.floor,
+    Opcode.FRAC: lambda a: a - np.floor(a),
+    Opcode.RCP: lambda a: 1.0 / a,
+    Opcode.RSQRT: lambda a: 1.0 / np.sqrt(a),
+    Opcode.SQRT: np.sqrt,
+    Opcode.SIN: np.sin,
+    Opcode.COS: np.cos,
+    Opcode.EXP2: np.exp2,
+    Opcode.LOG2: np.log2,
+}
+
+_SETP = {
+    Opcode.SETP_LT: lambda a, b: a < b,
+    Opcode.SETP_LE: lambda a, b: a <= b,
+    Opcode.SETP_GT: lambda a, b: a > b,
+    Opcode.SETP_GE: lambda a, b: a >= b,
+    Opcode.SETP_EQ: lambda a, b: a == b,
+    Opcode.SETP_NE: lambda a, b: a != b,
+}
+
+
+@dataclass(slots=True)
+class _StackEntry:
+    """One SIMT reconvergence-stack frame: (pc, reconvergence pc, mask)."""
+
+    pc: int
+    rpc: int
+    mask: np.ndarray
+
 
 def _make_reader(operand, width: int):
     """Pre-bound operand fetch: ``read(regs, preds) -> (W,) array``.
 
-    Immediates become one cached lane array per program (the reference
+    Immediates become one cached lane array per program (a naive
     interpreter builds an identical ``np.full`` per read; no op mutates
     its source arrays, so sharing is value-identical).
     """
@@ -66,9 +105,9 @@ def _make_reader(operand, width: int):
 def _build_handler(instr: Instruction, width: int):
     """Compile one instruction to ``handler(regs, preds, mask, record, env)``.
 
-    Each family mirrors the corresponding ``WarpInterpreter._execute``
-    branch exactly (same array expressions, same masked writes, same
-    ``record.accesses`` extension order).
+    Each family mirrors the corresponding branch of the reference
+    interpreter's ``_execute`` exactly (same array expressions, same masked
+    writes, same ``record.accesses`` extension order).
     """
     op = instr.op
     if op in _ALU_BINARY:
@@ -272,7 +311,7 @@ class CompiledProgram:
 
     def run(self, env, initial_mask: Optional[np.ndarray] = None,
             max_dynamic_instructions: int = 100_000) -> ExecResult:
-        """Execute one warp; mirrors ``WarpInterpreter.run`` step for step."""
+        """Execute one warp; mirrors the reference loop step for step."""
         width = self.width
         exit_pc = self.exit_pc
         table = self.table

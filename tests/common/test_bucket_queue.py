@@ -1,21 +1,47 @@
-"""Bucketed (calendar) event-kernel mode: ordering and wakeup guarantees.
+"""The calendar (bucketed) event kernel: ordering and wakeup guarantees.
 
-The bucket drain must be *observationally identical* to the reference
-one-heap-pop-per-event path: same firing order, same ``now`` trajectory,
-same ``events_fired``.  The dangerous cases are all same-tick: an event
-scheduled at the current tick while that tick's bucket is mid-drain must
-still run this tick (no lost wakeup), and cancellations must be honored
-whether the victim sits in the bucket or the heap.
+The bucket drain must be *observationally identical* to a plain
+one-heap-pop-per-event kernel: same firing order, same ``now``
+trajectory, same ``events_fired``.  The dangerous cases are all
+same-tick: an event scheduled at the current tick while that tick's
+bucket is mid-drain must still run this tick (no lost wakeup), and
+cancellations must be honored whether the victim sits in the bucket or
+the heap.
 """
 
+import heapq
 import random
 
-from repro.common.events import EventQueue, StopReason, Ticker
-from repro.fastpath import use_fastpath
+from repro.common.events import Event, EventQueue, StopReason, Ticker
 
 
-def make_queue(bucketed):
-    return EventQueue(bucketed=bucketed)
+class HeapReferenceQueue:
+    """The seed kernel: one ``heappop`` per event, cancelled events skipped.
+
+    Just enough of the :class:`EventQueue` surface (``now``, ``schedule``,
+    ``run``, ``events_fired``) to replay the fuzz workload below.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.now = 0
+        self.events_fired = 0
+
+    def schedule(self, delay, callback, *args):
+        event = Event(self.now + delay, self._seq, callback, args)
+        self._seq += 1
+        heapq.heappush(self._heap, (event.time, event.seq, event))
+        return event
+
+    def run(self):
+        while self._heap:
+            time, _, event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self.now = time
+            self.events_fired += 1
+            event.callback(*event.args)
 
 
 class TestNoLostWakeup:
@@ -23,7 +49,7 @@ class TestNoLostWakeup:
         """The satellite regression: a callback running at tick T schedules
         another event at delay 0; with the T-bucket already drained from
         the heap, the new event must still execute at T, in seq order."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
 
         def second():
@@ -39,7 +65,7 @@ class TestNoLostWakeup:
         assert log == [("first", 5), ("between", 5), ("second", 5)]
 
     def test_same_tick_schedule_during_drain_under_run_until(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
         queue.schedule(5, lambda: queue.schedule(0, lambda: log.append(queue.now)))
         result = queue.run_until(5)
@@ -47,7 +73,7 @@ class TestNoLostWakeup:
         assert result.reason is StopReason.DRAINED
 
     def test_chained_zero_delay_cascade_stays_on_tick(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         fired = []
 
         def chain(depth):
@@ -64,7 +90,7 @@ class TestNoLostWakeup:
         """Ticker re-audit: a period-1 ticker re-scheduling from inside the
         drained tick must land on the *next* tick, never re-fire in the
         same bucket."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         ticks = []
 
         def tick():
@@ -78,7 +104,7 @@ class TestNoLostWakeup:
 
 class TestCancellation:
     def test_cancel_event_already_moved_to_bucket(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         log = []
         victim = {}
 
@@ -94,7 +120,7 @@ class TestCancellation:
         assert queue.events_fired == 2
 
     def test_peek_time_skips_cancelled_bucket_heads(self):
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         events = [queue.schedule(2, lambda: None) for _ in range(3)]
         queue.step()                 # drains the cohort into the bucket
         for event in events[1:]:
@@ -105,9 +131,10 @@ class TestCancellation:
 
 class TestBucketHeapEquivalence:
     def test_fuzzed_schedules_fire_identically_in_both_modes(self):
-        """Randomized workload replayed in both kernel modes: recursive
-        schedules, same-tick bursts and cancellations must produce the
-        same (time, label) firing sequence and the same events_fired."""
+        """Randomized workload replayed on the calendar kernel and on the
+        heap-only reference: recursive schedules, same-tick bursts and
+        cancellations must produce the same (time, label) firing sequence
+        and the same events_fired."""
 
         def workload(queue):
             rng = random.Random(1234)
@@ -131,23 +158,16 @@ class TestBucketHeapEquivalence:
             queue.run()
             return log, queue.events_fired
 
-        log_bucket, fired_bucket = workload(make_queue(bucketed=True))
-        log_heap, fired_heap = workload(make_queue(bucketed=False))
+        log_bucket, fired_bucket = workload(EventQueue())
+        log_heap, fired_heap = workload(HeapReferenceQueue())
         assert log_bucket == log_heap
         assert fired_bucket == fired_heap
         assert len(log_bucket) > 50          # the fuzz actually ran
 
-    def test_mode_resolves_from_fastpath_switch(self):
-        with use_fastpath(True):
-            assert EventQueue().bucketed
-        with use_fastpath(False):
-            assert not EventQueue().bucketed
-        assert EventQueue(bucketed=False).bucketed is False
-
     def test_run_until_horizon_with_live_bucket(self):
         """run_until must not fire bucket events beyond the horizon and
         must report HORIZON with the remaining cohort intact."""
-        queue = make_queue(bucketed=True)
+        queue = EventQueue()
         fired = []
         for delay in (1, 1, 4, 4):
             queue.schedule(delay, fired.append, delay)

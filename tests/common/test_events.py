@@ -384,8 +384,8 @@ class TestTickerEdgeCases:
 
 
 class TestCancelledHeads:
-    """The lazy-deletion path (_drop_cancelled_head) with runs of
-    cancelled events at the front of the heap."""
+    """Lazy deletion (cancelled heads dropped when the kernel next looks
+    at the heap) with runs of cancelled events at the front of it."""
 
     def test_consecutive_cancelled_heads_are_skipped(self):
         q = EventQueue()

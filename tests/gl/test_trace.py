@@ -116,7 +116,7 @@ class TestRegionOfInterest:
 
 
 def inline_v1(trace_json: str) -> str:
-    """Down-convert a v2 trace to the v1 inline format (test helper)."""
+    """Down-convert a v2 trace to the retired v1 inline format."""
     import json
     doc = json.loads(trace_json)
     assert doc["version"] == 2
@@ -135,7 +135,7 @@ def inline_v1(trace_json: str) -> str:
 
 
 class TestTraceFormatV2:
-    """Content-interned trace format: dedupe, determinism, v1 compat."""
+    """Content-interned trace format: dedupe, determinism, v1 refusal."""
 
     def test_recorder_emits_v2_with_resolvable_tables(self):
         import json
@@ -180,18 +180,11 @@ class TestTraceFormatV2:
             recorder.record_frame(frame)
         assert trace_digest(recorder.to_json()) == trace_digest(trace)
 
-    def test_v1_inline_documents_still_replay(self):
-        trace = record_two_frames().to_json()
-        frames_v2 = replay(trace)
-        frames_v1 = replay(inline_v1(trace))
-        assert [len(f.draw_calls) for f in frames_v1] \
-            == [len(f.draw_calls) for f in frames_v2]
-        call_v1 = frames_v1[0].draw_calls[0]
-        call_v2 = frames_v2[0].draw_calls[0]
-        assert np.array_equal(call_v1.vbo.data, call_v2.vbo.data)
-        assert np.array_equal(call_v1.ibo.indices, call_v2.ibo.indices)
-        assert np.array_equal(call_v1.textures["albedo"].data,
-                              call_v2.textures["albedo"].data)
+    def test_v1_inline_documents_are_refused(self):
+        from repro.gl.trace import TraceDecodeError
+        with pytest.raises(TraceDecodeError) as info:
+            replay(inline_v1(record_two_frames().to_json()))
+        assert info.value.detail == "version"
 
 
 class TestTraceDecodeErrors:

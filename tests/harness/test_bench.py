@@ -1,7 +1,7 @@
-"""Tier-1 coverage for the fastpath measurement discipline (repro.bench).
+"""Tier-1 coverage for the benchmark artifacts and their gate (repro.bench).
 
-The micro scale keeps these fast enough for every test run; the heavier
-operating points live in ``benchmarks/`` and CI's bench smoke job.
+The micro scale keeps these fast enough for every test run; CI's bench
+smoke job runs the smoke scale through the CLI.
 """
 
 import json
@@ -24,27 +24,35 @@ def micro_fig14():
 class TestMicroRuns:
     def test_pipeline_identity(self, micro_pipeline):
         report = micro_pipeline
-        assert report["identical"], report["identity"]
-        for key in ("cycles", "fragments", "events_fired", "fb_crc",
-                    "dram_bytes"):
-            assert report["fastpath_on"][key] == report["fastpath_off"][key]
-        assert report["fastpath_on"]["fragments"] > 0
-        assert report["speedup_vs_seed"] is None  # only at default scale
+        assert report["pinned"] == bench.PINS["pipeline"]["micro"]
+        for key, value in report["pinned"].items():
+            assert report["run"][key] == value
+        assert report["run"]["fragments"] > 0
+        assert bench.gate(report) == []
 
     def test_fig14_identity(self, micro_fig14):
         report = micro_fig14
-        assert report["identical"], report["identity"]
-        for key in ("end_tick", "events_fired", "fb_crc", "row_hit_rate",
-                    "mean_gpu_time"):
-            assert report["fastpath_on"][key] == report["fastpath_off"][key]
-        assert report["fastpath_on"]["events_fired"] > 0
+        assert report["pinned"] == bench.PINS["fig14"]["micro"]
+        for key, value in report["pinned"].items():
+            assert report["run"][key] == value
+        assert report["run"]["events_fired"] > 0
+        assert bench.gate(report) == []
+
+    def test_drifted_run_is_reported(self, micro_pipeline):
+        run = micro_pipeline["run"]
+        report = dict(micro_pipeline,
+                      run=dict(run, events_fired=run["events_fired"] + 1))
+        failures = bench.gate(report)
+        assert len(failures) == 1
+        assert "events_fired" in failures[0] and "drifted" in failures[0]
+        assert "drifted on events_fired" in bench.format_summary(report)
 
     def test_report_shape(self, micro_pipeline):
         report = micro_pipeline
-        for key in ("benchmark", "scale", "workload", "fastpath_on",
-                    "fastpath_off", "identical", "identity",
-                    "speedup_on_vs_off", "host"):
+        for key in ("benchmark", "scale", "workload", "run", "pinned",
+                    "wall_note", "host"):
             assert key in report
+        assert "one sample" in report["wall_note"]
         # The artifact must round-trip through JSON (CI uploads it).
         assert json.loads(json.dumps(report)) == report
 
@@ -56,7 +64,8 @@ class TestMicroRuns:
     def test_format_summary(self, micro_pipeline):
         text = bench.format_summary(micro_pipeline)
         assert "pipeline (micro)" in text
-        assert "fastpath on" in text and "fastpath off" in text
+        assert "one sample" in text
+        assert "matches its pins" in text
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -66,19 +75,28 @@ class TestMicroRuns:
 
 
 def _fake_report(**overrides):
+    pinned = {"cycles": 100, "fragments": 10, "events_fired": 50,
+              "fb_crc": 123, "dram_bytes": 640}
     report = {
         "benchmark": "pipeline",
         "scale": "default",
-        "fastpath_on": {"wall_s": 1.0, "cycles": 100, "fragments": 10,
-                        "events_fired": 50, "fb_crc": 123, "dram_bytes": 640},
-        "fastpath_off": {"wall_s": 1.5, "cycles": 100, "fragments": 10,
-                         "events_fired": 50, "fb_crc": 123,
-                         "dram_bytes": 640},
+        "run": dict(pinned, wall_s=1.0),
+        "pinned": pinned,
+    }
+    report.update(overrides)
+    return report
+
+
+def _fake_ffwd_report(**overrides):
+    report = {
+        "benchmark": "ffwd",
         "identical": True,
-        "identity": {"cycles": 100, "fragments": 10, "events_fired": 50,
-                     "fb_crc": 123, "dram_bytes": 640},
-        "speedup_on_vs_off": 1.5,
-        "seed_baseline": None,
+        "ffwd": {"final_fb_crc": 7},
+        "full_detail": {"fb_crc": 7, "wall_s": 2.0},
+        "sampled": {"wall_s": 1.0},
+        "errors": {"gpu_time": 0.01, "dram_bytes": 0.02},
+        "error_bound": 0.05,
+        "speedup_sampled_vs_full": 2.0,
     }
     report.update(overrides)
     return report
@@ -87,49 +105,54 @@ def _fake_report(**overrides):
 class TestGate:
     def test_passes_clean_report(self):
         assert bench.gate(_fake_report()) == []
+        assert bench.gate(_fake_ffwd_report()) == []
 
     def test_fails_on_identity_mismatch(self):
-        report = _fake_report(identical=False)
-        report["fastpath_on"] = dict(report["fastpath_on"], fb_crc=999)
+        report = _fake_report(run=dict(_fake_report()["run"], fb_crc=999))
         failures = bench.gate(report)
         assert len(failures) == 1
-        assert "fb_crc" in failures[0]
-
-    def test_fails_when_fastpath_slower(self):
-        report = _fake_report(speedup_on_vs_off=0.7)
-        report["fastpath_on"] = dict(report["fastpath_on"], wall_s=2.0)
-        failures = bench.gate(report)
-        assert len(failures) == 1
-        assert "slower" in failures[0]
+        assert "fb_crc 999 != pinned 123" in failures[0]
 
     def test_noise_allowance(self):
-        # Mild regressions within the noise band don't fail CI.
-        assert bench.gate(_fake_report(speedup_on_vs_off=0.95)) == []
-        assert bench.gate(_fake_report(speedup_on_vs_off=0.95),
-                          min_on_off=0.99) != []
+        # A sampled run within the noise band of full detail passes; the
+        # allowance is the only speed check and it is a ratio of two runs
+        # in the same process, never an absolute time.
+        report = _fake_ffwd_report(speedup_sampled_vs_full=0.95)
+        assert bench.gate(report) == []
+        failures = bench.gate(report, min_speedup=0.99)
+        assert len(failures) == 1 and "slower" in failures[0]
+
+    def test_ffwd_failures_are_reported(self):
+        report = _fake_ffwd_report(identical=False, errors={"gpu_time": 0.08})
+        failures = bench.gate(report)
+        assert len(failures) == 2
+        assert "mode switch" in failures[0]
+        assert "gpu_time" in failures[1] and "5% bound" in failures[1]
 
     def test_detects_seed_schedule_drift(self):
-        report = _fake_report(
-            seed_baseline={"wall_s": 2.0, "cycles": 100, "events_fired": 51,
-                           "fb_crc": 123, "commit": "abc1234"})
+        report = _fake_report(run=dict(_fake_report()["run"],
+                                       events_fired=51))
         failures = bench.gate(report)
         assert len(failures) == 1
         assert "drifted" in failures[0]
         assert "events_fired" in failures[0]
 
     def test_seed_match_passes(self):
-        report = _fake_report(
-            seed_baseline={"wall_s": 2.0, "cycles": 100, "events_fired": 50,
-                           "fb_crc": 123, "commit": "abc1234"})
+        # Wall times never enter the gate: only the fingerprint does.
+        report = _fake_report(run=dict(_fake_report()["run"], wall_s=99.0))
         assert bench.gate(report) == []
 
 
 class TestSeedBaseline:
     def test_records_identity_pins(self):
-        # The recorded seed fingerprints must match the committed goldens;
-        # if either workload's schedule legitimately changes, re-measure
-        # the seed baseline, don't just edit these numbers.
-        assert bench.SEED_BASELINE["fig14"]["end_tick"] == 1_357_432
-        assert bench.SEED_BASELINE["fig14"]["events_fired"] == 274_152
-        assert bench.SEED_BASELINE["pipeline"]["cycles"] == 35_612
-        assert bench.SEED_BASELINE["pipeline"]["events_fired"] == 125_678
+        # The default-scale pins are the schedule recorded at the seed
+        # commit; if either workload's schedule legitimately changes,
+        # re-pin it together with the golden tests, don't just edit these.
+        assert bench.PINS["fig14"]["default"]["end_tick"] == 1_357_432
+        assert bench.PINS["fig14"]["default"]["events_fired"] == 274_152
+        assert bench.PINS["fig14"]["default"]["fb_crc"] == 967344438
+        assert bench.PINS["pipeline"]["default"]["cycles"] == 35_612
+        assert bench.PINS["pipeline"]["default"]["events_fired"] == 125_678
+        assert bench.PINS["pipeline"]["default"]["fb_crc"] == 2197508556
+        for name in ("fig14", "pipeline"):
+            assert sorted(bench.PINS[name]) == sorted(bench.SCALES)

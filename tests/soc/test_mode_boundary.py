@@ -3,17 +3,13 @@
 The mode-switch contract (DESIGN.md §13) says a snapshot is pure
 architectural state, restorable by either engine regardless of which one
 wrote it.  This matrix pins that across the four memory-organization
-presets and across the fastpath on/off boundary — a snapshot captured
-with the compiled hot paths enabled must resume bit-identically with
-them disabled, and vice versa (the same guarantee crash recovery needs
-when a resumed host has a different fastpath setting).
+presets.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.fastpath import use_fastpath
 from repro.harness.scenes import SceneSession
 from repro.health import HealthConfig
 from repro.health.recovery import resume_run
@@ -90,29 +86,6 @@ class TestPresetMatrix:
         pure.run(TOTAL)
         assert continued.checkpoint().trace_json \
             == pure.checkpoint().trace_json
-
-
-@pytest.mark.slow
-@pytest.mark.full_system
-class TestFastpathBoundary:
-    def test_resume_crosses_the_fastpath_boundary_bit_identically(self):
-        config = preset_config("BAS")
-        with use_fastpath(True):
-            checkpoint = functional_checkpoint(config)
-            fp_fast = resume_fingerprint(checkpoint, config)
-        with use_fastpath(False):
-            fp_slow = resume_fingerprint(checkpoint, config)
-        assert fp_fast == fp_slow
-
-    def test_detailed_snapshot_crosses_the_boundary_too(self):
-        config = preset_config("BAS")
-        with use_fastpath(False):
-            checkpoint = detailed_checkpoint(config)
-        with use_fastpath(True):
-            fp_fast = resume_fingerprint(checkpoint, config)
-        with use_fastpath(False):
-            fp_slow = resume_fingerprint(checkpoint, config)
-        assert fp_fast == fp_slow
 
 
 class TestModeField:

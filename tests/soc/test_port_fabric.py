@@ -4,7 +4,8 @@
    statistics — and its *event schedule* — bit-identically.  The golden
    numbers below were captured on the pre-port-fabric tree; any drift
    means the refactor changed timing, which is a regression by
-   definition.
+   definition.  ``CS2_GOLDEN`` pins the standalone GPU's schedule the
+   same way.
 2. Bounded-bandwidth mode exhibits genuine queueing delay: under the
    Fig. 12 high-load configuration, mean link traversal latency rises
    strictly as the link's service rate falls.
@@ -14,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro.harness.case_study2 import CS2Config, make_gpu
 from repro.harness.scenes import SceneSession
 from repro.soc.soc import EmeraldSoC
 from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
@@ -34,6 +36,17 @@ GOLDEN = {
                      "display": 505.8703703703704},
     "fb_crc": 1444291790,
     "events_fired": 28_060,
+}
+
+# Case study II (standalone GPU): one 64x48 cube frame at WT size 4,
+# captured at commit e8bea44.
+CS2_GOLDEN = {
+    "cycles": 3_400,
+    "fragment_cycles": 2_810,
+    "fragments": 634,
+    "dram_bytes": 34_944,
+    "events_fired": 8_986,
+    "fb_crc": 1362813562,
 }
 
 
@@ -66,6 +79,23 @@ class TestSeedIdentity:
         assert link["packets"] > 0
         assert "rejected" not in link        # bounded-only counters absent
         assert "stall_ticks" not in link
+
+
+class TestCS2Golden:
+    def test_standalone_gpu_frame_reproduces_its_golden(self):
+        config = CS2Config(width=64, height=48, texture_size=64)
+        session = SceneSession("cube", config.width, config.height,
+                               texture_size=config.texture_size)
+        gpu = make_gpu(config, wt_size=4)
+        stats = gpu.run_frame(session.frame(0))
+        assert {
+            "cycles": stats.cycles,
+            "fragment_cycles": stats.fragment_cycles,
+            "fragments": stats.fragments,
+            "dram_bytes": stats.dram_bytes,
+            "events_fired": gpu.events.events_fired,
+            "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
+        } == CS2_GOLDEN
 
 
 def _bounded_run(bytes_per_cycle):

@@ -115,6 +115,27 @@ class TestCLI:
         assert json.loads(summary.read_text())["unexpected_violations"] == 1
 
 
+class TestBenchCLI:
+    def test_gate_passes_on_pinned_fingerprint(self, capsys, tmp_path):
+        assert main(["bench", "--scale", "micro", "--only", "pipeline",
+                     "--gate", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH GATE" not in out
+        assert (tmp_path / "BENCH_pipeline.json").exists()
+
+    def test_gate_fails_on_drifted_fingerprint(self, capsys, monkeypatch):
+        from repro import bench
+
+        pins = bench.PINS["pipeline"]
+        drifted = dict(pins["micro"], fb_crc=pins["micro"]["fb_crc"] + 1)
+        monkeypatch.setitem(pins, "micro", drifted)
+        assert main(["bench", "--scale", "micro", "--only", "pipeline",
+                     "--gate"]) == 1
+        out = capsys.readouterr().out
+        assert "BENCH GATE: pipeline: fb_crc" in out
+        assert "drifted on fb_crc" in out
+
+
 class TestFleetCLI:
     def test_kill_spec_parsing(self):
         from repro.__main__ import _parse_kill_specs
