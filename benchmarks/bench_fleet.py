@@ -76,6 +76,6 @@ def test_fleet_service_levels(tmp_path):
     assert cached.executed == 0
     assert cached.cached == len(SEEDS)
     # Sharding: 2 workers complete the sweep no slower than 1 (the runs
-    # are CPU-bound and independent; the jobs are tiny, so supervisor
+    # are CPU-bound and independent; the jobs are tiny, so server
     # poll granularity eats much of the win — allow generous noise).
     assert sharded_wall <= serial_wall * 1.25

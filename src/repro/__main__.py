@@ -11,12 +11,13 @@ Commands:
 * ``selftest``    — smoke-run one tiny frame with the health watchdog armed
 * ``chaos``       — seeded fault sweep with the runtime sanitizer armed
   (``--server-drill`` runs the fleet-server kill -9 recovery drill)
-* ``fleet``       — the fault-tolerant fleet.  ``fleet sweep`` (the
-  default when flags follow directly) runs a one-shot sharded sweep
-  across a supervised worker pool (retry/backoff, checkpoint resume,
-  result cache); ``fleet serve`` starts the durable journal-backed
-  server; ``fleet submit|status|drain`` talk to it; ``fleet gc``
-  applies the cache/bundle retention caps
+* ``fleet``       — the fault-tolerant fleet.  ``fleet serve`` starts
+  the durable journal-backed server (retry/backoff, checkpoint resume,
+  result cache); ``fleet sweep`` (the default when flags follow
+  directly) runs a one-shot sharded sweep as a server on its workdir
+  that drains when every job is terminal; ``fleet submit|status|drain``
+  talk to a running server; ``fleet gc`` applies the cache/bundle
+  retention caps
 * ``ffwd``        — replay-driven fast-forward / sampled simulation,
   with the functional-vs-detailed equivalence verifier (``--verify``)
 
@@ -494,12 +495,13 @@ def _cmd_chaos(args) -> int:
 
 
 def _server_drill(args) -> int:
-    """``chaos --server-drill``: kill -9 the fleet server, prove recovery.
+    """``chaos --server-drill``: kill -9 a fleet sweep, prove recovery.
 
-    Runs the sweep once uninterrupted, then again under a server that is
-    SIGKILL'd at ``--kills`` randomized points and restarted; passes iff
-    the journal replays clean (no completed job ever re-claimed) and the
-    drill's cached payloads are byte-identical to the baseline's.
+    Runs the sweep once uninterrupted, then again as a ``fleet sweep``
+    subprocess that is SIGKILL'd at ``--kills`` randomized points and
+    rerun in its workdir; passes iff the journal replays clean (no
+    completed job ever re-claimed) and the drill's cached payloads are
+    byte-identical to the baseline's.
     """
     import json
 
@@ -534,7 +536,7 @@ def _server_drill(args) -> int:
 
 
 def _parse_kill_specs(specs) -> dict:
-    """``--kill NAME:FRAME`` flags -> the supervisor's inject mapping.
+    """``--kill NAME:FRAME`` flags -> the fleet's inject mapping.
 
     Each flag SIGKILLs the named job's *first* attempt after FRAME
     completes; later attempts consume no control and run clean — the
@@ -560,17 +562,21 @@ def _cmd_fleet_sweep(args) -> int:
 
     Jobs come from ``--jobs specs.json`` (a list of JobSpec objects) or
     are generated as the cross product of ``--models`` x ``--seeds``.
-    Exit 0 when every job ends ``ok`` (and, with ``--expect-cached``,
-    every job was served from the cache); exit 1 otherwise.  Signals get
-    the graceful-shutdown ladder: the first SIGTERM/SIGINT drains
-    (in-flight jobs stop at a checkpoint boundary, queued jobs are
-    cancelled; exit 4), a second aborts (workers SIGKILLed; exit 5).
+    The sweep is a fleet server on ``--workdir`` that drains once every
+    job is terminal; rerunning it there resumes from the journal.  Exit
+    0 when every job ends ``ok`` (and, with ``--expect-cached``, no
+    worker process ran); exit 1 otherwise; exit 2 for a bad invocation
+    (including a job name already taken by a different spec).  Signals
+    get the server's ladder: the first SIGTERM/SIGINT drains (in-flight
+    jobs stop at a checkpoint boundary and stay pending; exit 4), a
+    second aborts (workers SIGKILLed; exit 5).
     """
     import json
-    import signal as signallib
 
-    from repro.fleet import (BackoffPolicy, FleetConfig, FleetSupervisor,
-                             JobSpec, JobSpecError)
+    from repro.fleet import (BackoffPolicy, FleetConfig, JobSpec,
+                             JobSpecError, SubmissionError, run_sweep)
+    from repro.fleet.server import EXIT_ABORTED, EXIT_DRAINED_PENDING
+    from repro.sanitize import SanitizerViolation
 
     try:
         if args.jobs:
@@ -596,46 +602,28 @@ def _cmd_fleet_sweep(args) -> int:
                              faults=faults, retries=args.retries)
                      for model in args.models.split(",")
                      for seed in seeds]
-        inject = _parse_kill_specs(args.kill)
+        config = FleetConfig(
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            max_attempts=args.max_attempts,
+            backoff=BackoffPolicy(base=args.backoff_base),
+            heartbeat_timeout=args.heartbeat_timeout,
+            preempt_after=args.preempt_after,
+            budget_events=args.budget_events,
+            cache_dir=args.cache_dir,
+            inject=_parse_kill_specs(args.kill),
+        )
     except (JobSpecError, ValueError, OSError) as exc:
         print(f"bad fleet invocation: {exc}")
         return 2
-
-    config = FleetConfig(
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        max_attempts=args.max_attempts,
-        backoff=BackoffPolicy(base=args.backoff_base),
-        heartbeat_timeout=args.heartbeat_timeout,
-        preempt_after=args.preempt_after,
-        budget_events=args.budget_events,
-        cache_dir=args.cache_dir,
-        inject=inject,
-    )
-    supervisor = FleetSupervisor(config, args.workdir)
-    supervisor.submit_sweep(specs)
-
-    signals_seen = 0
-
-    def _on_signal(signum, frame) -> None:
-        nonlocal signals_seen
-        signals_seen += 1
-        if signals_seen == 1:
-            supervisor.request_drain()
-        else:
-            supervisor.request_abort()
-
-    previous = {}
-    for signum in (signallib.SIGTERM, signallib.SIGINT):
-        try:
-            previous[signum] = signallib.signal(signum, _on_signal)
-        except (ValueError, OSError):        # non-main thread (tests)
-            pass
     try:
-        report = supervisor.run()
-    finally:
-        for signum, handler in previous.items():
-            signallib.signal(signum, handler)
+        report = run_sweep(specs, config, args.workdir)
+    except SubmissionError as exc:       # refused before any worker ran
+        print(f"bad fleet invocation: {exc}")
+        return 2
+    except SanitizerViolation as violation:
+        print(f"REFUSING TO START: {violation}")
+        return 1
 
     rows = []
     for record in report.records:
@@ -660,6 +648,9 @@ def _cmd_fleet_sweep(args) -> int:
                        in sorted(report.counts().items()))
     print(f"{len(report.records)} jobs: {counts}; "
           f"{report.executed} worker processes, {report.cached} cache hits")
+    for record in report.records:
+        if record.cache_error:
+            print(f"cache: {record.spec.name}: {record.cache_error}")
     bundles = [b for record in report.records for b in record.bundles]
     if bundles:
         print("triage bundles:")
@@ -669,19 +660,19 @@ def _cmd_fleet_sweep(args) -> int:
         with open(args.summary, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"summary written to {args.summary}")
-    if supervisor.aborted:
-        print("fleet sweep ABORTED (second signal); "
-              "checkpoints survive for a resume")
-        return 5
-    if supervisor.draining:
-        print("fleet sweep drained (first signal); "
-              "cancelled jobs resume from their checkpoints")
-        return 4
+    if report.exit_code == EXIT_ABORTED:
+        print("fleet sweep ABORTED (second signal); rerun in "
+              f"{args.workdir} to resume from the checkpoints")
+        return report.exit_code
+    if report.exit_code == EXIT_DRAINED_PENDING:
+        print("fleet sweep drained (first signal); pending jobs resume "
+              f"when rerun in {args.workdir}")
+        return report.exit_code
     if not report.ok:
         return 1
-    if args.expect_cached and report.cached != len(report.records):
-        print(f"EXPECTED CACHE-ONLY RERUN: {report.cached}/"
-              f"{len(report.records)} jobs served from cache")
+    if args.expect_cached and report.executed:
+        print(f"EXPECTED CACHE-ONLY RERUN: {report.executed} worker "
+              f"process(es) ran")
         return 1
     return 0
 
@@ -719,7 +710,6 @@ def _cmd_fleet_serve(args) -> int:
     from repro.fleet import FleetConfig, FleetServer, ServerConfig
     from repro.sanitize import SanitizerViolation
 
-    cache_dir = args.cache or f"{args.workdir}/cache"
     fleet = FleetConfig(
         workers=args.workers,
         queue_limit=args.queue_limit,
@@ -727,14 +717,13 @@ def _cmd_fleet_serve(args) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         poll_interval=args.poll_interval,
         budget_events=args.budget_events,
-        cache_dir=cache_dir,
+        cache_dir=args.cache,
     )
     config = ServerConfig(
         fleet=fleet,
         spool_poll=args.spool_poll,
         segment_records=args.segment_records,
         unhealthy_after=args.unhealthy_after,
-        expect=args.expect,
         enable_socket=not args.no_socket,
     )
     try:
@@ -743,7 +732,7 @@ def _cmd_fleet_serve(args) -> int:
         print(f"REFUSING TO START: {violation}")
         return 1
     print(f"fleet server {server.server_id}: workdir={args.workdir} "
-          f"cache={cache_dir}", flush=True)
+          f"cache={server.cache.root}", flush=True)
     print(f"  spool: {args.workdir}/spool   "
           f"socket: {'off' if args.no_socket else server.socket_path}",
           flush=True)
@@ -921,14 +910,17 @@ def _cmd_dse(args) -> int:
     Enumerates clusters x stacks x data-rates x CPU mixes, evaluates
     every point as a cached fleet job, and prints the Pareto frontier
     over FPS / DRAM bandwidth / energy.  Exit 0 when every point
-    evaluated ``ok`` (and, with ``--expect-cached``, entirely from
-    cache); exit 1 otherwise.
+    evaluated ``ok`` (and, with ``--expect-cached``, no worker process
+    ran); exit 1 otherwise; exit 2 for a bad invocation (including a
+    workdir whose journal holds a point under the same name with other
+    physics); the fleet's 4/5 when a signal drained or aborted the sweep.
     """
     import json
 
     from repro.common.config import ConfigError
     from repro.dse import (DSEConfig, format_dse_report, run_dse,
                            topology_grid)
+    from repro.fleet import SubmissionError
 
     try:
         grid = topology_grid(
@@ -944,7 +936,11 @@ def _cmd_dse(args) -> int:
                        cache_dir=args.cache_dir, workdir=args.workdir,
                        budget_events=args.budget_events,
                        ffwd=args.ffwd, sample=args.sample)
-    report = run_dse(grid, config)
+    try:
+        report = run_dse(grid, config)
+    except SubmissionError as exc:       # refused before any worker ran
+        print(f"bad dse invocation: {exc}")
+        return 2
     print(format_dse_report(report))
     fleet = report.fleet
     print(f"{len(report.points)} points: {fleet.executed} worker "
@@ -953,11 +949,13 @@ def _cmd_dse(args) -> int:
         with open(args.out, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"report written to {args.out}")
+    if fleet.exit_code:
+        return fleet.exit_code
     if not report.ok:
         return 1
-    if args.expect_cached and fleet.cached != len(report.points):
-        print(f"EXPECTED CACHE-ONLY RERUN: {fleet.cached}/"
-              f"{len(report.points)} points served from cache")
+    if args.expect_cached and fleet.executed:
+        print(f"EXPECTED CACHE-ONLY RERUN: {fleet.executed} worker "
+              f"process(es) ran")
         return 1
     return 0
 
@@ -1092,9 +1090,9 @@ def main(argv=None) -> int:
                         "(per-scenario outcomes, bundle paths) as JSON")
     p.add_argument("--server-drill", action="store_true",
                    help="run the fleet-server chaos drill instead: "
-                        "kill -9 the server at randomized points "
-                        "mid-sweep, restart, assert byte-identical "
-                        "results and zero re-executed jobs")
+                        "kill -9 a fleet sweep at randomized points, "
+                        "rerun it, assert byte-identical results and "
+                        "zero re-executed jobs")
     p.add_argument("--kills", type=int, default=3,
                    help="server drill: SIGKILLs to deliver (default: 3)")
     p.add_argument("--server-jobs", type=int, default=4,
@@ -1146,18 +1144,21 @@ def main(argv=None) -> int:
     p.add_argument("--budget-events", type=int, default=5_000_000,
                    help="per-attempt event budget (hang backstop)")
     p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed result cache root")
+                   help="content-addressed result cache root "
+                        "(default: WORKDIR/cache)")
     p.add_argument("--workdir", default="fleet-work",
-                   help="per-job scratch space (checkpoints, heartbeats, "
-                        "triage bundles)")
+                   help="the sweep's journal and per-job scratch space "
+                        "(checkpoints, heartbeats, triage bundles); use "
+                        "one per grid, rerun in it to resume")
     p.add_argument("--kill", action="append", metavar="NAME:FRAME",
                    help="SIGKILL job NAME's first attempt after FRAME "
                         "completes (repeatable; CI crash-recovery smoke)")
     p.add_argument("--summary", metavar="PATH",
                    help="write the machine-readable fleet report as JSON")
     p.add_argument("--expect-cached", action="store_true",
-                   help="also fail unless every job was served from the "
-                        "cache (CI determinism check)")
+                   help="also fail unless no worker process ran (every "
+                        "job served from the journal or the cache; CI "
+                        "determinism check)")
     p.set_defaults(func=_cmd_fleet_sweep)
 
     p = fleet_sub.add_parser(
@@ -1182,9 +1183,6 @@ def main(argv=None) -> int:
                    help="consecutive worker infra failures before the "
                         "server degrades to cache-only serving")
     p.add_argument("--budget-events", type=int, default=5_000_000)
-    p.add_argument("--expect", type=int, metavar="N",
-                   help="drain automatically once N jobs are terminal "
-                        "(CI / drill mode)")
     p.add_argument("--no-socket", action="store_true",
                    help="file-drop spool intake only")
     p.set_defaults(func=_cmd_fleet_serve)
@@ -1267,14 +1265,16 @@ def main(argv=None) -> int:
     p.add_argument("--budget-events", type=int, default=5_000_000,
                    help="per-attempt event budget (hang backstop)")
     p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed result cache root")
+                   help="content-addressed result cache root "
+                        "(default: WORKDIR/cache)")
     p.add_argument("--workdir", default="dse-work",
-                   help="per-job scratch space")
+                   help="the sweep's journal and per-job scratch space; "
+                        "use one per grid, rerun in it to resume")
     p.add_argument("--out", metavar="PATH",
                    help="write the machine-readable DSE report as JSON")
     p.add_argument("--expect-cached", action="store_true",
-                   help="also fail unless every point was served from "
-                        "the cache (CI determinism check)")
+                   help="also fail unless no worker process ran (CI "
+                        "determinism check)")
     p.set_defaults(func=_cmd_dse)
 
     p = sub.add_parser("dfsl", help="run DFSL on a workload")

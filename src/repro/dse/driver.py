@@ -7,7 +7,7 @@ batch goes through :func:`repro.fleet.run_sweep` — supervised workers,
 heartbeat monitoring, retry/backoff, and the content-addressed result
 cache, whose keys now hash the real topology — and the surviving metrics
 reduce to a Pareto frontier.  Re-running the same sweep against a warm
-cache spawns no workers at all.
+cache, or in its own workdir, spawns no workers at all.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from repro.common.config import SoCTopology
 from repro.dse.pareto import OBJECTIVES, pareto_frontier
 from repro.fleet import FleetConfig, FleetReport, JobSpec, run_sweep
-from repro.fleet.worker import DEFAULT_BUDGET_EVENTS
+from repro.fleet.job import DEFAULT_BUDGET_EVENTS
 
 DSE_REPORT_SCHEMA = "repro-dse-report/1"
 
@@ -140,7 +140,10 @@ def run_dse(topologies: Sequence[SoCTopology],
                     budget_events=config.budget_events),
         workdir=config.workdir)
     report = DSEReport(fleet=fleet_report, objectives=config.objectives)
-    for topology, record in zip(topologies, fleet_report.records):
+    # Identical points dedup to one fleet job: look records up by name.
+    records = {record.spec.name: record for record in fleet_report.records}
+    for topology in topologies:
+        record = records[topology.name]
         metrics = None
         if record.payload is not None:
             metrics = _point_metrics(record.payload.get("metrics"))

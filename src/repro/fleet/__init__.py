@@ -1,24 +1,26 @@
 """Fault-tolerant simulation fleet (DESIGN.md §10, server mode §14).
 
-``repro.fleet`` turns the single-run simulator into a supervised,
-crash-tolerant service: an asyncio :class:`FleetSupervisor` shards
-benchmark sweeps, chaos seeds and user-submitted configs across a
-multiprocess worker pool, detects crashed and hung workers by heartbeat
-staleness (a monotonic attempt-progress counter, immune to clock jumps),
-requeues them with capped exponential backoff, resumes retried jobs from
-their last :class:`~repro.soc.checkpoint.GraphicsCheckpoint`, and caches
+``repro.fleet`` turns the single-run simulator into a crash-tolerant
+service with one orchestration path, the journal-backed
+:class:`FleetServer` (:mod:`repro.fleet.server`).  It shards benchmark
+sweeps, chaos seeds and user-submitted configs across a multiprocess
+worker pool, detects crashed and hung workers by heartbeat staleness (a
+monotonic attempt-progress counter, immune to clock jumps), requeues
+them with capped exponential backoff, resumes retried jobs from their
+last :class:`~repro.soc.checkpoint.GraphicsCheckpoint`, and caches
 deterministic results content-addressed on (config hash, seed, code
 version) with gem5-style manifests.  Failures surface as typed outcomes
-with PR 4 triage bundles attached — the chaos loud-death contract
-extended to the process-pool layer.
+with triage bundles attached — the chaos loud-death contract extended to
+the process-pool layer.
 
-On top of the one-shot supervisor sits the **durable fleet server**
-(:mod:`repro.fleet.server`): a long-lived service whose entire state is
-reconstructible after ``kill -9`` from its write-ahead job journal
-(:mod:`repro.fleet.journal`), with file-drop + Unix-socket intake,
-priority / fair-share / deadline scheduling, and graceful SIGTERM
-drains.  :mod:`repro.fleet.drill` is the server-level chaos drill that
-SIGKILLs the server mid-sweep and asserts byte-identical results.
+The server's whole state is reconstructible after ``kill -9`` from its
+write-ahead job journal (:mod:`repro.fleet.journal`); it takes
+file-drop + Unix-socket intake, schedules by priority / fair share /
+deadline, and drains gracefully on SIGTERM.  :func:`run_sweep` is the
+one-shot form: a server on the sweep's workdir that submits the grid
+and drains once every job is terminal, so rerunning a sweep in its
+workdir resumes it.  :mod:`repro.fleet.drill` SIGKILLs a ``fleet
+sweep`` mid-run and asserts byte-identical results.
 
 Quickstart (one-shot sweep)::
 
@@ -26,10 +28,9 @@ Quickstart (one-shot sweep)::
 
     specs = [JobSpec(name=f"cube-s{seed}", frames=2, seed=seed)
              for seed in (1, 2, 3)]
-    report = run_sweep(specs,
-                       FleetConfig(workers=2, cache_dir="fleet-cache"),
+    report = run_sweep(specs, FleetConfig(workers=2),
                        workdir="fleet-work")
-    assert report.ok        # rerun: served entirely from cache
+    assert report.ok        # rerun in fleet-work: no worker spawned
 
 CLI: ``python -m repro fleet sweep --seeds 1,2,3 --workers 2``; the
 server is ``python -m repro fleet serve|submit|status|drain|gc``.
@@ -40,18 +41,17 @@ from __future__ import annotations
 from repro.fleet.cache import (CacheGCReport, CachedResult, ResultCache,
                                sweep_triage_bundles)
 from repro.fleet.heartbeat import HeartbeatMonitor
-from repro.fleet.job import (ATTEMPT_OUTCOMES, JOB_OUTCOMES, JobAttempt,
-                             JobRecord, JobSpec, JobSpecError)
+from repro.fleet.job import (ATTEMPT_OUTCOMES, JOB_OUTCOMES, BackoffPolicy,
+                             FleetConfig, FleetReport, FleetSaturated,
+                             FleetWorkerFailure, JobAttempt, JobRecord,
+                             JobSpec, JobSpecError)
 from repro.fleet.journal import (JobJournal, JournalReplay, ReplayedJob,
                                  replay_journal)
 from repro.fleet.manifest import (ManifestError, build_manifest, cache_key,
                                   code_version, config_hash,
                                   validate_manifest)
 from repro.fleet.server import (FleetServer, JobSubmission, ServerConfig,
-                                SubmissionError, journal_status)
-from repro.fleet.supervisor import (BackoffPolicy, FleetConfig, FleetReport,
-                                    FleetSaturated, FleetSupervisor,
-                                    FleetWorkerFailure, run_sweep)
+                                SubmissionError, journal_status, run_sweep)
 from repro.fleet.worker import run_job, worker_entry
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "FleetReport",
     "FleetSaturated",
     "FleetServer",
-    "FleetSupervisor",
     "FleetWorkerFailure",
     "HeartbeatMonitor",
     "JOB_OUTCOMES",

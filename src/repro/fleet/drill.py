@@ -1,15 +1,16 @@
-"""Server-level chaos drill: kill -9 the fleet server, restart, compare.
+"""Server-level chaos drill: kill -9 a fleet sweep, rerun it, compare.
 
 The drill is the acceptance test for the durable server's whole promise,
 run end to end with real processes:
 
-1. **Baseline** — an uninterrupted in-process server completes the sweep
-   in a pristine workdir + cache; the deterministic payload of every job
-   is recorded (SHA-256 over the canonical payload bytes).
-2. **Drill** — the same sweep is dropped into a second server's spool as
-   drop files, and the server *subprocess* is SIGKILL'd at randomized
-   points (seeded RNG) at least ``kills`` times, restarted after each
-   kill, then allowed to finish.
+1. **Baseline** — an uninterrupted :func:`~repro.fleet.server.run_sweep`
+   completes the sweep in a pristine workdir + cache; the deterministic
+   payload of every job is recorded (SHA-256 over the canonical payload
+   bytes).
+2. **Drill** — the same sweep runs as a ``fleet sweep --jobs``
+   *subprocess* in a second workdir, is SIGKILL'd at randomized points
+   (seeded RNG) at least ``kills`` times, rerun in the same workdir after
+   each kill (resuming from its journal), then allowed to finish.
 3. **Verdict** — the drill passes iff:
 
    * the final journal replays clean (the replay validator itself proves
@@ -18,10 +19,8 @@ run end to end with real processes:
      JournalConsistencyViolation`);
    * every job finished ``ok`` and its payload bytes are **identical**
      to the uninterrupted baseline's;
-   * the journal's cache-hit accounting adds up: every job was executed
-     by a worker at most... exactly the claims the journal shows, and
-     jobs completed before a kill were served from cache after the
-     restart instead of re-run.
+   * the journal's cache-hit accounting adds up: every job finished
+     once, either executed or served from cache after a restart.
 
 Used by ``python -m repro chaos --server-drill`` and the slow test
 suite; CI runs a small configuration.
@@ -38,14 +37,11 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.fleet.job import JobSpec
+from repro.fleet.job import FleetConfig, JobSpec
 from repro.fleet.journal import replay_journal
 from repro.fleet.manifest import cache_key, payload_bytes
-from repro.fleet.server import (EXIT_DRAINED, JOURNAL_DIR, FleetServer,
-                                JobSubmission, ServerConfig, SPOOL_DIR)
-from repro.fleet.supervisor import FleetConfig
+from repro.fleet.server import EXIT_DRAINED, JOURNAL_DIR, run_sweep
 
 
 @dataclass
@@ -91,34 +87,19 @@ def _sha(payload: dict) -> str:
 
 def _run_baseline(specs, workdir: str, cache_dir: str,
                   workers: int) -> dict:
-    """Uninterrupted in-process server run; returns name -> payload sha."""
-    config = ServerConfig(
-        fleet=FleetConfig(workers=workers, cache_dir=cache_dir),
-        expect=len(specs), enable_socket=False)
-    server = FleetServer(config, workdir)
-    for spec in specs:
-        server.submit(JobSubmission(spec=spec), source="baseline")
-    code = server.serve(install_signals=False)
-    if code != EXIT_DRAINED:
-        raise RuntimeError(f"baseline server exited {code}, expected 0")
+    """Uninterrupted in-process sweep; returns name -> payload sha."""
+    report = run_sweep(specs, FleetConfig(workers=workers,
+                                          cache_dir=cache_dir), workdir)
+    if report.exit_code != EXIT_DRAINED:
+        raise RuntimeError(
+            f"baseline sweep exited {report.exit_code}, expected 0")
     shas = {}
-    for spec in specs:
-        record = server._jobs[spec.name].record
+    for record in report.records:
         if record.outcome != "ok" or record.payload is None:
             raise RuntimeError(
-                f"baseline job {spec.name} ended {record.outcome!r}")
-        shas[spec.name] = _sha(record.payload)
+                f"baseline job {record.spec.name} ended {record.outcome!r}")
+        shas[record.spec.name] = _sha(record.payload)
     return shas
-
-
-def _server_argv(workdir: str, cache_dir: str, workers: int,
-                 expect: int) -> list:
-    return [
-        sys.executable, "-m", "repro", "fleet", "serve",
-        "--workdir", workdir, "--cache", cache_dir,
-        "--workers", str(workers), "--expect", str(expect),
-        "--poll-interval", "0.05",
-    ]
 
 
 def _server_env() -> dict:
@@ -135,15 +116,15 @@ def run_server_drill(*, kills: int = 3, jobs: int = 4, frames: int = 2,
                      kill_window: tuple = (0.4, 1.2),
                      round_timeout: float = 300.0,
                      max_rounds: int = 24) -> ServerDrillReport:
-    """SIGKILL the server ``kills`` times mid-sweep; verify byte equality.
+    """SIGKILL the sweep ``kills`` times mid-run; verify byte equality.
 
-    ``kill_window`` is the (min, max) seconds after a server start at
-    which the seeded RNG schedules the SIGKILL.  If the server finishes
+    ``kill_window`` is the (min, max) seconds after a sweep start at
+    which the seeded RNG schedules the SIGKILL.  If the sweep finishes
     before the timer fires, the round counts as a completion instead —
     and the window *halves*, so later incarnations (which serve a warm
     cache and drain in well under the original window) still get their
     kills, landing ever earlier: mid-startup, mid-journal-replay,
-    mid-reconcile.  The drill keeps restarting (journal intact, cache
+    mid-reconcile.  The drill keeps rerunning (journal intact, cache
     warm) until it has delivered at least ``kills`` kills *and* seen
     the sweep complete; delivering fewer than ``kills`` within
     ``max_rounds`` is a drill failure, not a silent pass.
@@ -156,23 +137,19 @@ def run_server_drill(*, kills: int = 3, jobs: int = 4, frames: int = 2,
     base_cache = os.path.join(workdir, "baseline-cache")
     drill_dir = os.path.join(workdir, "drill")
     drill_cache = os.path.join(workdir, "drill-cache")
-    os.makedirs(drill_dir, exist_ok=True)
 
     baseline = _run_baseline(specs, base_dir, base_cache, workers)
 
-    # File-drop intake: the whole sweep goes in as spool drop files
-    # before the first incarnation starts.  A kill before the spool is
-    # fully consumed exercises idempotent resubmission on restart.
-    spool = os.path.join(drill_dir, SPOOL_DIR)
-    os.makedirs(spool, exist_ok=True)
-    for spec in specs:
-        drop = os.path.join(spool, f"{spec.name}.json")
-        with open(drop + ".tmp", "w", encoding="utf-8") as handle:
-            json.dump(spec.to_dict(), handle)
-        os.replace(drop + ".tmp", drop)
+    # Every incarnation resubmits the whole grid: a kill mid-submission
+    # exercises idempotent resubmission on the rerun.
+    jobs_file = os.path.join(workdir, "jobs.json")
+    with open(jobs_file, "w", encoding="utf-8") as handle:
+        json.dump([spec.to_dict() for spec in specs], handle)
 
     env = _server_env()
-    argv = _server_argv(drill_dir, drill_cache, workers, len(specs))
+    argv = [sys.executable, "-m", "repro", "fleet", "sweep",
+            "--jobs", jobs_file, "--workdir", drill_dir,
+            "--cache-dir", drill_cache, "--workers", str(workers)]
     completed = False
     window = (max(0.02, kill_window[0]), max(0.04, kill_window[1]))
     while report.rounds < max_rounds \
@@ -209,7 +186,7 @@ def run_server_drill(*, kills: int = 3, jobs: int = 4, frames: int = 2,
             return report
         if code != EXIT_DRAINED:
             report.failures.append(
-                f"final server incarnation exited {code}, expected "
+                f"final sweep incarnation exited {code}, expected "
                 f"{EXIT_DRAINED}")
             return report
         completed = True

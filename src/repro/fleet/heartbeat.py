@@ -1,7 +1,7 @@
-"""Worker liveness: file-based heartbeats + the supervisor-side monitor.
+"""Worker liveness: file-based heartbeats + the server-side monitor.
 
 Workers beat by atomically rewriting a small JSON file at every frame
-boundary (the same cadence as checkpoints).  The supervisor polls the
+boundary (the same cadence as checkpoints).  The server polls the
 file and applies the watchdog's deadline idiom (``repro.health.watchdog``)
 to it: a worker whose process is alive but whose heartbeat has made no
 *progress* within the timeout is *hung* — killed and requeued — while a

@@ -1,15 +1,17 @@
-"""Fleet job descriptions and the failure taxonomy.
+"""Fleet job descriptions, the pool's policy, and the failure taxonomy.
 
 A :class:`JobSpec` is the unit of work the fleet schedules: one
 deterministic full-system run (model, resolution, frame count, memory
 configuration, seed, optional fault injection).  Everything in a spec is
 plain data — specs travel to worker processes as JSON, hash into the
 result cache's content address, and appear verbatim in manifests and
-triage bundles.
+triage bundles.  :class:`FleetConfig` holds the worker pool's policy
+(size, queue bound, retry ladder, heartbeat timeout) and
+:class:`FleetReport` what one sweep produced.
 
 The taxonomy (DESIGN.md §10) splits *attempt* outcomes — what one worker
-process did — from *job* outcomes — what the supervisor concluded after
-retries:
+process did — from *job* outcomes — what the fleet server concluded
+after retries:
 
 ===============  ==========================================================
 attempt outcome  meaning
@@ -18,7 +20,7 @@ attempt outcome  meaning
 ``preempted``    cooperative stop at a checkpoint boundary (resume point)
 ``crashed``      worker process died without writing a result (SIGKILL,
                  OOM kill, interpreter abort)
-``hung``         heartbeats went stale; the supervisor killed the worker
+``hung``         heartbeats went stale; the server killed the worker
 ``violation``    a typed SanitizerViolation; triage bundle written
 ``detected``     a wrapped SimulationError (watchdog, event budget);
                  triage bundle written
@@ -31,11 +33,11 @@ retries exhausted), ``violation`` / ``detected`` / ``error`` (typed
 deterministic failures — retrying a deterministic simulation reproduces
 the same failure, so these are terminal on the first attempt),
 ``shed`` (rejected at submit time by the bounded queue —
-:class:`~repro.fleet.supervisor.FleetSaturated`), and ``cancelled``
-(stopped by policy, not by failure: a drain signal before the job ran,
-or a fleet-server deadline cancel through the cooperative-preemption
-path — the job's checkpoint survives, so a resubmission resumes rather
-than restarts).
+:class:`FleetSaturated`), and ``cancelled``
+(stopped by policy, not by failure: an operator cancel or a deadline
+cancel through the cooperative-preemption path — the job's checkpoint
+survives).  A drain signal cancels nothing: unfinished jobs stay
+``pending`` in the journal and resume on the next run.
 """
 
 from __future__ import annotations
@@ -48,12 +50,15 @@ from repro.common.config import ConfigError, SoCTopology
 #: Attempt-level outcomes (one worker process).
 ATTEMPT_OUTCOMES = ("ok", "preempted", "crashed", "hung", "violation",
                     "detected", "error")
-#: Job-level outcomes (after the supervisor's retry policy).
+#: Job-level outcomes (after the server's retry policy).
 JOB_OUTCOMES = ("ok", "failed", "violation", "detected", "error", "shed",
                 "cancelled")
-#: Attempt outcomes the supervisor retries (infrastructure failures, not
+#: Attempt outcomes the server retries (infrastructure failures, not
 #: deterministic simulation verdicts).
 RETRYABLE = ("crashed", "hung")
+#: Per-attempt event budget: the backstop against a simulation that
+#: never finishes.
+DEFAULT_BUDGET_EVENTS = 5_000_000
 
 
 class JobSpecError(ValueError):
@@ -247,7 +252,7 @@ class JobRecord:
     preemptions: int = 0
     key: Optional[str] = None            # cache key, once computed
     next_backoff: float = 0.0            # delay applied to the next attempt
-    cache_error: Optional[str] = None    # publish failed (job still ok)
+    cache_error: Optional[str] = None    # publish failed / payload gone
     cancel_reason: Optional[str] = None  # why a cancelled job stopped
 
     @property
@@ -269,4 +274,122 @@ class JobRecord:
             "key": self.key,
             "cache_error": self.cache_error,
             "cancel_reason": self.cancel_reason,
+        }
+
+
+class FleetSaturated(RuntimeError):
+    """The bounded submission queue is full; the job was shed, not queued.
+
+    A typed outcome, per the loud-death contract: callers see exactly why
+    the fleet refused work (current depth, limit) instead of blocking
+    forever or growing the queue without bound.
+    """
+
+    def __init__(self, pending: int, limit: int) -> None:
+        super().__init__(
+            f"fleet saturated: {pending} jobs pending (limit {limit})")
+        self.pending = pending
+        self.limit = limit
+
+
+class FleetWorkerFailure(RuntimeError):
+    """Server-side record of a crashed, hung or deadline-cancelled attempt.
+
+    Written into the attempt's triage bundle (the worker itself died
+    without the chance to report), carrying what the server observed:
+    the exit signal / staleness, the last heartbeat, the resume point.
+    """
+
+    def __init__(self, kind: str, message: str, *,
+                 last_heartbeat: Optional[dict] = None) -> None:
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+        self.last_heartbeat = last_heartbeat
+        self.details = {"kind": kind, "last_heartbeat": last_heartbeat}
+
+
+@dataclass(frozen=True)
+class BackoffPolicy:
+    """Capped exponential delay before retrying a crashed/hung attempt.
+
+    Retry ``i`` (0-based) waits ``min(cap, base * factor**i)`` seconds —
+    the same ladder shape as the NoC's :class:`RetryConfig`, in wall
+    time.  Deterministic by construction (no jitter): tests can assert
+    the exact delay sequence.
+    """
+
+    base: float = 0.25
+    factor: float = 2.0
+    cap: float = 4.0
+
+    def delay_for(self, retry_index: int) -> float:
+        return min(self.cap, self.base * (self.factor ** retry_index))
+
+    def ladder(self, retries: int) -> list[float]:
+        return [self.delay_for(i) for i in range(retries)]
+
+
+@dataclass
+class FleetConfig:
+    """Worker-pool knobs."""
+
+    workers: int = 2
+    queue_limit: int = 1024          # bounded submissions (load shedding)
+    max_attempts: int = 3            # crash/hang retries per job
+    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
+    heartbeat_timeout: float = 60.0  # wall seconds without a beat = hung
+    poll_interval: float = 0.05      # server monitor cadence (seconds)
+    preempt_after: Optional[float] = None   # wall deadline per attempt
+    budget_events: int = DEFAULT_BUDGET_EVENTS
+    cache_dir: Optional[str] = None  # None: <workdir>/cache
+    # Test/CI fault injection: job name -> per-attempt control docs, e.g.
+    # {"cube-s1": [{"kill_at_frame": 0}]} SIGKILLs attempt 1 after frame
+    # 0 and lets attempt 2 (which consumes no control) run clean.
+    inject: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.workers <= 0:
+            raise ValueError(f"workers must be positive, got {self.workers}")
+        if self.queue_limit <= 0:
+            raise ValueError(
+                f"queue_limit must be positive, got {self.queue_limit}")
+        if self.max_attempts <= 0:
+            raise ValueError(
+                f"max_attempts must be positive, got {self.max_attempts}")
+
+
+@dataclass
+class FleetReport:
+    """Everything one sweep produced, one record per job, in submission
+    order, with the server's exit code."""
+
+    records: list[JobRecord] = field(default_factory=list)
+    executed: int = 0                # worker processes spawned
+    cache_stats: dict = field(default_factory=dict)
+    exit_code: int = 0               # the server's 0/4/5 exit code
+
+    @property
+    def ok(self) -> bool:
+        return all(record.ok for record in self.records)
+
+    @property
+    def cached(self) -> int:
+        return sum(1 for record in self.records if record.cache_hit)
+
+    def counts(self) -> dict:
+        counts: dict[str, int] = {}
+        for record in self.records:
+            counts[record.outcome] = counts.get(record.outcome, 0) + 1
+        return counts
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": "repro-fleet-report/1",
+            "ok": self.ok,
+            "exit_code": self.exit_code,
+            "counts": self.counts(),
+            "executed": self.executed,
+            "cached": self.cached,
+            "cache_stats": self.cache_stats,
+            "jobs": [record.to_dict() for record in self.records],
         }

@@ -81,6 +81,16 @@ RECORD_TYPES = frozenset({
 _TERMINAL = ("done", "cancel")
 
 
+def replaces(outcome: Optional[str], key: str, new_key: str) -> bool:
+    """Whether a submit under ``new_key`` may replace a job that ended
+    ``outcome`` under ``key``: a shed or failed job holds no result, and
+    a result under another key came from other code.  A pending job
+    (``None`` here, ``"pending"`` on the server) is never replaced."""
+    if outcome in (None, "pending"):
+        return False
+    return outcome in ("shed", "failed") or key != new_key
+
+
 def _record_crc(record: dict) -> int:
     body = {key: value for key, value in record.items() if key != "crc"}
     return zlib.crc32(
@@ -195,10 +205,8 @@ def _fold(replay: JournalReplay, record: dict, *, path: str,
                          path=path, line=line)
     job = replay.jobs.get(name)
     if kind == "submit":
-        if job is not None and job.outcome != "shed":
-            # A shed submission was refused outright; resubmitting the
-            # same name once the queue frees is legitimate and replaces
-            # the shed entry.  Anything else is a double submit.
+        if job is not None \
+                and not replaces(job.outcome, job.key, data.get("key", "")):
             raise _violation(
                 "transition", f"duplicate submit for job {name!r}",
                 path=path, line=line)

@@ -1,7 +1,7 @@
-"""The durable fleet server: a crash-recoverable, long-lived job service.
+"""The fleet engine: a crash-recoverable, journal-backed job server.
 
-:class:`FleetServer` wraps the one-shot :class:`~repro.fleet.supervisor.
-FleetSupervisor` pool in a service whose entire state is reconstructible
+:class:`FleetServer` owns a worker pool, the deterministic result cache
+and a write-ahead job journal, and its entire state is reconstructible
 after ``kill -9``:
 
 * every scheduling transition — submit, claim, attempt end, terminal
@@ -14,14 +14,23 @@ after ``kill -9``:
   :class:`~repro.sanitize.violations.JournalConsistencyViolation` on a
   ``claim`` after ``done``, so the no-rework guarantee is checkable from
   the journal alone);
+* each attempt is one worker process (:mod:`~repro.fleet.worker`).  A
+  worker that dies without a result, or whose heartbeats go stale, is
+  retried with capped exponential backoff and resumes from its last
+  checkpoint; typed deterministic failures (``violation`` /
+  ``detected`` / ``error``) are terminal on the first attempt;
+  cooperative preemption at a checkpoint boundary costs no attempt
+  (capped at :data:`MAX_PREEMPTIONS`);
+* the result cache (content-addressed on config hash, seed and code
+  version) is consulted on every claim, so finished work is served
+  without a worker;
 * intake is a **file-drop spool** (drop a JSON spec into
   ``<workdir>/spool/``) and a **Unix socket** (line-delimited JSON ops:
   submit / status / drain / cancel / ping).  Submission is idempotent —
   jobs deduplicate on their content-addressed cache key — and rejection
-  is typed: a saturated queue sheds with
-  :class:`~repro.fleet.supervisor.FleetSaturated`, a malformed spec is
-  quarantined to ``spool/quarantine/`` with a reason file, never a
-  server crash;
+  is typed: a saturated queue sheds with :class:`FleetSaturated`, a
+  malformed spec is quarantined to ``spool/quarantine/`` with a reason
+  file, never a server crash;
 * scheduling honors per-job **priority**, **fair share** across sweep
   owners (the owner with the fewest claims goes first within a priority
   band), and per-job **deadlines** that cancel overdue jobs through the
@@ -33,7 +42,13 @@ after ``kill -9``:
   server to **cache-only serving** (degraded mode) instead of burning
   retries.
 
-Exit codes (pinned; the drill and CI assert them):
+:func:`run_sweep` is the one-shot form (``fleet sweep``, ``dse``): a
+server on the sweep's workdir that submits the grid and drains once
+every job in its table is terminal.  Rerunning a sweep in the same
+workdir resumes it from the journal.
+
+Exit codes (pinned; ``fleet serve``, ``fleet sweep`` and the drill
+assert them):
 
 ====  ====================================================================
  0    drained cleanly, no pending jobs left
@@ -48,20 +63,25 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import multiprocessing
 import os
+import re
 import signal
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.fleet.cache import ResultCache
-from repro.fleet.job import (RETRYABLE, JobRecord, JobSpec, JobSpecError)
-from repro.fleet.journal import JobJournal, JournalReplay, ReplayedJob
-from repro.fleet.manifest import (build_manifest, cache_key, payload_bytes)
-from repro.fleet.supervisor import (FleetConfig, FleetSaturated,
-                                    FleetSupervisor, FleetWorkerFailure,
-                                    _job_dirname)
-from repro.fleet.worker import CLAIM_FILE, PREEMPT_FLAG
+from repro.fleet.heartbeat import HeartbeatMonitor
+from repro.fleet.job import (RETRYABLE, FleetConfig, FleetReport,
+                             FleetSaturated, FleetWorkerFailure, JobAttempt,
+                             JobRecord, JobSpec, JobSpecError)
+from repro.fleet.journal import (JobJournal, JournalReplay, ReplayedJob,
+                                 replaces)
+from repro.fleet.manifest import build_manifest, cache_key, payload_bytes
+from repro.fleet.worker import (CHECKPOINT_FILE, CLAIM_FILE, CONTROL_FILE,
+                                HEARTBEAT_FILE, PREEMPT_FLAG, RESULT_FILE,
+                                TRIAGE_DIR, worker_entry)
 
 SERVER_STATUS_SCHEMA = "repro-fleet-server-status/1"
 
@@ -70,14 +90,22 @@ SPOOL_DIR = "spool"
 QUARANTINE_DIR = "quarantine"
 ACK_DIR = "ack"
 JOURNAL_DIR = "journal"
+CACHE_DIR = "cache"                  # the default cache root, in the workdir
 
 EXIT_DRAINED = 0
 EXIT_DRAINED_PENDING = 4
 EXIT_ABORTED = 5
 
+#: Hard ceiling on cooperative preemptions per job.  Every preemption
+#: advances the checkpoint by at least one frame, so this is unreachable
+#: for sane frame counts — it exists so a server bug can never turn into
+#: an infinite preempt/resume loop.
+MAX_PREEMPTIONS = 1000
+
 
 class SubmissionError(ValueError):
-    """A submission document failed validation (quarantined, not run)."""
+    """A submission was refused: a malformed document (quarantined, not
+    run), or a job name already taken by a different spec."""
 
 
 @dataclass(frozen=True)
@@ -164,13 +192,17 @@ class _ServerJob:
     priority: int = 0
     owner: str = "anonymous"
     deadline: Optional[float] = None     # seconds from admission
-    deadline_at: Optional[float] = None  # loop.time() cutoff
-    recovered: bool = False
+    recovered: bool = False              # rebuilt from the journal
     prior_claims: int = 0                # claims journaled pre-crash
     failures: int = 0                    # retryable failures, all time
     running: bool = False
     cancel_requested: bool = False
-    source: str = "api"
+
+    def __post_init__(self) -> None:
+        # A deadline counts from admission, or from recovery after a
+        # restart.
+        self.deadline_at = (None if self.deadline is None
+                            else time.monotonic() + self.deadline)
 
     @property
     def name(self) -> str:
@@ -187,6 +219,50 @@ def _payload_sha(payload: Optional[dict]) -> Optional[str]:
     return hashlib.sha256(payload_bytes(payload)).hexdigest()[:16]
 
 
+def _name_taken(name: str) -> SubmissionError:
+    return SubmissionError(
+        f"job name {name!r} already taken by a different spec")
+
+
+def _job_dirname(name: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
+
+
+def _spawn_context():
+    """Prefer fork (fast, Linux); fall back to spawn elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
+def _clear(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
+def _exitcode_desc(code) -> str:
+    if code is None:
+        return "with unknown status"
+    if code < 0:
+        try:
+            return f"on signal {signal.Signals(-code).name}"
+        except ValueError:
+            return f"on signal {-code}"
+    return f"with code {code}"
+
+
+def _load_checkpoint(jobdir: str):
+    """The job's on-disk checkpoint, or None if absent or unreadable."""
+    from repro.health import load_checkpoint
+    from repro.soc.checkpoint import CheckpointError
+    try:
+        return load_checkpoint(os.path.join(jobdir, CHECKPOINT_FILE))
+    except (CheckpointError, OSError):
+        return None
+
+
 class FleetServer:
     """A long-lived fleet service; all state lives in the journal."""
 
@@ -198,8 +274,12 @@ class FleetServer:
                     os.path.join(SPOOL_DIR, QUARANTINE_DIR),
                     os.path.join(SPOOL_DIR, ACK_DIR)):
             os.makedirs(os.path.join(workdir, sub), exist_ok=True)
-        self.sup = FleetSupervisor(config.fleet, workdir)
-        self.cache: Optional[ResultCache] = self.sup.cache
+        self.cache = ResultCache(config.fleet.cache_dir
+                                 or os.path.join(workdir, CACHE_DIR))
+        self.executed = 0                # worker processes spawned
+        self._ctx = _spawn_context()
+        self._draining = False           # first signal: drain
+        self._aborting = False           # second signal: abort
         self.journal, self.replay = JobJournal.open(
             os.path.join(workdir, JOURNAL_DIR),
             segment_records=config.segment_records)
@@ -252,12 +332,9 @@ class FleetServer:
             record=record, seq=self._seq, priority=replayed.priority,
             owner=replayed.owner, deadline=replayed.deadline,
             recovered=True, prior_claims=replayed.claims,
-            failures=replayed.failures, source="recovery")
+            failures=replayed.failures)
         self._jobs[job.name] = job
-        if record.outcome != "shed":
-            # Shed is a load verdict, not a result: the same spec may be
-            # resubmitted once the queue has room, so it must not dedup.
-            self._by_key[record.key] = job
+        self._by_key[record.key] = job
         return job
 
     def _reconcile(self, job: _ServerJob) -> bool:
@@ -270,16 +347,13 @@ class FleetServer:
         here without a worker process, and the journal records how.
         """
         record = job.record
-        if self.cache is not None:
-            cached = self.cache.lookup(record.key)
-            if cached is not None:
-                self._finish(job, "ok", cache_hit=True,
-                             payload=cached.payload,
-                             detail="recovered from result cache")
-                return True
+        cached = self.cache.lookup(record.key)
+        if cached is not None:
+            self._finish(job, "ok", cache_hit=True, payload=cached.payload,
+                         detail="recovered from result cache")
+            return True
         if job.prior_claims > 0:
-            jobdir = self._jobdir(job)
-            result = self.sup._read_result(jobdir)
+            result = self._read_result(self._jobdir(job))
             if result and result.get("outcome") == "ok":
                 payload = result.get("payload")
                 identity = record.spec.identity()
@@ -304,17 +378,13 @@ class FleetServer:
         """
         spec = submission.spec
         key = cache_key(spec)
-        existing = self._by_key.get(key)
+        existing = self._admission(spec, key)
         if existing is not None:
-            return {"ok": True, "name": existing.name, "key": key,
-                    "dedup": True, "outcome": existing.record.outcome}
-        named = self._jobs.get(spec.name)
-        if named is not None and named.record.outcome != "shed":
-            raise SubmissionError(
-                f"job name {spec.name!r} already taken by a different "
-                f"spec (key {named.record.key})")
-        if named is not None:
-            self._terminal -= 1          # replacing a shed placeholder
+            return {"ok": True, "name": existing.name,
+                    "key": existing.record.key, "dedup": True,
+                    "outcome": existing.record.outcome}
+        if spec.name in self._jobs:
+            self._terminal -= 1          # replacing a terminal job
         pending = sum(1 for job in self._jobs.values() if not job.terminal)
         if pending >= self.config.fleet.queue_limit:
             self.journal.append(
@@ -322,7 +392,7 @@ class FleetServer:
                 detail=f"{pending} pending (limit "
                        f"{self.config.fleet.queue_limit})")
             shed = _ServerJob(record=JobRecord(spec=spec, key=key),
-                              seq=self._next_seq(), source=source)
+                              seq=self._next_seq())
             shed.record.outcome = "shed"
             self._jobs[spec.name] = shed
             self._terminal += 1
@@ -335,10 +405,7 @@ class FleetServer:
         job = _ServerJob(record=record, seq=self._next_seq(),
                          priority=submission.priority,
                          owner=submission.owner,
-                         deadline=submission.deadline, source=source)
-        if submission.deadline is not None and self._loop_running():
-            job.deadline_at = (asyncio.get_running_loop().time()
-                               + submission.deadline)
+                         deadline=submission.deadline)
         self._jobs[spec.name] = job
         self._by_key[key] = job
         self._ready.append(job)
@@ -346,17 +413,30 @@ class FleetServer:
         return {"ok": True, "name": spec.name, "key": key,
                 "dedup": False, "outcome": "pending"}
 
+    def _admission(self, spec: JobSpec, key: str) -> Optional[_ServerJob]:
+        """The job a submission of ``spec`` dedups to; None admits it.
+
+        Raises :class:`SubmissionError` when the name is held by different
+        physics.  A shed name is free, and a job the journal's
+        :func:`~repro.fleet.journal.replaces` rule lets a resubmission
+        replace is never deduped to.
+        """
+        existing = self._by_key.get(key)
+        if existing is not None \
+                and not replaces(existing.record.outcome, key, key):
+            return existing
+        named = self._jobs.get(spec.name)
+        if named is None or named.record.outcome == "shed":
+            return None
+        if named.record.spec.identity() != spec.identity():
+            raise _name_taken(spec.name)
+        if replaces(named.record.outcome, named.record.key, key):
+            return None
+        return named
+
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    @staticmethod
-    def _loop_running() -> bool:
-        try:
-            asyncio.get_running_loop()
-            return True
-        except RuntimeError:
-            return False
 
     # -- scheduling ---------------------------------------------------------
 
@@ -373,7 +453,7 @@ class FleetServer:
         return os.path.join(self.workdir, "jobs", _job_dirname(job.name))
 
     async def _slot(self) -> None:
-        while not self.sup.draining:
+        while not self._draining:
             job = self._pick()
             if job is None:
                 self._wake.clear()
@@ -387,29 +467,24 @@ class FleetServer:
             await self._drive(job)
 
     async def _drive(self, job: _ServerJob) -> None:
+        """Serve one claim: cache hit, or one attempt; requeue or finish."""
         record = job.record
         loop = asyncio.get_running_loop()
-        if job.deadline is not None and job.deadline_at is None:
-            # Deadline admitted before the loop started (recovery, or a
-            # pre-serve submit): the clock starts now.
-            job.deadline_at = loop.time() + job.deadline
         if job.cancel_requested:
             self._cancel(job, "cancelled by operator request")
             return
-        if job.deadline_at is not None and loop.time() >= job.deadline_at:
+        if job.deadline_at is not None \
+                and time.monotonic() >= job.deadline_at:
             self._cancel(
                 job, f"deadline ({job.deadline:.1f}s) passed while queued",
                 bundle=True)
             return
-        if self.cache is not None:
-            # Unlike the one-shot supervisor, the server consults the
-            # cache on *every* claim — this is what lets a restarted
-            # incarnation serve work completed before the kill.
-            cached = self.cache.lookup(record.key)
-            if cached is not None:
-                self._finish(job, "ok", cache_hit=True,
-                             payload=cached.payload)
-                return
+        # The cache is consulted on *every* claim: this is what lets a
+        # restarted incarnation serve work completed before the kill.
+        cached = self.cache.lookup(record.key)
+        if cached is not None:
+            self._finish(job, "ok", cache_hit=True, payload=cached.payload)
+            return
         if self.degraded:
             self._finish(
                 job, "shed",
@@ -441,18 +516,13 @@ class FleetServer:
         job.running = True
         self._running += 1
         try:
-            fresh = False if (job.recovered and job.prior_claims > 0) \
-                else None
-            attempt = await self.sup._run_attempt(record, fresh=fresh)
+            attempt = await self._run_attempt(job, jobdir)
         finally:
             job.running = False
             self._running -= 1
             if watchdog is not None:
                 watchdog.cancel()
-            try:
-                os.remove(os.path.join(jobdir, CLAIM_FILE))
-            except OSError:
-                pass
+            _clear(os.path.join(jobdir, CLAIM_FILE))
         record.attempts.append(attempt)
         self.journal.append("attempt-end", name=job.name,
                             outcome=attempt.outcome, detail=attempt.detail,
@@ -467,7 +537,7 @@ class FleetServer:
             record.attempts.pop()        # cooperative, not a failure
             record.preemptions += 1
             deadline_hit = (job.deadline_at is not None
-                            and loop.time() >= job.deadline_at)
+                            and time.monotonic() >= job.deadline_at)
             if job.cancel_requested:
                 self._cancel(job, "cancelled by operator request "
                                   f"({attempt.detail})")
@@ -479,13 +549,18 @@ class FleetServer:
                     f"at a checkpoint boundary ({attempt.detail})",
                     bundle=True)
                 return
-            if self.sup.draining:
+            if self._draining:
                 return                   # stays pending; journal resumes it
+            if record.preemptions >= MAX_PREEMPTIONS:
+                self._finish(job, "failed",
+                             detail=f"preempted {record.preemptions} times "
+                                    f"(limit {MAX_PREEMPTIONS})")
+                return
             self._ready.append(job)
             self._wake.set()
             return
         if attempt.outcome in RETRYABLE:
-            if self.sup.draining:
+            if self._draining:
                 return                   # stays pending for the restart
             job.failures += 1
             self._infra_failures += 1
@@ -511,8 +586,7 @@ class FleetServer:
 
     async def _deadline_watchdog(self, job: _ServerJob,
                                  jobdir: str) -> None:
-        loop = asyncio.get_running_loop()
-        await asyncio.sleep(max(0.0, job.deadline_at - loop.time()))
+        await asyncio.sleep(max(0.0, job.deadline_at - time.monotonic()))
         try:
             with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
                 flag.write(f"deadline cancel: {job.deadline:.1f}s "
@@ -520,12 +594,138 @@ class FleetServer:
         except OSError:
             pass
 
+    # -- one worker process -------------------------------------------------
+
+    async def _run_attempt(self, job: _ServerJob,
+                           jobdir: str) -> JobAttempt:
+        record, fleet = job.record, self.config.fleet
+        self._arm_controls(record, jobdir)
+        if not job.prior_claims and not record.attempts \
+                and record.preemptions == 0:
+            # First attempt: a checkpoint or heartbeat left behind in a
+            # reused job directory belongs to a different job — resuming
+            # it would publish a wrong payload under this job's cache
+            # key.  A journal-recovered job that was claimed before
+            # keeps its checkpoint: that is what a restart resumes from.
+            _clear(os.path.join(jobdir, CHECKPOINT_FILE))
+            _clear(os.path.join(jobdir, HEARTBEAT_FILE))
+        _clear(os.path.join(jobdir, RESULT_FILE))
+        _clear(os.path.join(jobdir, PREEMPT_FLAG))
+
+        backoff_delay = record.next_backoff
+        record.next_backoff = 0.0
+        checkpoint = _load_checkpoint(jobdir)
+        resumed_from = checkpoint.frame_index if checkpoint is not None else 0
+
+        process = self._ctx.Process(
+            target=worker_entry,
+            args=(record.spec.to_dict(), jobdir, fleet.budget_events),
+            daemon=True)
+        process.start()
+        self.executed += 1
+        monitor = HeartbeatMonitor(os.path.join(jobdir, HEARTBEAT_FILE),
+                                   timeout=fleet.heartbeat_timeout)
+        preempt_flagged = False
+        hung = False
+        stale_age = 0.0
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        while process.is_alive():
+            await asyncio.sleep(fleet.poll_interval)
+            monitor.poll()
+            if self._aborting:
+                process.kill()               # second signal: stop now
+                break
+            over_deadline = (fleet.preempt_after is not None
+                             and loop.time() - started > fleet.preempt_after)
+            if (self._draining or over_deadline) and not preempt_flagged:
+                with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
+                    flag.write("preempt requested by the server\n")
+                preempt_flagged = True
+            if monitor.stale():
+                process.kill()               # SIGKILL; heartbeats ceased
+                hung = True
+                stale_age = monitor.age()
+                break
+        process.join()                       # dead or just killed: quick
+        exitcode_desc = _exitcode_desc(process.exitcode)
+        process.close()
+
+        # A published result supersedes the staleness verdict: a worker
+        # that finished just as the monitor killed it still did the work,
+        # and the result file is this attempt's (cleared before spawn).
+        result = self._read_result(jobdir)
+        if result is not None:
+            return JobAttempt(
+                outcome=result.get("outcome", "error"),
+                detail=result.get("detail", ""),
+                resumed_from=result.get("resumed_from", 0),
+                backoff_delay=backoff_delay,
+                bundle=result.get("bundle"),
+                payload_doc=result.get("payload"))
+
+        # No result: the process died (or we killed it for hanging).
+        kind = "hung" if hung else "crashed"
+        failure = FleetWorkerFailure(
+            kind,
+            f"no heartbeat for {stale_age:.1f}s "
+            f"(timeout {fleet.heartbeat_timeout}s); killed"
+            if hung else
+            f"worker exited {exitcode_desc} without a result "
+            f"(resume point: frame {resumed_from})",
+            last_heartbeat=monitor.last)
+        bundle = self._write_attempt_bundle(record, jobdir, failure)
+        return JobAttempt(outcome=kind, detail=str(failure),
+                          resumed_from=resumed_from,
+                          backoff_delay=backoff_delay, bundle=bundle)
+
+    def _arm_controls(self, record: JobRecord, jobdir: str) -> None:
+        """Install (or retire) this attempt's injected-fault control."""
+        controls = self.config.fleet.inject.get(record.spec.name, [])
+        index = len(record.attempts) + record.preemptions
+        path = os.path.join(jobdir, CONTROL_FILE)
+        if index < len(controls) and controls[index]:
+            with open(path, "w") as handle:
+                json.dump(controls[index], handle)
+        else:
+            _clear(path)
+
+    def _write_attempt_bundle(self, record: JobRecord, jobdir: str,
+                              failure: FleetWorkerFailure) -> Optional[str]:
+        """Triage bundle for an attempt that died without reporting."""
+        from repro.sanitize.triage import write_bundle
+        try:
+            return write_bundle(
+                os.path.join(jobdir, TRIAGE_DIR),
+                seed=record.spec.seed, error=failure,
+                command=f"python -m repro fleet --seeds {record.spec.seed} "
+                        f"--models {record.spec.model} "
+                        f"--frames {record.spec.frames}",
+                config={"job": record.spec.to_dict(),
+                        "attempt": len(record.attempts) + 1,
+                        "server": failure.details},
+                checkpoint=_load_checkpoint(jobdir))
+        except OSError:
+            return None
+
+    @staticmethod
+    def _read_result(jobdir: str) -> Optional[dict]:
+        try:
+            with open(os.path.join(jobdir, RESULT_FILE)) as handle:
+                doc = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        return doc if isinstance(doc, dict) else None
+
     # -- terminal transitions -----------------------------------------------
 
     def _publish(self, job: _ServerJob, payload: Optional[dict]) -> None:
         record = job.record
-        if self.cache is None or payload is None:
+        if payload is None:
             return
+        # The job already succeeded: a cache publish failure (disk full,
+        # permissions) is recorded, never allowed to kill the slot and
+        # strand the rest of the queue.
         try:
             manifest = build_manifest(
                 record.spec, record.key, outcome="ok",
@@ -559,7 +759,7 @@ class FleetServer:
         bundle_path = None
         if bundle:
             failure = FleetWorkerFailure("deadline-cancel", reason)
-            bundle_path = self.sup._write_attempt_bundle(
+            bundle_path = self._write_attempt_bundle(
                 record, self._jobdir(job), failure)
         self.journal.append("cancel", name=job.name, reason=reason,
                             bundle=bundle_path)
@@ -609,10 +809,7 @@ class FleetServer:
             self._quarantine_drop(path, name, exc)
             return
         self._ack_drop(name, ack)
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        _clear(path)
 
     def _quarantine_drop(self, path: str, name: str, exc: Exception) -> None:
         """A malformed drop is set aside with a reason — never a crash."""
@@ -622,10 +819,7 @@ class FleetServer:
         try:
             os.replace(path, quarantined)
         except OSError:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            _clear(path)
         self._write_json(self._spool_path(QUARANTINE_DIR,
                                           name + ".reason.json"),
                          {"source": name, "reason": reason})
@@ -647,7 +841,7 @@ class FleetServer:
             pass
 
     async def _spool_loop(self) -> None:
-        while not self.sup.draining:
+        while not self._draining:
             self.poll_spool()
             await asyncio.sleep(self.config.spool_poll)
 
@@ -743,17 +937,17 @@ class FleetServer:
             "schema": SERVER_STATUS_SCHEMA,
             "ok": True,
             "server": self.server_id,
-            "ready": not self.sup.draining and not self.degraded,
-            "draining": self.sup.draining,
+            "ready": not self._draining and not self.degraded,
+            "draining": self._draining,
             "degraded": self.degraded,
             "uptime": round(time.monotonic() - self._started, 3),
             "jobs": counts,
             "pending": pending,
             "running": self._running,
             "terminal": self._terminal,
-            "executed": self.sup.executed,
+            "executed": self.executed,
             "expect": self.config.expect,
-            "cache": self.cache.stats() if self.cache else {},
+            "cache": self.cache.stats(),
             "journal": {"root": self.journal.root,
                         "incarnation": self.replay.incarnations + 1},
         }
@@ -762,14 +956,14 @@ class FleetServer:
 
     def request_drain(self) -> None:
         """First signal: stop intake, preempt in-flight, shut down clean."""
-        if not self.sup.draining:
+        if not self._draining:
             self.journal.append("drain", server=self.server_id)
-        self.sup.request_drain()
+        self._draining = True
         self._wake.set()
 
     def request_abort(self) -> None:
         """Second signal: SIGKILL workers, exit without a clean record."""
-        self.sup.request_abort()
+        self._draining = self._aborting = True
         self._wake.set()
 
     def _on_signal(self) -> None:
@@ -783,11 +977,6 @@ class FleetServer:
                           install_signals: bool = True) -> int:
         """Run until drained (or aborted); returns the exit code."""
         loop = asyncio.get_running_loop()
-        # Deadlines admitted before the loop existed start ticking now.
-        for job in self._jobs.values():
-            if job.deadline is not None and job.deadline_at is None \
-                    and not job.terminal:
-                job.deadline_at = loop.time() + job.deadline
         if install_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 try:
@@ -796,10 +985,7 @@ class FleetServer:
                     pass
         socket_server = None
         if self.config.enable_socket:
-            try:
-                os.remove(self.socket_path)
-            except OSError:
-                pass
+            _clear(self.socket_path)
             socket_server = await asyncio.start_unix_server(
                 self._handle_client, path=self.socket_path)
         spool_task = loop.create_task(self._spool_loop())
@@ -810,9 +996,9 @@ class FleetServer:
                 await asyncio.sleep(self.config.fleet.poll_interval)
                 if self.config.expect is not None \
                         and self._terminal >= self.config.expect \
-                        and not self.sup.draining:
+                        and not self._draining:
                     self.request_drain()
-                if self.sup.draining and self._running == 0:
+                if self._draining and self._running == 0:
                     break
         finally:
             spool_task.cancel()
@@ -821,13 +1007,10 @@ class FleetServer:
             if socket_server is not None:
                 socket_server.close()
                 await socket_server.wait_closed()
-                try:
-                    os.remove(self.socket_path)
-                except OSError:
-                    pass
+                _clear(self.socket_path)
             await asyncio.gather(*slots, return_exceptions=True)
         pending = sum(1 for job in self._jobs.values() if not job.terminal)
-        if self.sup.aborted:
+        if self._aborting:
             # No clean-shutdown record on purpose: the next incarnation
             # must treat this exactly like a crash and recover.
             self.journal.close()
@@ -838,8 +1021,75 @@ class FleetServer:
         return EXIT_DRAINED if pending == 0 else EXIT_DRAINED_PENDING
 
     def serve(self, *, install_signals: bool = True) -> int:
-        return asyncio.run(
-            self.serve_async(install_signals=install_signals))
+        # Closing the loop resets SIGTERM/SIGINT to their defaults: put
+        # back whatever handlers the caller had installed.
+        saved = {signum: signal.getsignal(signum)
+                 for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            return asyncio.run(
+                self.serve_async(install_signals=install_signals))
+        finally:
+            for signum, handler in saved.items():
+                if handler is not None \
+                        and signal.getsignal(signum) is not handler:
+                    signal.signal(signum, handler)
+
+
+def run_sweep(specs, config: Optional[FleetConfig] = None,
+              workdir: str = "fleet-work") -> FleetReport:
+    """Drive ``specs`` to terminal outcomes on a server in ``workdir``.
+
+    The server submits the grid, serves it with the SIGTERM/SIGINT
+    ladder until every job in its table is terminal, and drains.  The
+    workdir holds the sweep's journal, so rerunning the grid there
+    resumes a killed or drained sweep and reports finished jobs with
+    their cached payloads, spawning no worker for them.  Identical specs
+    dedup to one job; a job beyond ``queue_limit`` is recorded ``shed``;
+    a name already used (in ``specs`` or the workdir's journal) for
+    different physics raises :class:`SubmissionError` before anything is
+    journaled.  A shed or failed job, or one finished under an older
+    code version, runs again.  A job finished earlier whose payload the
+    cache no longer holds is reported ``error``, naming the cache root.
+    The report lists each job once, in submission order.
+    """
+    specs = list(specs)
+    server = FleetServer(ServerConfig(fleet=config or FleetConfig(),
+                                      enable_socket=False), workdir)
+    grid: dict = {}                      # name -> identity
+    try:
+        for spec in specs:
+            server._admission(spec, cache_key(spec))
+            if grid.setdefault(spec.name, spec.identity()) \
+                    != spec.identity():
+                raise _name_taken(spec.name)
+    except SubmissionError:
+        server.journal.close()
+        raise
+    names: dict = {}                     # ordered set of the sweep's jobs
+    for spec in specs:
+        try:
+            ack = server.submit(JobSubmission(spec=spec), source="sweep")
+            names[ack["name"]] = None
+        except FleetSaturated:
+            names[spec.name] = None      # recorded as outcome "shed"
+    server.config.expect = len(server._jobs)
+    code = server.serve()
+    records = [server._jobs[name].record for name in names]
+    for record in records:
+        if record.ok and record.payload is None:
+            # Finished by an earlier run in this workdir: the journal
+            # kept the outcome, the cache keeps the payload.
+            cached = server.cache.lookup(record.key)
+            if cached is not None:
+                record.payload = cached.payload
+                continue
+            record.outcome = "error"
+            record.cache_error = (
+                f"finished by an earlier run, but the result cache "
+                f"{server.cache.root} no longer holds its payload; rerun "
+                f"with that run's cache or in a fresh workdir")
+    return FleetReport(records=records, executed=server.executed,
+                       cache_stats=server.cache.stats(), exit_code=code)
 
 
 def journal_status(workdir: str) -> dict:

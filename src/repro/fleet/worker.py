@@ -6,7 +6,7 @@ contract is the chaos harness's loud-death contract extended to a
 process boundary: **whatever happens, the job directory ends up with
 either an atomic ``result.json`` naming a typed outcome, or nothing at
 all** (the process was killed) — never a bare traceback, never a torn
-result a supervisor could misread.
+result the server could misread.
 
 Per-attempt flow:
 
@@ -37,13 +37,13 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from repro.fleet.job import JobSpec
+from repro.fleet.job import DEFAULT_BUDGET_EVENTS, JobSpec
 from repro.fleet.manifest import cache_key, result_payload
 from repro.health import (FaultConfig, HealthConfig, PreemptionRequested,
                           RetryConfig, load_checkpoint)
 from repro.soc.checkpoint import CheckpointError
 
-#: Job-directory file names (the worker/supervisor wire protocol).
+#: Job-directory file names (the worker/server wire protocol).
 RESULT_FILE = "result.json"
 CHECKPOINT_FILE = "checkpoint.json"
 HEARTBEAT_FILE = "heartbeat.json"
@@ -51,8 +51,6 @@ CONTROL_FILE = "control.json"
 PREEMPT_FLAG = "PREEMPT"
 CLAIM_FILE = "CLAIM"
 TRIAGE_DIR = "triage"
-
-DEFAULT_BUDGET_EVENTS = 5_000_000
 
 
 def _read_control(jobdir: str) -> dict:
@@ -62,7 +60,7 @@ def _read_control(jobdir: str) -> dict:
     real, uncatchable worker crash); ``hang_at_frame`` — stop beating and
     sleep (a hung worker for the heartbeat monitor to catch);
     ``hang_after_result`` — publish the result, then stop beating (the
-    publish-vs-staleness race: the supervisor must accept the result).
+    publish-vs-staleness race: the server must accept the result).
     """
     try:
         with open(os.path.join(jobdir, CONTROL_FILE)) as handle:
@@ -73,12 +71,13 @@ def _read_control(jobdir: str) -> dict:
 
 
 def _read_claim(jobdir: str) -> Optional[str]:
-    """The supervisor's claim token for this attempt, if one was issued.
+    """The server's claim token for this attempt, if one was issued.
 
     The fleet server writes ``CLAIM`` (one line: server incarnation +
     attempt sequence) before spawning the worker; the token is stamped
     into every snapshot as provenance (:class:`GraphicsCheckpoint.claim`).
-    One-shot sweeps issue no claims and the field stays None.
+    A worker run in-process by :func:`run_job` has none and the field
+    stays None.
     """
     try:
         with open(os.path.join(jobdir, CLAIM_FILE)) as handle:

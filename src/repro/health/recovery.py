@@ -114,8 +114,10 @@ class CheckpointManager:
             # Write-then-rename: a process SIGKILL'd mid-serialize leaves
             # a stale ``.tmp`` behind, never a truncated snapshot — the
             # previous complete snapshot at ``path`` survives and resume
-            # picks it up.
-            tmp = self.path + ".tmp"
+            # picks it up.  The name is per process: a fleet worker
+            # orphaned by a killed server may still be writing beside
+            # its successor.
+            tmp = f"{self.path}.tmp-{os.getpid()}"
             with open(tmp, "w") as handle:
                 handle.write(self.last.to_json())
             os.replace(tmp, self.path)

@@ -234,6 +234,32 @@ class TestTransitionValidation:
         replay = replay_journal(str(tmp_path / "j"))
         assert replay.jobs["a"].outcome == "ok"
 
+    def test_resubmit_replaces_only_a_job_without_a_result(self, tmp_path):
+        def done(name, key, outcome):
+            journal.append("done", name=name, key=key, outcome=outcome,
+                           cache_hit=False, payload_sha=None, detail="")
+
+        journal, _ = JobJournal.open(str(tmp_path / "j"))
+        submit(journal, "a")
+        done("a", "key-a", "failed")
+        submit(journal, "a")                 # retries ran out: run again
+        done("a", "key-a", "ok")
+        journal.append("submit", name="a", key="key-a2",
+                       spec={"name": "a", "seed": 1})   # code changed
+        journal.close()
+        replay = replay_journal(str(tmp_path / "j"))
+        assert replay.jobs["a"].key == "key-a2"
+        assert replay.jobs["a"].outcome is None
+
+        journal, _ = JobJournal.open(str(tmp_path / "j"))
+        done("a", "key-a2", "ok")
+        journal.append("submit", name="a", key="key-a2",
+                       spec={"name": "a", "seed": 1})   # same result
+        journal.close()
+        with pytest.raises(JournalConsistencyViolation,
+                           match="duplicate submit"):
+            replay_journal(str(tmp_path / "j"))
+
     def test_cancel_folds_to_cancelled(self, tmp_path):
         journal, _ = JobJournal.open(str(tmp_path / "j"))
         submit(journal, "a")

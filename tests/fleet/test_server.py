@@ -6,13 +6,12 @@ import os
 
 import pytest
 
-from repro.fleet import (FleetConfig, FleetSaturated, JobSpec, JobSubmission,
-                         ServerConfig, SubmissionError)
+from repro.fleet import (BackoffPolicy, FleetConfig, FleetSaturated, JobSpec,
+                         JobSubmission, ServerConfig, SubmissionError)
 from repro.fleet.journal import JobJournal, replay_journal
 from repro.fleet.server import (ACK_DIR, EXIT_DRAINED, EXIT_DRAINED_PENDING,
                                 JOURNAL_DIR, QUARANTINE_DIR, SPOOL_DIR,
                                 FleetServer)
-from repro.fleet.supervisor import BackoffPolicy
 
 FAST_BACKOFF = BackoffPolicy(base=0.01, factor=2.0, cap=0.04)
 
@@ -187,7 +186,7 @@ class TestServeEndToEnd:
         assert server.serve(install_signals=False) == EXIT_DRAINED
         assert all(server._jobs[s.name].record.outcome == "ok"
                    for s in specs)
-        assert server.sup.executed == 2
+        assert server.executed == 2
         replay = replay_journal(os.path.join(server.workdir, JOURNAL_DIR))
         assert replay.clean_shutdown and replay.cache_hits() == 0
 
@@ -200,7 +199,7 @@ class TestServeEndToEnd:
         for spec in specs:
             server2.submit(JobSubmission(spec=spec))
         assert server2.serve(install_signals=False) == EXIT_DRAINED
-        assert server2.sup.executed == 0
+        assert server2.executed == 0
         replay2 = replay_journal(
             os.path.join(server2.workdir, JOURNAL_DIR))
         assert replay2.cache_hits() == 2
@@ -254,7 +253,7 @@ class TestServeEndToEnd:
         job = server._jobs[spec.name]
         assert job.record.outcome == "ok" and job.record.cache_hit
         assert server.serve(install_signals=False) == EXIT_DRAINED
-        assert server.sup.executed == 0
+        assert server.executed == 0
 
     def test_unhealthy_pool_degrades_to_cache_only_serving(self, tmp_path):
         server = make_server(

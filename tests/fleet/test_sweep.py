@@ -1,15 +1,23 @@
-"""Supervisor scheduling: backoff, shedding, heartbeats, crash recovery."""
+"""One-shot sweeps on the fleet server: backoff, shedding, heartbeats,
+crash recovery, and resuming a sweep in its own workdir."""
 
 import json
 import os
+import shutil
+import signal
 import time
 
 import pytest
 
-from repro.fleet import (BackoffPolicy, FleetConfig, FleetSaturated,
-                         FleetSupervisor, JobSpec, run_sweep)
+import repro.fleet.manifest as manifest_module
+import repro.fleet.server as server_module
+from repro.fleet import (BackoffPolicy, FleetConfig, FleetServer, JobSpec,
+                         JobSubmission, ResultCache, ServerConfig,
+                         SubmissionError, cache_key, replay_journal,
+                         run_sweep)
 from repro.fleet.heartbeat import (HeartbeatMonitor, read_heartbeat,
                                    write_heartbeat)
+from repro.fleet.server import EXIT_DRAINED, JOURNAL_DIR
 
 #: Fast backoff for tests: same ladder shape, milliseconds not seconds.
 FAST_BACKOFF = BackoffPolicy(base=0.01, factor=2.0, cap=0.04)
@@ -69,31 +77,23 @@ class TestHeartbeat:
 
 
 class TestSubmission:
-    def test_duplicate_names_rejected(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(), str(tmp_path))
-        supervisor.submit(tiny_spec("a"))
-        with pytest.raises(ValueError, match="duplicate"):
-            supervisor.submit(tiny_spec("a"))
+    def test_name_reused_for_a_different_spec_is_refused(self, tmp_path):
+        workdir = str(tmp_path / "work")
+        with pytest.raises(SubmissionError, match="already taken"):
+            run_sweep([tiny_spec("a", seed=1), tiny_spec("a", seed=2)],
+                      FleetConfig(), workdir=workdir)
+        # Refused before anything was journaled: the grid can be fixed
+        # and rerun in the same workdir.
+        replay = replay_journal(os.path.join(workdir, JOURNAL_DIR))
+        assert replay.jobs == {}
 
-    def test_saturation_sheds_with_a_typed_error(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(queue_limit=2),
-                                     str(tmp_path))
-        supervisor.submit(tiny_spec("a"))
-        supervisor.submit(tiny_spec("b", seed=2))
-        with pytest.raises(FleetSaturated) as info:
-            supervisor.submit(tiny_spec("c", seed=3))
-        assert info.value.pending == 2
-        assert info.value.limit == 2
-        shed = supervisor.records[-1]
-        assert shed.spec.name == "c"
-        assert shed.outcome == "shed"
-
-    def test_submit_sweep_records_shed_jobs(self, tmp_path):
-        supervisor = FleetSupervisor(FleetConfig(queue_limit=1),
-                                     str(tmp_path))
-        supervisor.submit_sweep([tiny_spec("a"), tiny_spec("b", seed=2)])
-        outcomes = {r.spec.name: r.outcome for r in supervisor.records}
-        assert outcomes == {"a": "pending", "b": "shed"}
+    def test_queue_limit_records_the_overflow_as_shed(self, tmp_path):
+        report = run_sweep(
+            [tiny_spec("a", frames=1), tiny_spec("b", seed=2, frames=1)],
+            FleetConfig(workers=1, queue_limit=1), workdir=str(tmp_path))
+        assert {r.spec.name: r.outcome for r in report.records} \
+            == {"a": "ok", "b": "shed"}
+        assert report.executed == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -108,6 +108,19 @@ class TestSubmission:
         assert report.ok
         assert report.records == []
         assert report.executed == 0
+
+    def test_sweep_keeps_the_callers_signal_handlers(self, tmp_path):
+        def handler(signum, frame):
+            pass
+
+        sigint = signal.getsignal(signal.SIGINT)
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            run_sweep([], FleetConfig(), workdir=str(tmp_path))
+            assert signal.getsignal(signal.SIGTERM) is handler
+            assert signal.getsignal(signal.SIGINT) is sigint
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 @pytest.mark.slow
@@ -217,30 +230,126 @@ class TestFleetEndToEnd:
 
     def test_reused_workdir_does_not_resume_a_stale_checkpoint(
             self, tmp_path):
-        """A fresh sweep in a reused workdir (the CLI's default
-        ``fleet-work``) must start each job from scratch, not resume a
-        previous sweep's checkpoint — and must not poison the cache with
-        the previous config's payload."""
+        """A sweep in a reused workdir (the CLI's default ``fleet-work``)
+        must never resume a previous sweep's checkpoint for different
+        physics, nor poison the cache with the previous config's
+        payload."""
         workdir = str(tmp_path / "work")
         first = run_sweep([tiny_spec("wd-job", frames=2)],
                           FleetConfig(workers=1), workdir=workdir)
         assert first.ok
 
-        # Same job name, same workdir, different physics, fresh cache.
+        # (a) Same job name, same workdir, different physics: the
+        # journal knows the name, so the sweep is refused and publishes
+        # nothing to its cache.
         cached = str(tmp_path / "cache")
-        second = run_sweep([tiny_spec("wd-job", frames=1)],
-                           FleetConfig(workers=1, cache_dir=cached),
+        other = tiny_spec("wd-job", frames=1)
+        with pytest.raises(SubmissionError, match="already taken"):
+            run_sweep([other], FleetConfig(workers=1, cache_dir=cached),
+                      workdir=workdir)
+        assert ResultCache(cached).lookup(cache_key(other)) is None
+
+        # (b) A workdir without a journal (as written before sweeps kept
+        # one) still holds jobs/wd-job/checkpoint.json: it is not resumed.
+        shutil.rmtree(os.path.join(workdir, JOURNAL_DIR))
+        assert os.path.exists(
+            os.path.join(workdir, "jobs", "wd-job", "checkpoint.json"))
+        second = run_sweep([other], FleetConfig(workers=1, cache_dir=cached),
                            workdir=workdir)
         record = second.records[0]
         assert record.ok
         assert record.attempts[0].resumed_from == 0
 
         # The cached payload equals a clean-workdir run's, bit-for-bit.
-        clean = run_sweep([tiny_spec("wd-job", frames=1)],
+        clean = run_sweep([other],
                           FleetConfig(workers=1,
                                       cache_dir=str(tmp_path / "cache2")),
                           workdir=str(tmp_path / "fresh"))
         assert record.payload == clean.records[0].payload
+
+    def test_finished_sweep_reruns_in_its_workdir_without_a_worker(
+            self, tmp_path):
+        """The workdir's journal and default cache serve a rerun of a
+        finished sweep: no worker, the first run's payloads."""
+        specs = [tiny_spec("again-s1", frames=1),
+                 tiny_spec("again-s2", seed=2, frames=1)]
+        workdir = str(tmp_path / "work")
+        first = run_sweep(specs, FleetConfig(workers=2), workdir=workdir)
+        assert first.ok and first.executed == 2
+
+        rerun = run_sweep(specs, FleetConfig(workers=2), workdir=workdir)
+        assert rerun.ok
+        assert rerun.exit_code == EXIT_DRAINED
+        assert rerun.executed == 0
+        assert [r.payload for r in rerun.records] \
+            == [r.payload for r in first.records]
+
+    def test_code_change_reruns_the_sweep_in_its_workdir(self, tmp_path,
+                                                         monkeypatch):
+        """The cache key hashes the code version: after a source edit the
+        same grid in the same workdir runs again instead of being
+        refused as a name clash."""
+        spec = tiny_spec("edited", frames=1)
+        workdir = str(tmp_path / "work")
+        first = run_sweep([spec], FleetConfig(workers=1), workdir=workdir)
+        assert first.ok and first.executed == 1
+
+        monkeypatch.setattr(manifest_module, "code_version",
+                            lambda: "edited-source")
+        rerun = run_sweep([spec], FleetConfig(workers=1), workdir=workdir)
+        assert rerun.ok
+        assert rerun.executed == 1
+        assert rerun.records[0].key == cache_key(spec) \
+            != first.records[0].key
+        replay = replay_journal(os.path.join(workdir, JOURNAL_DIR))
+        assert replay.jobs["edited"].key == cache_key(spec)
+
+    def test_rerun_fails_when_the_cache_lost_a_finished_payload(
+            self, tmp_path):
+        """The journal says ok but the default cache was deleted: the
+        rerun reports an error naming the cache, not ok without a
+        payload."""
+        spec = tiny_spec("gone", frames=1)
+        workdir = str(tmp_path / "work")
+        assert run_sweep([spec], FleetConfig(workers=1),
+                         workdir=workdir).ok
+        shutil.rmtree(os.path.join(workdir, "cache"))
+
+        rerun = run_sweep([spec], FleetConfig(workers=1), workdir=workdir)
+        record = rerun.records[0]
+        assert not rerun.ok
+        assert rerun.executed == 0
+        assert record.outcome == "error" and record.payload is None
+        assert os.path.join(workdir, "cache") in record.cache_error
+
+    def test_unhealthy_pool_sheds_and_a_rerun_retries(self, tmp_path):
+        """Five consecutive crashes flip the sweep to cache-only serving:
+        the rest of the grid ends shed.  Rerunning the grid in its
+        workdir runs the shed and the failed jobs again."""
+        specs = [tiny_spec(f"flaky-{i}", seed=i, frames=1)
+                 for i in range(3)]
+        workdir = str(tmp_path / "work")
+        kills = [{"kill_at_frame": 0}, {"kill_at_frame": 0}]
+        config = FleetConfig(workers=1, max_attempts=2,
+                             backoff=FAST_BACKOFF,
+                             inject={spec.name: kills for spec in specs})
+        first = run_sweep(specs, config, workdir=workdir)
+        assert first.counts() == {"failed": 2, "shed": 1}
+        assert first.executed == 5
+
+        rerun = run_sweep(specs, FleetConfig(workers=1), workdir=workdir)
+        assert rerun.ok
+        assert rerun.executed == 3
+
+    def test_preemption_ceiling_fails_the_job(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_PREEMPTIONS", 1)
+        report = run_sweep([tiny_spec("spinner", frames=3)],
+                           FleetConfig(workers=1, preempt_after=0.0),
+                           workdir=str(tmp_path))
+        record = report.records[0]
+        assert record.outcome == "failed"
+        assert record.preemptions == 1
+        assert record.attempts == []
 
     def test_published_result_supersedes_staleness_verdict(self, tmp_path):
         """A worker that publishes its result and only then goes silent
@@ -260,22 +369,24 @@ class TestFleetEndToEnd:
             self, tmp_path):
         """An OSError from the cache publish (disk full) is recorded on
         the record; the job stays ok and later jobs still run — the
-        supervisor loop never dies mid-sweep."""
-        supervisor = FleetSupervisor(
-            FleetConfig(workers=1, cache_dir=str(tmp_path / "cache")),
+        server's slot loop never dies mid-sweep."""
+        server = FleetServer(
+            ServerConfig(fleet=FleetConfig(workers=1), expect=2,
+                         enable_socket=False),
             str(tmp_path / "work"))
 
         def out_of_space(key, manifest, payload):
             raise OSError(28, "No space left on device")
 
-        supervisor.cache.store = out_of_space
-        supervisor.submit(tiny_spec("nospace", frames=1))
-        supervisor.submit(tiny_spec("after", frames=1, seed=2))
-        report = supervisor.run()
-        assert report.ok
-        assert report.counts() == {"ok": 2}
-        assert all("No space left" in r.cache_error
-                   for r in report.records)
+        server.cache.store = out_of_space
+        specs = [tiny_spec("nospace", frames=1),
+                 tiny_spec("after", frames=1, seed=2)]
+        for spec in specs:
+            server.submit(JobSubmission(spec=spec))
+        assert server.serve(install_signals=False) == EXIT_DRAINED
+        records = [server._jobs[spec.name].record for spec in specs]
+        assert [r.outcome for r in records] == ["ok", "ok"]
+        assert all("No space left" in r.cache_error for r in records)
 
     def test_report_to_dict_is_json_shaped(self, tmp_path):
         report = run_sweep([tiny_spec("one", frames=1)],
@@ -284,6 +395,7 @@ class TestFleetEndToEnd:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["schema"] == "repro-fleet-report/1"
         assert doc["ok"] is True
+        assert doc["exit_code"] == EXIT_DRAINED
         assert doc["jobs"][0]["spec"]["name"] == "one"
 
 

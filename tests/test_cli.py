@@ -157,6 +157,16 @@ class TestFleetCLI:
         jobs.write_text('{"name": "a"}')       # not a list
         assert main(["fleet", "--jobs", str(jobs)]) == 2
 
+    def test_job_name_reused_for_different_spec_exits_2(self, capsys,
+                                                         tmp_path):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text('[{"name": "a", "seed": 1}, '
+                        '{"name": "a", "seed": 2}]')
+        assert main(["fleet", "--jobs", str(jobs),
+                     "--workdir", str(tmp_path / "work")]) == 2
+        out = capsys.readouterr().out
+        assert "bad fleet invocation: job name 'a' already taken" in out
+
     @pytest.mark.slow
     @pytest.mark.full_system
     def test_fleet_sweep_then_cached_rerun(self, capsys, tmp_path):
@@ -192,3 +202,27 @@ class TestFleetCLI:
                      "--workdir", str(tmp_path / "work"),
                      "--expect-cached"]) == 1
         assert "EXPECTED CACHE-ONLY RERUN" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    @pytest.mark.full_system
+    def test_rerun_in_same_workdir_passes_expect_cached(self, capsys,
+                                                        tmp_path):
+        """The journal serves a finished sweep rerun in its own workdir:
+        no worker runs, although no job is a cache hit this time."""
+        common = ["fleet", "--seeds", "1", "--frames", "1",
+                  "--workers", "1", "--workdir", str(tmp_path / "work")]
+        assert main(common) == 0
+        capsys.readouterr()
+        assert main(common + ["--expect-cached"]) == 0
+        assert "1 ok; 0 worker processes" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    @pytest.mark.full_system
+    def test_dse_grid_changed_in_same_workdir_exits_2(self, capsys,
+                                                      tmp_path):
+        grid = ["dse", "--clusters", "2", "--stacks", "1", "--rates",
+                "1333", "--workers", "1", "--workdir", str(tmp_path / "w")]
+        assert main(grid + ["--frames", "1"]) == 0
+        capsys.readouterr()
+        assert main(grid + ["--frames", "2"]) == 2
+        assert "bad dse invocation: job name" in capsys.readouterr().out
