@@ -9,11 +9,12 @@ The memory side speaks the timing-port protocol
 ``mem_port`` and honor the try_send/busy/retry handshake (refused packets
 queue in a send backlog until the downstream link retries).  The
 processor side is ``ingress`` — a :class:`~repro.common.ports.ResponsePort`
-carrying :class:`~repro.memory.request.MemRequest` packets — plus the
-legacy ``access(address, size, write, callback)`` shim the SIMT cores'
-coalescer uses.  ``next_level`` may be anything a port can connect to:
-another cache, a :class:`~repro.common.ports.Link`, the NoC, the memory
-system, or a legacy ``access``-style level.
+carrying :class:`~repro.memory.request.MemRequest` packets — and the
+legacy ``access(address, size, write, callback)`` shim.  The SIMT cores
+use neither: their issue stage hands each coalesced line's request
+straight to ``_handle``.  ``next_level`` may be anything a port can
+connect to: another cache, a :class:`~repro.common.ports.Link`, the NoC,
+the memory system, or a legacy ``access``-style level.
 
 Simplifications vs. GPGPU-Sim, by design (documented per DESIGN.md §4):
 no port-contention modeling inside a cache (the DRAM bus and core issue

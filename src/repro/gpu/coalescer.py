@@ -1,55 +1,34 @@
 """Warp memory-access coalescing (Table 2's coalescing logic).
 
-Lane-level accesses from one warp instruction are merged into cache-line-
-sized transactions per memory space — the classic GPGPU coalescer.  A warp
-reading 32 consecutive floats produces one 128B transaction; a scattered
-read produces up to 32.
+The lanes of one warp memory instruction are merged into cache-line-sized
+transactions — the classic GPGPU coalescer.  A warp reading 32
+consecutive floats produces one 128B transaction; a scattered read
+produces up to 32.  The instruction arrives as one record (space, write
+flag, access size and every active lane's address), so all its
+transactions share a space and a direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.shader.interpreter import MemAccess
-from repro.shader.isa import MemSpace
+import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class CoalescedAccess:
-    """One line-aligned transaction produced by the coalescer."""
+def coalesce(addresses: np.ndarray | tuple[int, ...], size: int,
+             line_bytes: int) -> list[int]:
+    """Line addresses one warp memory instruction touches.
 
-    space: MemSpace
-    line_address: int
-    write: bool
-
-
-def coalesce(accesses: list[MemAccess], line_bytes: int = 128) -> list[CoalescedAccess]:
-    """Merge lane accesses into unique line transactions.
-
-    Reads and writes to the same line stay distinct transactions (a write
-    transaction also fetches the line under write-allocate, so merging them
-    would hide traffic).
+    ``addresses`` holds the active lanes' byte addresses in lane order (an
+    int64 array or a tuple of ints); each lane accesses ``size`` bytes.
+    Lines come out in first-touch order: lane by lane, and within a lane
+    that straddles a line boundary, line by line.
     """
-    if line_bytes <= 0:
-        raise ValueError("line_bytes must be positive")
-    seen: dict[tuple[MemSpace, int, bool], None] = {}
-    for access in accesses:
-        address = access.address
-        first_line = address // line_bytes
-        last_line = (address + max(access.size, 1) - 1) // line_bytes
-        if first_line == last_line:
-            # Hot case: the access fits one line (re-assignment of an
-            # existing key keeps the dict's first-insertion order).
-            seen[(access.space, first_line * line_bytes, access.write)] = None
-        else:
-            for line in range(first_line, last_line + 1):
-                seen[(access.space, line * line_bytes, access.write)] = None
-    return [CoalescedAccess(space, addr, write)
-            for (space, addr, write) in seen]
-
-
-def coalescing_ratio(accesses: list[MemAccess], line_bytes: int = 128) -> float:
-    """Lane accesses per transaction (32 = perfectly coalesced warp)."""
-    if not accesses:
-        return 0.0
-    return len(accesses) / len(coalesce(accesses, line_bytes))
+    first = np.floor_divide(addresses, line_bytes)
+    if size > 1:
+        last = np.floor_divide(np.add(addresses, size - 1), line_bytes)
+        if last.tobytes() != first.tobytes():
+            lines: list[int] = []
+            for low, high in zip(first.tolist(), last.tolist()):
+                lines.extend(range(low, high + 1))
+            return [line * line_bytes for line in dict.fromkeys(lines)]
+    # dict.fromkeys keeps each line's first insertion, in C.
+    return [line * line_bytes for line in dict.fromkeys(first.tolist())]

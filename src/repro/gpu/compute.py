@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.gpu.gpu import EmeraldGPU
 from repro.gpu.simt_core import WarpTask
-from repro.shader.interpreter import MemAccess, WarpInterpreter
+from repro.shader.interpreter import WarpInterpreter
 from repro.shader.isa import MemSpace
 from repro.shader.program import Program
 
@@ -87,14 +87,14 @@ class ComputeEnv:
         if slot != 0:
             raise RuntimeError("compute kernels only have the thread-id "
                                "attribute (slot 0)")
-        return self.thread_ids.astype(np.float64), []
+        return self.thread_ids.astype(np.float64), None
 
     def varying(self, slot, mask):
         raise RuntimeError("compute kernels have no varyings")
 
     def constant(self, slot: int, mask: np.ndarray):
-        return float(self.constants[slot]), [
-            MemAccess(MemSpace.CONST, self.constant_base + slot * 4, 4)]
+        return float(self.constants[slot]), (
+            MemSpace.CONST, (self.constant_base + slot * 4,), 4, False)
 
     def tex(self, unit, u, v, mask):
         raise RuntimeError("compute kernels have no texture units bound")
@@ -118,20 +118,21 @@ class ComputeEnv:
         raise RuntimeError("compute kernels have no framebuffer")
 
     def ld_global(self, addresses, mask):
+        lanes = mask & self.active
+        # Register addresses are floats; GlobalMemory converts them the
+        # same way, so the record names the words actually read.
+        lane_addresses = np.asarray(addresses[lanes], dtype=np.int64)
         values = np.zeros(self.warp_size)
-        lanes = np.flatnonzero(mask & self.active)
-        if len(lanes):
-            values[lanes] = self.memory.read(addresses[lanes])
-        accesses = [MemAccess(MemSpace.GLOBAL, int(addresses[lane]), 4)
-                    for lane in lanes]
-        return values, accesses
+        if len(lane_addresses):
+            values[lanes] = self.memory.read(lane_addresses)
+        return values, (MemSpace.GLOBAL, lane_addresses, 4, False)
 
     def st_global(self, addresses, values, mask):
-        lanes = np.flatnonzero(mask & self.active)
-        if len(lanes):
-            self.memory.write(addresses[lanes], values[lanes])
-        return [MemAccess(MemSpace.GLOBAL, int(addresses[lane]), 4,
-                          write=True) for lane in lanes]
+        lanes = mask & self.active
+        lane_addresses = np.asarray(addresses[lanes], dtype=np.int64)
+        if len(lane_addresses):
+            self.memory.write(lane_addresses, values[lanes])
+        return MemSpace.GLOBAL, lane_addresses, 4, True
 
     def store_output(self, slot: int, values: np.ndarray,
                      mask: np.ndarray) -> None:

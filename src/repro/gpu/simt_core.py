@@ -217,35 +217,38 @@ class SIMTCore:
             l1i = self.l1i
             l1i._handle(MemRequest(address=iline, size=line_bytes,
                                    write=False, source=l1i.source))
-        latency_class = op.latency_class
-        if latency_class is LatencyClass.MEM and op.accesses:
+        accesses = op.accesses
+        if accesses is not None:
+            space, addresses, size, write = accesses
             line_bytes = self._l1d_line_bytes
-            transactions = coalesce(op.accesses, line_bytes=line_bytes)
-            warp.outstanding = len(transactions)
-            self._unblocked -= 1
-            ctr = self._ctr_mem
-            if ctr is None:
-                ctr = self._ctr_mem = self.stats.counter("mem_transactions")
-            ctr.add(len(transactions))
-            routes = self._space_routes
-            mem_done = self._mem_done
-            # One completion closure per op (every transaction wakes the
-            # same warp) handed straight to _handle — the access() shim
-            # would wrap a zero-arg lambda per transaction on top of it.
-            callback = lambda completed, w=warp: mem_done(w)  # noqa: E731
-            for transaction in transactions:
-                cache = routes[transaction.space]
-                cache._handle(MemRequest(address=transaction.line_address,
-                                         size=line_bytes,
-                                         write=transaction.write,
-                                         source=cache.source,
-                                         callback=callback))
-        else:
-            if latency_class is LatencyClass.MEM:
-                latency_class = LatencyClass.ALU     # masked-out memory op
-            warp.ready_at = ready = now + self._latency[latency_class]
-            if ready < self._next_ready:
-                self._next_ready = ready
+            lines = coalesce(addresses, size, line_bytes)
+            if lines:
+                warp.outstanding = len(lines)
+                self._unblocked -= 1
+                ctr = self._ctr_mem
+                if ctr is None:
+                    ctr = self._ctr_mem = self.stats.counter(
+                        "mem_transactions")
+                ctr.add(len(lines))
+                cache = self._space_routes[space]
+                handle = cache._handle
+                source = cache.source
+                mem_done = self._mem_done
+                # One completion closure per op (every transaction wakes
+                # the same warp) handed straight to _handle — the access()
+                # shim would wrap a zero-arg lambda per transaction on top.
+                callback = lambda completed, w=warp: mem_done(w)  # noqa: E731
+                for line in lines:
+                    handle(MemRequest(address=line, size=line_bytes,
+                                      write=write, source=source,
+                                      callback=callback))
+                return
+        latency_class = op.op.latency_class
+        if latency_class is LatencyClass.MEM:
+            latency_class = LatencyClass.ALU         # masked-out memory op
+        warp.ready_at = ready = now + self._latency[latency_class]
+        if ready < self._next_ready:
+            self._next_ready = ready
 
     def _mem_done(self, warp: _ResidentWarp) -> None:
         warp.outstanding -= 1

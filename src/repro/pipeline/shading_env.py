@@ -16,7 +16,6 @@ import numpy as np
 from repro.gl.context import DrawCall
 from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.vertex import build_constant_bank
-from repro.shader.interpreter import MemAccess
 from repro.shader.isa import MemSpace
 from repro.shader.program import Program
 
@@ -163,64 +162,51 @@ class FragmentShaderEnv:
 
     def constant(self, slot: int, mask: np.ndarray):
         value = float(self.constant_bank[slot])
-        return value, [MemAccess(MemSpace.CONST,
-                                 self.draw.uniform_base + slot * 4, 4)]
+        return value, (MemSpace.CONST,
+                       (self.draw.uniform_base + slot * 4,), 4, False)
 
     def tex(self, unit: int, u: np.ndarray, v: np.ndarray, mask: np.ndarray):
         texture = self._unit_textures[unit]
         rgba, (x0, x1, y0, y1) = texture.sample_bilinear_arrays(u, v)
-        lanes = np.flatnonzero(mask)
-        addresses = np.concatenate([
-            texture.texel_addresses(x0[lanes], y0[lanes]),
-            texture.texel_addresses(x1[lanes], y0[lanes]),
-            texture.texel_addresses(x0[lanes], y1[lanes]),
-            texture.texel_addresses(x1[lanes], y1[lanes]),
-        ]) if len(lanes) else np.empty(0, dtype=np.int64)
-        accesses = [MemAccess(MemSpace.TEXTURE, int(a), 4)
-                    for a in addresses]
-        return rgba, accesses
+        # The four bilinear corners of every active lane, corner-major:
+        # all (x0, y0) texels, then (x1, y0), (x0, y1) and (x1, y1).
+        x0, x1, y0, y1 = x0[mask], x1[mask], y0[mask], y1[mask]
+        addresses = texture.texel_addresses(np.concatenate((x0, x1, x0, x1)),
+                                            np.concatenate((y0, y0, y1, y1)))
+        return rgba, (MemSpace.TEXTURE, addresses, 4, False)
 
     def zread(self, mask: np.ndarray):
-        values = self.fb.read_depth(self.warp.xs, self.warp.ys)
-        addresses = self.fb.depth_address(self.warp.xs, self.warp.ys)
-        accesses = [MemAccess(MemSpace.DEPTH, int(a), 4)
-                    for a in addresses[mask]]
-        return values, accesses
+        xs, ys = self.warp.xs, self.warp.ys
+        values = self.fb.read_depth(xs, ys)
+        addresses = self.fb.depth_address(xs, ys)[mask]
+        return values, (MemSpace.DEPTH, addresses, 4, False)
 
     def zwrite(self, values: np.ndarray, mask: np.ndarray):
-        self.fb.write_depth(self.warp.xs[mask], self.warp.ys[mask],
-                            values[mask])
-        addresses = self.fb.depth_address(self.warp.xs, self.warp.ys)
-        return [MemAccess(MemSpace.DEPTH, int(a), 4, write=True)
-                for a in addresses[mask]]
+        xs, ys = self.warp.xs[mask], self.warp.ys[mask]
+        self.fb.write_depth(xs, ys, values[mask])
+        return MemSpace.DEPTH, self.fb.depth_address(xs, ys), 4, True
 
     def sread(self, mask: np.ndarray):
-        values = self.fb.read_stencil(self.warp.xs, self.warp.ys)
-        addresses = self.fb.stencil_address(self.warp.xs, self.warp.ys)
-        accesses = [MemAccess(MemSpace.DEPTH, int(a), 1)
-                    for a in addresses[mask]]
-        return values.astype(np.float64), accesses
+        xs, ys = self.warp.xs, self.warp.ys
+        values = self.fb.read_stencil(xs, ys).astype(np.float64)
+        addresses = self.fb.stencil_address(xs, ys)[mask]
+        return values, (MemSpace.DEPTH, addresses, 1, False)
 
     def swrite(self, values: np.ndarray, mask: np.ndarray):
-        self.fb.write_stencil(self.warp.xs[mask], self.warp.ys[mask],
-                              values[mask])
-        addresses = self.fb.stencil_address(self.warp.xs, self.warp.ys)
-        return [MemAccess(MemSpace.DEPTH, int(a), 1, write=True)
-                for a in addresses[mask]]
+        xs, ys = self.warp.xs[mask], self.warp.ys[mask]
+        self.fb.write_stencil(xs, ys, values[mask])
+        return MemSpace.DEPTH, self.fb.stencil_address(xs, ys), 1, True
 
     def fb_read(self, mask: np.ndarray):
-        rgba = self.fb.read_color(self.warp.xs, self.warp.ys)
-        addresses = self.fb.color_address(self.warp.xs, self.warp.ys)
-        accesses = [MemAccess(MemSpace.COLOR, int(a), 4)
-                    for a in addresses[mask]]
-        return rgba, accesses
+        xs, ys = self.warp.xs, self.warp.ys
+        rgba = self.fb.read_color(xs, ys)
+        addresses = self.fb.color_address(xs, ys)[mask]
+        return rgba, (MemSpace.COLOR, addresses, 4, False)
 
     def fb_write(self, rgba: np.ndarray, mask: np.ndarray):
-        self.fb.write_color(self.warp.xs[mask], self.warp.ys[mask],
-                            rgba[mask])
-        addresses = self.fb.color_address(self.warp.xs, self.warp.ys)
-        return [MemAccess(MemSpace.COLOR, int(a), 4, write=True)
-                for a in addresses[mask]]
+        xs, ys = self.warp.xs[mask], self.warp.ys[mask]
+        self.fb.write_color(xs, ys, rgba[mask])
+        return MemSpace.COLOR, self.fb.color_address(xs, ys), 4, True
 
     def ld_global(self, addresses, mask):
         raise RuntimeError("generic global loads unused in fragment stage")

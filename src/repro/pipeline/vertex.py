@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.gl.context import DrawCall
 from repro.shader.compiler import compile_shader
-from repro.shader.interpreter import MemAccess, WarpInterpreter, WarpTrace
+from repro.shader.interpreter import WarpInterpreter, WarpTrace
 from repro.shader.isa import MemSpace
 from repro.shader.program import Program
 
@@ -69,19 +69,16 @@ class VertexShaderEnv:
         values = self.draw.vbo.data[self._safe_ids, float_offset]
         stride = self.draw.vbo.stride_bytes
         base = self.draw.vbo.base_address + float_offset * 4
-        accesses = [
-            MemAccess(MemSpace.VERTEX, int(base + self.vertex_ids[lane] * stride), 4)
-            for lane in np.flatnonzero(mask & self.active)
-        ]
-        return values, accesses
+        addresses = base + self.vertex_ids[mask & self.active] * stride
+        return values, (MemSpace.VERTEX, addresses, 4, False)
 
     def varying(self, slot: int, mask: np.ndarray):
         raise RuntimeError("vertex shaders have no input varyings")
 
     def constant(self, slot: int, mask: np.ndarray):
         value = float(self.constant_bank[slot])
-        access = MemAccess(MemSpace.CONST, self.draw.uniform_base + slot * 4, 4)
-        return value, [access]
+        return value, (MemSpace.CONST,
+                       (self.draw.uniform_base + slot * 4,), 4, False)
 
     def tex(self, unit, u, v, mask):
         raise RuntimeError("vertex-stage texturing is not supported")

@@ -17,7 +17,7 @@ through it.
 
 Bit-identity contract: for any program/env/mask, :meth:`CompiledProgram.run`
 returns an :class:`~repro.shader.interpreter.ExecResult` whose trace
-(op/pc/active_lanes/accesses sequences), discarded and completed masks,
+(op/pc/active_lanes/memory-record sequences), discarded and completed masks,
 register effects and env side effects are exactly those of a
 decode-every-instruction reference interpreter — same numpy operations on
 the same values in the same order, only the Python interpretation overhead
@@ -107,7 +107,7 @@ def _build_handler(instr: Instruction, width: int):
 
     Each family mirrors the corresponding branch of the reference
     interpreter's ``_execute`` exactly (same array expressions, same masked
-    writes, same ``record.accesses`` extension order).
+    writes, the env's memory record stored as ``record.accesses``).
     """
     op = instr.op
     if op in _ALU_BINARY:
@@ -182,9 +182,8 @@ def _build_handler(instr: Instruction, width: int):
         slot = instr.slot
 
         def handler(regs, preds, mask, record, env):
-            values, accesses = env.attribute(slot, mask)
+            values, record.accesses = env.attribute(slot, mask)
             regs[d][mask] = np.asarray(values)[mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.LD_VARY:
         d = instr.dsts[0].index
@@ -198,9 +197,8 @@ def _build_handler(instr: Instruction, width: int):
         slot = instr.slot
 
         def handler(regs, preds, mask, record, env):
-            value, accesses = env.constant(slot, mask)
+            value, record.accesses = env.constant(slot, mask)
             regs[d][mask] = np.full(width, value)[mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.ST_OUT:
         slot = instr.slot
@@ -216,60 +214,56 @@ def _build_handler(instr: Instruction, width: int):
         rv = _make_reader(instr.srcs[1], width)
 
         def handler(regs, preds, mask, record, env):
-            rgba, accesses = env.tex(slot, ru(regs, preds),
-                                     rv(regs, preds), mask)
+            rgba, record.accesses = env.tex(slot, ru(regs, preds),
+                                            rv(regs, preds), mask)
             for i, d in enumerate(dsts):
                 regs[d][mask] = rgba[:, i][mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.ZREAD or op is Opcode.SREAD:
         d = instr.dsts[0].index
         call = "zread" if op is Opcode.ZREAD else "sread"
 
         def handler(regs, preds, mask, record, env):
-            values, accesses = getattr(env, call)(mask)
+            values, record.accesses = getattr(env, call)(mask)
             regs[d][mask] = np.asarray(values)[mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.ZWRITE or op is Opcode.SWRITE:
         ra = _make_reader(instr.srcs[0], width)
         call = "zwrite" if op is Opcode.ZWRITE else "swrite"
 
         def handler(regs, preds, mask, record, env):
-            record.accesses.extend(getattr(env, call)(ra(regs, preds), mask))
+            record.accesses = getattr(env, call)(ra(regs, preds), mask)
         return handler
     if op is Opcode.FB_READ:
         dsts = tuple(d.index for d in instr.dsts)
 
         def handler(regs, preds, mask, record, env):
-            rgba, accesses = env.fb_read(mask)
+            rgba, record.accesses = env.fb_read(mask)
             for i, d in enumerate(dsts):
                 regs[d][mask] = rgba[:, i][mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.FB_WRITE:
         readers = tuple(_make_reader(s, width) for s in instr.srcs)
 
         def handler(regs, preds, mask, record, env):
             rgba = np.stack([r(regs, preds) for r in readers], axis=1)
-            record.accesses.extend(env.fb_write(rgba, mask))
+            record.accesses = env.fb_write(rgba, mask)
         return handler
     if op is Opcode.LD_GLOBAL:
         d = instr.dsts[0].index
         ra = _make_reader(instr.srcs[0], width)
 
         def handler(regs, preds, mask, record, env):
-            values, accesses = env.ld_global(ra(regs, preds), mask)
+            values, record.accesses = env.ld_global(ra(regs, preds), mask)
             regs[d][mask] = np.asarray(values)[mask]
-            record.accesses.extend(accesses)
         return handler
     if op is Opcode.ST_GLOBAL:
         ra = _make_reader(instr.srcs[0], width)
         rb = _make_reader(instr.srcs[1], width)
 
         def handler(regs, preds, mask, record, env):
-            record.accesses.extend(
-                env.st_global(ra(regs, preds), rb(regs, preds), mask))
+            record.accesses = env.st_global(ra(regs, preds), rb(regs, preds),
+                                            mask)
         return handler
     raise NotImplementedError(f"unhandled opcode {op}")   # pragma: no cover
 

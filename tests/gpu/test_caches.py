@@ -1,13 +1,15 @@
 """Tests for the cache model and coalescer."""
 
+from typing import NamedTuple
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig
 from repro.common.events import EventQueue
 from repro.gpu.caches import Cache, LatencyPort, PerfectMemory
-from repro.gpu.coalescer import CoalescedAccess, coalesce, coalescing_ratio
-from repro.shader.interpreter import MemAccess
+from repro.gpu.coalescer import coalesce
 from repro.shader.isa import MemSpace
 
 
@@ -171,47 +173,74 @@ class TestLatencyPort:
         assert done == [15]
 
 
-class TestCoalescer:
-    def lane_accesses(self, addresses, space=MemSpace.GLOBAL, size=4,
-                      write=False):
-        return [MemAccess(space, a, size, write) for a in addresses]
+class LaneAccess(NamedTuple):
+    """One lane's access: the reference coalescer's input."""
 
+    space: MemSpace
+    address: int
+    size: int
+    write: bool = False
+
+
+def coalesce_lanes(accesses, line_bytes=128):
+    """Reference coalescer, one lane at a time: ``(space, line address,
+    write)`` per transaction, in first-touch order.  A lane straddling a
+    line boundary touches each of its lines in address order."""
+    seen = {}
+    for access in accesses:
+        first_line = access.address // line_bytes
+        last_line = (access.address + max(access.size, 1) - 1) // line_bytes
+        for line in range(first_line, last_line + 1):
+            seen[(access.space, line * line_bytes, access.write)] = None
+    return list(seen)
+
+
+@st.composite
+def memory_records(draw):
+    """A warp memory instruction: ``(addresses, size, write, line_bytes)``,
+    with addresses as an int64 array or a tuple, aligned to the access
+    size or not."""
+    size = draw(st.sampled_from((1, 4, 16, 256)))
+    addresses = draw(st.lists(st.integers(0, 100_000), min_size=1,
+                              max_size=64))
+    if draw(st.booleans()):
+        addresses = [a - a % size for a in addresses]
+    if draw(st.booleans()):
+        addresses = np.array(addresses, dtype=np.int64)
+    else:
+        addresses = tuple(addresses)
+    return (addresses, size, draw(st.booleans()),
+            draw(st.sampled_from((32, 64, 128))))
+
+
+class TestCoalescer:
     def test_sequential_warp_coalesces_to_one_line(self):
-        accesses = self.lane_accesses([i * 4 for i in range(32)])
-        out = coalesce(accesses)
-        assert len(out) == 1
-        assert out[0].line_address == 0
+        assert coalesce(np.arange(32, dtype=np.int64) * 4, 4, 128) == [0]
 
     def test_strided_warp_spans_lines(self):
-        accesses = self.lane_accesses([i * 128 for i in range(32)])
-        assert len(coalesce(accesses)) == 32
-
-    def test_spaces_kept_separate(self):
-        accesses = (self.lane_accesses([0], MemSpace.TEXTURE)
-                    + self.lane_accesses([0], MemSpace.DEPTH))
-        out = coalesce(accesses)
-        assert len(out) == 2
-        assert {a.space for a in out} == {MemSpace.TEXTURE, MemSpace.DEPTH}
-
-    def test_reads_and_writes_distinct(self):
-        accesses = (self.lane_accesses([0], write=False)
-                    + self.lane_accesses([0], write=True))
-        assert len(coalesce(accesses)) == 2
+        addresses = np.arange(32, dtype=np.int64) * 128
+        assert coalesce(addresses, 4, 128) == addresses.tolist()
 
     def test_access_straddling_lines(self):
-        accesses = [MemAccess(MemSpace.GLOBAL, 120, 16)]
-        out = coalesce(accesses)
-        assert {a.line_address for a in out} == {0, 128}
+        assert coalesce((120,), 16, 128) == [0, 128]
 
-    def test_ratio(self):
-        accesses = self.lane_accesses([i * 4 for i in range(32)])
-        assert coalescing_ratio(accesses) == 32.0
-        assert coalescing_ratio([]) == 0.0
+    def test_empty_record_touches_no_lines(self):
+        assert coalesce(np.empty(0, dtype=np.int64), 4, 128) == []
 
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=64))
     def test_coalesced_lines_unique(self, addresses):
-        out = coalesce(self.lane_accesses(addresses))
-        keys = [(a.space, a.line_address, a.write) for a in out]
-        assert len(keys) == len(set(keys))
-        for access in out:
-            assert access.line_address % 128 == 0
+        lines = coalesce(np.array(addresses, dtype=np.int64), 4, 128)
+        assert len(lines) == len(set(lines))
+        for line in lines:
+            assert line % 128 == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(memory_records())
+    def test_matches_the_per_lane_reference(self, record):
+        """Same lines in the same order as coalescing lane by lane,
+        including unaligned and line-straddling accesses."""
+        addresses, size, write, line_bytes = record
+        lanes = [LaneAccess(MemSpace.GLOBAL, int(a), size, write)
+                 for a in addresses]
+        expected = [line for _, line, _ in coalesce_lanes(lanes, line_bytes)]
+        assert coalesce(addresses, size, line_bytes) == expected

@@ -9,6 +9,7 @@ from repro.gpu.compute import ComputeEnv, GlobalMemory, launch_kernel, run_kerne
 from repro.gpu.gpu import EmeraldGPU
 from repro.gpu.kernels import clamped_threshold, saxpy, strided_copy, vector_add
 from repro.memory.builders import build_baseline_memory
+from repro.shader.isa import MemSpace
 
 
 def make_gpu(num_clusters=2):
@@ -120,6 +121,34 @@ class TestComputeEnv:
         values, accesses = env.attribute(0, np.ones(8, dtype=bool))
         assert values[:5].tolist() == [0, 1, 2, 3, 4]
         assert env.active.tolist() == [True] * 5 + [False] * 3
+
+    def test_global_accesses_record_the_words_touched(self):
+        mem = GlobalMemory(8)
+        mem.data[:4] = [1.0, 2.0, 3.0, 4.0]
+        env = ComputeEnv(saxpy(0, 0, 0), mem, np.arange(4), warp_size=8)
+        mask = np.ones(8, dtype=bool)
+        # Float register addresses, truncated the way GlobalMemory does.
+        addresses = mem.base_address + np.arange(8) * 4.0 + 0.5
+        words = [mem.base_address + 4 * i for i in range(4)]
+        values, (space, lanes, size, write) = env.ld_global(addresses, mask)
+        assert values[:4].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert (space, size, write) == (MemSpace.GLOBAL, 4, False)
+        assert lanes.dtype == np.int64 and lanes.tolist() == words
+        space, lanes, size, write = env.st_global(addresses, np.full(8, 9.0),
+                                                  mask)
+        assert (space, size, write) == (MemSpace.GLOBAL, 4, True)
+        assert lanes.tolist() == words
+        assert mem.data[:4].tolist() == [9.0] * 4
+
+    def test_global_access_outside_memory_raises(self):
+        mem = GlobalMemory(4)
+        env = ComputeEnv(saxpy(0, 0, 0), mem, np.arange(4), warp_size=8)
+        mask = np.ones(8, dtype=bool)
+        outside = np.full(8, float(mem.base_address + 4 * 4))
+        with pytest.raises(IndexError):
+            env.ld_global(outside, mask)
+        with pytest.raises(IndexError):
+            env.st_global(outside, np.zeros(8), mask)
 
     def test_graphics_resources_rejected(self):
         env = ComputeEnv(saxpy(0, 0, 0), GlobalMemory(8), np.arange(4),

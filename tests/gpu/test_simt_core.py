@@ -7,7 +7,7 @@ from repro.common.config import CacheConfig, SIMTCoreConfig
 from repro.common.events import EventQueue
 from repro.gpu.caches import PerfectMemory
 from repro.gpu.simt_core import SIMTCore, WarpTask
-from repro.shader.interpreter import MemAccess, TraceOp, WarpTrace
+from repro.shader.interpreter import TraceOp, WarpTrace
 from repro.shader.isa import MemSpace, Opcode
 
 
@@ -36,8 +36,8 @@ def alu_trace(n):
 
 
 def mem_trace(addresses, space=MemSpace.GLOBAL, write=False):
-    op = TraceOp(Opcode.LD_GLOBAL, pc=0, active_lanes=32,
-                 accesses=[MemAccess(space, a, 4, write) for a in addresses])
+    record = (space, np.array(addresses, dtype=np.int64), 4, write)
+    op = TraceOp(Opcode.LD_GLOBAL, pc=0, active_lanes=32, accesses=record)
     return WarpTrace(ops=[op])
 
 
@@ -114,6 +114,29 @@ class TestWarpExecution:
         assert core.l1t.stats.counter("accesses").value == 1
         assert core.l1z.stats.counter("accesses").value == 1
         assert core.l1d.stats.counter("accesses").value == 0
+
+    def test_read_and_write_of_one_line_stay_distinct(self):
+        events, core, _ = make_core()
+        ops = [TraceOp(Opcode.LD_GLOBAL, pc=0, active_lanes=1,
+                       accesses=(MemSpace.GLOBAL, np.array([0]), 4, False)),
+               TraceOp(Opcode.ST_GLOBAL, pc=1, active_lanes=1,
+                       accesses=(MemSpace.GLOBAL, np.array([4]), 4, True))]
+        core.submit(WarpTask(WarpTrace(ops=ops), "compute"))
+        events.run()
+        assert core.stats.counter("mem_transactions").value == 2
+        assert core.l1d.stats.counter("accesses").value == 2
+        assert core.l1d.flush_dirty() == 1      # the store dirtied the line
+
+    def test_memory_op_without_lanes_takes_alu_latency(self):
+        events, core, _ = make_core(mem_latency=200)
+        done = []
+        core.submit(WarpTask(mem_trace([]), "compute",
+                             on_complete=lambda t: done.append(events.now)))
+        events.run()
+        # Only the instruction fetch misses; the op itself issues nothing.
+        assert core.stats.counter("mem_transactions").value == 0
+        assert core.l1d.stats.counter("accesses").value == 0
+        assert done[0] < 200
 
     def test_empty_trace_retires(self):
         events, core, _ = make_core()

@@ -2,8 +2,12 @@
 
 import numpy as np
 
-from repro.shader.interpreter import MemAccess
 from repro.shader.isa import MemSpace
+
+
+def lane_record(space, base, stride, mask, size=4, write=False):
+    """The memory record of lanes addressing ``base + stride * lane``."""
+    return space, base + stride * np.flatnonzero(mask), size, write
 
 
 class FakeEnv:
@@ -26,71 +30,56 @@ class FakeEnv:
 
     def attribute(self, slot, mask):
         values = np.asarray(self.attributes[slot], dtype=np.float64)
-        accesses = [MemAccess(MemSpace.VERTEX, 0x100 + 4 * lane, 4)
-                    for lane in np.flatnonzero(mask)]
-        return values, accesses
+        return values, lane_record(MemSpace.VERTEX, 0x100, 4, mask)
 
     def varying(self, slot, mask):
         return np.asarray(self.varyings[slot], dtype=np.float64)
 
     def constant(self, slot, mask):
-        return float(self.constants[slot]), [
-            MemAccess(MemSpace.CONST, 0x2000 + 4 * slot, 4)]
+        return float(self.constants[slot]), (
+            MemSpace.CONST, (0x2000 + 4 * slot,), 4, False)
 
     def tex(self, unit, u, v, mask):
         fn = self.textures[unit]
         rgba = np.stack([np.asarray(fn(uu, vv), dtype=np.float64)
                          for uu, vv in zip(u, v)])
-        accesses = [MemAccess(MemSpace.TEXTURE, 0x3000 + lane * 4, 4)
-                    for lane in np.flatnonzero(mask)]
-        return rgba, accesses
+        return rgba, lane_record(MemSpace.TEXTURE, 0x3000, 4, mask)
 
     def zread(self, mask):
-        return self.depth.copy(), [
-            MemAccess(MemSpace.DEPTH, 0x4000 + 4 * lane, 4)
-            for lane in np.flatnonzero(mask)]
+        return self.depth.copy(), lane_record(MemSpace.DEPTH, 0x4000, 4, mask)
 
     def zwrite(self, values, mask):
         self.depth[mask] = values[mask]
-        return [MemAccess(MemSpace.DEPTH, 0x4000 + 4 * lane, 4, write=True)
-                for lane in np.flatnonzero(mask)]
+        return lane_record(MemSpace.DEPTH, 0x4000, 4, mask, write=True)
 
     def sread(self, mask):
-        return self.stencil.astype(float), [
-            MemAccess(MemSpace.DEPTH, 0x4800 + lane, 1)
-            for lane in np.flatnonzero(mask)]
+        return self.stencil.astype(float), lane_record(
+            MemSpace.DEPTH, 0x4800, 1, mask, size=1)
 
     def swrite(self, values, mask):
         self.stencil[mask] = values[mask].astype(int)
-        return [MemAccess(MemSpace.DEPTH, 0x4800 + lane, 1, write=True)
-                for lane in np.flatnonzero(mask)]
+        return lane_record(MemSpace.DEPTH, 0x4800, 1, mask, size=1,
+                           write=True)
 
     def fb_read(self, mask):
-        return self.color.copy(), [
-            MemAccess(MemSpace.COLOR, 0x5000 + 4 * lane, 4)
-            for lane in np.flatnonzero(mask)]
+        return self.color.copy(), lane_record(MemSpace.COLOR, 0x5000, 4, mask)
 
     def fb_write(self, rgba, mask):
         self.color[mask] = rgba[mask]
-        return [MemAccess(MemSpace.COLOR, 0x5000 + 4 * lane, 4, write=True)
-                for lane in np.flatnonzero(mask)]
+        return lane_record(MemSpace.COLOR, 0x5000, 4, mask, write=True)
 
     def ld_global(self, addresses, mask):
         values = np.zeros(self.warp_size)
-        accesses = []
-        for lane in np.flatnonzero(mask):
-            addr = int(addresses[lane])
+        lane_addresses = np.asarray(addresses[mask], dtype=np.int64)
+        for lane, addr in zip(np.flatnonzero(mask), lane_addresses.tolist()):
             values[lane] = self.global_memory.get(addr, 0.0)
-            accesses.append(MemAccess(MemSpace.GLOBAL, addr, 4))
-        return values, accesses
+        return values, (MemSpace.GLOBAL, lane_addresses, 4, False)
 
     def st_global(self, addresses, values, mask):
-        accesses = []
-        for lane in np.flatnonzero(mask):
-            addr = int(addresses[lane])
+        lane_addresses = np.asarray(addresses[mask], dtype=np.int64)
+        for lane, addr in zip(np.flatnonzero(mask), lane_addresses.tolist()):
             self.global_memory[addr] = float(values[lane])
-            accesses.append(MemAccess(MemSpace.GLOBAL, addr, 4, write=True))
-        return accesses
+        return MemSpace.GLOBAL, lane_addresses, 4, True
 
     def store_output(self, slot, values, mask):
         if slot not in self.outputs:

@@ -160,53 +160,46 @@ class ReferenceInterpreter(WarpInterpreter):
             elif op is Opcode.PNOT:
                 preds[instr.dsts[0].index][mask] = ~preds[instr.srcs[0].index][mask]
             elif op is Opcode.LD_ATTR:
-                values, accesses = env.attribute(instr.slot, mask)
+                values, record.accesses = env.attribute(instr.slot, mask)
                 write_reg(instr.dsts[0], values, mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.LD_VARY:
                 write_reg(instr.dsts[0], env.varying(instr.slot, mask), mask)
             elif op is Opcode.LD_CONST:
-                value, accesses = env.constant(instr.slot, mask)
+                value, record.accesses = env.constant(instr.slot, mask)
                 write_reg(instr.dsts[0], np.full(self.warp_size, value), mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.ST_OUT:
                 env.store_output(instr.slot, read(instr.srcs[0], mask), mask)
             elif op is Opcode.TEX:
                 u = read(instr.srcs[0], mask)
                 v = read(instr.srcs[1], mask)
-                rgba, accesses = env.tex(instr.slot, u, v, mask)
+                rgba, record.accesses = env.tex(instr.slot, u, v, mask)
                 for i, dst in enumerate(instr.dsts):
                     write_reg(dst, rgba[:, i], mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.ZREAD:
-                values, accesses = env.zread(mask)
+                values, record.accesses = env.zread(mask)
                 write_reg(instr.dsts[0], values, mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.ZWRITE:
-                record.accesses.extend(env.zwrite(read(instr.srcs[0], mask), mask))
+                record.accesses = env.zwrite(read(instr.srcs[0], mask), mask)
             elif op is Opcode.SREAD:
-                values, accesses = env.sread(mask)
+                values, record.accesses = env.sread(mask)
                 write_reg(instr.dsts[0], values, mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.SWRITE:
-                record.accesses.extend(env.swrite(read(instr.srcs[0], mask), mask))
+                record.accesses = env.swrite(read(instr.srcs[0], mask), mask)
             elif op is Opcode.FB_READ:
-                rgba, accesses = env.fb_read(mask)
+                rgba, record.accesses = env.fb_read(mask)
                 for i, dst in enumerate(instr.dsts):
                     write_reg(dst, rgba[:, i], mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.FB_WRITE:
                 rgba = np.stack([read(s, mask) for s in instr.srcs], axis=1)
-                record.accesses.extend(env.fb_write(rgba, mask))
+                record.accesses = env.fb_write(rgba, mask)
             elif op is Opcode.LD_GLOBAL:
                 addresses = read(instr.srcs[0], mask)
-                values, accesses = env.ld_global(addresses, mask)
+                values, record.accesses = env.ld_global(addresses, mask)
                 write_reg(instr.dsts[0], values, mask)
-                record.accesses.extend(accesses)
             elif op is Opcode.ST_GLOBAL:
                 addresses = read(instr.srcs[0], mask)
                 values = read(instr.srcs[1], mask)
-                record.accesses.extend(env.st_global(addresses, values, mask))
+                record.accesses = env.st_global(addresses, values, mask)
             else:  # pragma: no cover - opcode table is exhaustive
                 raise NotImplementedError(f"unhandled opcode {op}")
 
@@ -223,6 +216,14 @@ def run_both(asm, stage="fragment", env_kwargs=None, initial_mask=None):
     return fast, ref, fast_env, ref_env
 
 
+def memory_footprint(op):
+    """An op's memory record as ``(space, size, write, address list)``."""
+    if op.accesses is None:
+        return None
+    space, addresses, size, write = op.accesses
+    return space, size, write, [int(a) for a in addresses]
+
+
 def assert_identical(fast, ref, fast_env, ref_env):
     assert np.array_equal(fast.discarded, ref.discarded)
     assert np.array_equal(fast.completed, ref.completed)
@@ -231,8 +232,7 @@ def assert_identical(fast, ref, fast_env, ref_env):
         assert fop.op is rop.op
         assert fop.pc == rop.pc
         assert fop.active_lanes == rop.active_lanes
-        assert [(a.space, a.address, a.size, a.write) for a in fop.accesses] \
-            == [(a.space, a.address, a.size, a.write) for a in rop.accesses]
+        assert memory_footprint(fop) == memory_footprint(rop)
     assert sorted(fast_env.outputs) == sorted(ref_env.outputs)
     for slot, values in fast_env.outputs.items():
         assert np.array_equal(values, ref_env.outputs[slot])

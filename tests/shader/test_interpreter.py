@@ -325,9 +325,13 @@ class TestMemoryOps:
             ld.const r0, c0
             st.out o0, r0
         """, env=env)
-        accesses = result.trace.memory_accesses()
-        assert len(accesses) == 1
-        assert accesses[0].space is MemSpace.CONST
+        records = [op.accesses for op in result.trace.ops
+                   if op.accesses is not None]
+        assert len(records) == 1
+        space, addresses, size, write = records[0]
+        assert space is MemSpace.CONST
+        assert list(addresses) == [0x2000]
+        assert (size, write) == (4, False)
 
     def test_trace_latency_classes(self):
         result, _ = run("""

@@ -4,14 +4,15 @@
    statistics — and its *event schedule* — bit-identically.  The golden
    numbers below were captured on the pre-port-fabric tree; any drift
    means the refactor changed timing, which is a regression by
-   definition.  ``CS2_GOLDEN`` pins the standalone GPU's schedule the
-   same way.
+   definition.  ``DTB_GOLDEN`` pins the same run under DASH, and
+   ``CS2_GOLDEN`` the standalone GPU's schedule, the same way.
 2. Bounded-bandwidth mode exhibits genuine queueing delay: under the
    Fig. 12 high-load configuration, mean link traversal latency rises
    strictly as the link's service rate falls.
 """
 
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,18 @@ GOLDEN = {
                      "display": 505.8703703703704},
     "fb_crc": 1444291790,
     "events_fired": 28_060,
+}
+
+# The GOLDEN run under DASH with system-bandwidth clustering (Case
+# Study I's DTB cell), captured at commit 4b8bc38.
+DTB_GOLDEN = {
+    "end_tick": 240_000,
+    "mean_gpu_time": 1763.0,
+    "mean_total_time": 5053.0,
+    "dram_bytes": {"cpu": 406_016, "gpu": 35_072, "display": 27_648},
+    "row_hit_rate": 0.15053460889138998,
+    "fb_crc": 1444291790,
+    "events_fired": 28_271,
 }
 
 # Case study II (standalone GPU): one 64x48 cube frame at WT size 4,
@@ -79,6 +92,28 @@ class TestSeedIdentity:
         assert link["packets"] > 0
         assert "rejected" not in link        # bounded-only counters absent
         assert "stall_ticks" not in link
+
+
+class TestDashGolden:
+    def test_dtb_reproduces_its_golden(self):
+        """DTB's GPU time and event count differ from GOLDEN's, so this
+        pins DASH arbitration, not FR-FCFS.  There is no DCB case: DCB
+        gives the same numbers at this scale.  The two differ only in
+        whether TCM's clustering counts IP bandwidth, and TCM reclusters
+        every 1M ticks, past this run's 240k-tick end."""
+        session = SceneSession("cube", WIDTH, HEIGHT)
+        config = replace(tiny_config(num_frames=2), memory_config="DTB")
+        soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
+        results = soc.run()
+        assert {
+            "end_tick": results.end_tick,
+            "mean_gpu_time": results.mean_gpu_time,
+            "mean_total_time": results.mean_total_time,
+            "dram_bytes": results.dram_bytes,
+            "row_hit_rate": results.row_hit_rate,
+            "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
+            "events_fired": soc.events.events_fired,
+        } == DTB_GOLDEN
 
 
 class TestCS2Golden:
