@@ -15,6 +15,11 @@ simulator's single-callback completion style.  Components exchange
   :meth:`ResponsePort.send_retry`, which wakes exactly one blocked sender
   (FIFO order), mirroring gem5's ``sendRetryReq``.
 
+This is the only way onto the memory path: every sender connects a
+RequestPort to a component's ``ingress``, and every observer of the
+traffic (watchdog, fault injection, tracing, trace recording) is a
+:class:`PortTap` interposed on it.
+
 **Response path.**  Every RequestPort a packet traverses is pushed onto
 the packet's ``route`` stack by ``try_send``.  When the terminal component
 completes the request it calls :func:`respond`, which unwinds the stack
@@ -147,7 +152,7 @@ class RequestPort:
         self.multiplexed = False
 
     def connect(self, target) -> "RequestPort":
-        """Bind to a ResponsePort (or anything adaptable into one)."""
+        """Bind to a ResponsePort or to a component's ``ingress``."""
         self.peer = as_response_port(target)
         return self
 
@@ -174,9 +179,10 @@ class RequestPort:
     def send(self, request, tick: Optional[int] = None) -> None:
         """try_send that treats busy as a protocol error.
 
-        For entry points that predate flow control (``SystemNoC.submit``);
-        only safe against unbounded receivers.  ``tick`` (when the caller
-        knows the current simulation time) enriches the error report.
+        For senders whose receiver never refuses (an unbounded link's
+        delivery, the memory system's channel ports, open-loop replay).
+        ``tick`` (when the caller knows the current simulation time)
+        enriches the error report.
         """
         if not self.try_send(request):
             raise PortProtocolError(
@@ -224,46 +230,19 @@ class RequestPort:
         return f"RequestPort({self.name} -> {peer})"
 
 
-class AccessAdapter:
-    """Wraps a legacy ``access(address, size, write, callback)`` level
-    (PerfectMemory, LatencyPort, ad-hoc test doubles) as a ResponsePort."""
-
-    def __init__(self, level) -> None:
-        self.level = level
-        name = getattr(level, "name", type(level).__name__)
-        self.ingress = ResponsePort(f"{name}.in", self._recv, owner=self)
-
-    def _recv(self, request) -> bool:
-        callback = None
-        if request.callback is not None or request.route:
-            callback = lambda completed=request: respond(completed)  # noqa: E731
-        self.level.access(request.address, request.size, request.write,
-                          callback)
-        return True
-
-
 def as_response_port(target) -> ResponsePort:
     """Coerce a connection target into a ResponsePort.
 
-    Accepts, in order of preference: a ResponsePort; anything exposing an
-    ``ingress`` ResponsePort (caches, links, the NoC, the memory system);
-    a legacy ``access(...)`` level; or a bare ``submit(request)`` callable.
+    Accepts a ResponsePort or anything exposing an ``ingress`` one (caches,
+    links, taps, the NoC, the memory system, a DRAM channel).
     """
     if isinstance(target, ResponsePort):
         return target
     ingress = getattr(target, "ingress", None)
     if isinstance(ingress, ResponsePort):
         return ingress
-    if callable(getattr(target, "access", None)):
-        return AccessAdapter(target).ingress
-    if callable(target):
-        def handler(request, _sink=target):
-            _sink(request)
-            return True
-        name = getattr(target, "__qualname__", getattr(target, "__name__",
-                                                       "sink"))
-        return ResponsePort(f"fn:{name}", handler, owner=target)
-    raise TypeError(f"cannot connect a port to {target!r}")
+    raise TypeError(f"cannot connect a port to {target!r}: it is neither a "
+                    f"ResponsePort nor has an ingress one")
 
 
 class PortTap:

@@ -4,17 +4,16 @@ Write-back, write-allocate, true-LRU.  Misses allocate an MSHR; secondary
 misses to an in-flight line merge into it.  Fills may evict a dirty line,
 which emits a writeback to the next level.
 
-The memory side speaks the timing-port protocol
-(:mod:`repro.common.ports`): fills and writebacks leave through
-``mem_port`` and honor the try_send/busy/retry handshake (refused packets
-queue in a send backlog until the downstream link retries).  The
-processor side is ``ingress`` — a :class:`~repro.common.ports.ResponsePort`
-carrying :class:`~repro.memory.request.MemRequest` packets — and the
-legacy ``access(address, size, write, callback)`` shim.  The SIMT cores
-use neither: their issue stage hands each coalesced line's request
-straight to ``_handle``.  ``next_level`` may be anything a port can
-connect to: another cache, a :class:`~repro.common.ports.Link`, the NoC,
-the memory system, or a legacy ``access``-style level.
+Both sides speak the timing-port protocol (:mod:`repro.common.ports`).
+Fills and writebacks leave through ``mem_port`` and honor the
+try_send/busy/retry handshake (refused packets queue in a send backlog
+until the downstream link retries).  The processor side is ``ingress``, a
+:class:`~repro.common.ports.ResponsePort` carrying
+:class:`~repro.memory.request.MemRequest` packets; it always accepts.
+The SIMT cores' issue stage, which owns its L1s, hands each coalesced
+line's request straight to ``_handle`` instead.  ``next_level`` is
+anything with an ``ingress`` port: another cache, a
+:class:`~repro.common.ports.Link`, the NoC or the memory system.
 
 Simplifications vs. GPGPU-Sim, by design (documented per DESIGN.md §4):
 no port-contention modeling inside a cache (the DRAM bus and core issue
@@ -27,54 +26,13 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Optional
 
 from repro.common.config import CacheConfig
 from repro.common.events import EventQueue
 from repro.common.ports import RequestPort, ResponsePort, respond
 from repro.common.stats import StatGroup
 from repro.memory.request import MemRequest, SourceType
-
-
-class MemoryLevel(Protocol):
-    def access(self, address: int, size: int, write: bool,
-               callback: Optional[Callable[[], None]]) -> None:
-        ...
-
-
-class LatencyPort:
-    """Fixed-latency hop in the legacy ``access`` convention.
-
-    Kept for unit tests and microbenchmarks; new wiring uses
-    :class:`~repro.common.ports.Link`, which speaks the port protocol and
-    can bound bandwidth.
-    """
-
-    def __init__(self, events: EventQueue, latency: int,
-                 next_level: MemoryLevel) -> None:
-        self.events = events
-        self.latency = latency
-        self.next_level = next_level
-
-    def access(self, address, size, write, callback):
-        self.events.schedule(self.latency, self.next_level.access,
-                             address, size, write, callback)
-
-
-class PerfectMemory:
-    """A fixed-latency backstop used by unit tests and microbenchmarks."""
-
-    def __init__(self, events: EventQueue, latency: int = 100) -> None:
-        self.events = events
-        self.latency = latency
-        self.accesses = 0
-        self.bytes = 0
-
-    def access(self, address, size, write, callback):
-        self.accesses += 1
-        self.bytes += size
-        if callback is not None:
-            self.events.schedule(self.latency, callback)
 
 
 @dataclass
@@ -127,14 +85,6 @@ class Cache:
     def _recv(self, request: MemRequest) -> bool:
         self._handle(request)
         return True
-
-    def access(self, address: int, size: int, write: bool,
-               callback: Optional[Callable[[], None]] = None) -> None:
-        """Legacy entry: one line per call, zero-argument completion."""
-        self._handle(MemRequest(
-            address=address, size=size, write=write, source=self.source,
-            callback=None if callback is None
-            else (lambda completed: callback())))
 
     def _handle(self, request: MemRequest) -> None:
         line = request.address // self._line_bytes

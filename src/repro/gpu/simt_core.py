@@ -235,8 +235,8 @@ class SIMTCore:
                 source = cache.source
                 mem_done = self._mem_done
                 # One completion closure per op (every transaction wakes
-                # the same warp) handed straight to _handle — the access()
-                # shim would wrap a zero-arg lambda per transaction on top.
+                # the same warp) handed straight to _handle: the core owns
+                # its L1s, which always accept, so it skips their ingress.
                 callback = lambda completed, w=warp: mem_done(w)  # noqa: E731
                 for line in lines:
                     handle(MemRequest(address=line, size=line_bytes,

@@ -69,25 +69,3 @@ class MemRequest:
         return replace(self, callback=None, complete_time=None,
                        issue_time=0, attempt=self.attempt + 1, route=[])
 
-
-def adapt_completion(callback: Optional[Callable]) -> \
-        Optional[Callable[["MemRequest"], Any]]:
-    """Adapt a cache-port completion callback into a MemRequest callback.
-
-    The cache hierarchy's ``access`` contract uses zero-argument callbacks;
-    the memory system delivers the completed :class:`MemRequest`.  Callbacks
-    that declare a positional parameter receive the request (so latency,
-    attempt count and injected-fault markers flow back to the issuer);
-    legacy zero-argument callbacks are invoked bare instead of the request
-    being silently discarded.
-    """
-    if callback is None:
-        return None
-    code = getattr(callback, "__code__", None)
-    if code is not None:
-        argcount = code.co_argcount
-        if getattr(callback, "__self__", None) is not None:
-            argcount -= 1       # bound method: drop ``self``
-        if argcount >= 1 or code.co_flags & 0x04:   # CO_VARARGS
-            return callback
-    return lambda request: callback()

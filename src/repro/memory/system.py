@@ -73,7 +73,44 @@ class SourceTypeRouter:
         return channel
 
 
-class MemorySystem:
+class ChannelStats:
+    """Cross-channel statistics over ``self.channels``: one implementation
+    for a :class:`MemorySystem` and for a :class:`MemoryFabric` of several."""
+
+    channels: Sequence[DRAMChannel]
+
+    def row_hit_rate(self) -> float:
+        hits = sum(c.stats.rate("row_hit").hits for c in self.channels)
+        total = sum(c.stats.rate("row_hit").total for c in self.channels)
+        return hits / total if total else 0.0
+
+    def bytes_per_activation(self) -> float:
+        for channel in self.channels:
+            channel.drain_flush_stats()
+        values = []
+        for channel in self.channels:
+            values.extend(channel.stats.histogram("bytes_per_activation").values())
+        return sum(values) / len(values) if values else 0.0
+
+    def total_bytes(self, source: Optional[SourceType] = None) -> int:
+        total = 0
+        for channel in self.channels:
+            if source is None:
+                for src in SourceType:
+                    total += channel.stats.counter(f"bytes.{src.value}").value
+            else:
+                total += channel.stats.counter(f"bytes.{source.value}").value
+        return total
+
+    def mean_latency(self, source: SourceType) -> float:
+        values = []
+        for channel in self.channels:
+            values.extend(channel.stats.histogram(
+                f"latency.{source.value}").values())
+        return sum(values) / len(values) if values else 0.0
+
+
+class MemorySystem(ChannelStats):
     """Channels + router + cross-channel statistics."""
 
     def __init__(self, events: EventQueue, config: DRAMConfig,
@@ -106,13 +143,9 @@ class MemorySystem:
                         rows=rows)
             for i in range(config.channels)
         ]
-        # Ingress observation probes (health instrumentation).  Empty by
-        # default so the hot path stays a single falsy check.
-        self.probes: list[Callable[[MemRequest], None]] = []
         # Timing-port surface: upstream components (NoC link, GPU L2)
         # connect to ``ingress``; each channel hangs off its own request
-        # port.  Both hops are synchronous, so port-connected entry is
-        # event-identical to calling submit() directly.
+        # port.  Both hops are synchronous.
         self.ingress = ResponsePort("memory.in", self._recv, owner=self)
         self._channel_ports = []
         for channel in self.channels:
@@ -121,41 +154,10 @@ class MemorySystem:
             self._channel_ports.append(port)
 
     def _recv(self, request: MemRequest) -> bool:
-        # Late-bound self.submit so trace recorders that wrap it still see
-        # port-delivered traffic.
-        self.submit(request)
-        return True
-
-    def add_probe(self, probe: Callable[[MemRequest], None]) -> None:
-        """Register an ingress probe called with every submitted request."""
-        self.probes.append(probe)
-
-    def attach_watchdog(self, watchdog) -> None:
-        """Track every request's lifecycle with a health watchdog.
-
-        Used in standalone (no-NoC) mode where requests enter here
-        directly; full-system runs attach the watchdog at the NoC instead
-        so retries and injected faults are visible to it.
-        """
-        def probe(request: MemRequest) -> None:
-            watchdog.track(request)
-            original = request.callback
-
-            def delivered(completed: MemRequest) -> None:
-                watchdog.retire(completed)
-                if original is not None:
-                    original(completed)
-
-            request.callback = delivered
-        self.add_probe(probe)
-
-    def submit(self, request: MemRequest) -> None:
         request.issue_time = self.events.now
-        if self.probes:
-            for probe in self.probes:
-                probe(request)
         channel = self.router.route(request)
         self._channel_ports[channel].send(request)
+        return True
 
     # -- aggregate statistics ---------------------------------------------------
 
@@ -165,36 +167,6 @@ class MemorySystem:
             for key, value in channel.stats.dump().items():
                 out[f"ch{channel.channel_id}.{key}"] = value
         return out
-
-    def row_hit_rate(self) -> float:
-        hits = sum(c.stats.rate("row_hit").hits for c in self.channels)
-        total = sum(c.stats.rate("row_hit").total for c in self.channels)
-        return hits / total if total else 0.0
-
-    def bytes_per_activation(self) -> float:
-        for channel in self.channels:
-            channel.drain_flush_stats()
-        values = []
-        for channel in self.channels:
-            values.extend(channel.stats.histogram("bytes_per_activation").values())
-        return sum(values) / len(values) if values else 0.0
-
-    def total_bytes(self, source: Optional[SourceType] = None) -> int:
-        total = 0
-        for channel in self.channels:
-            if source is None:
-                for src in SourceType:
-                    total += channel.stats.counter(f"bytes.{src.value}").value
-            else:
-                total += channel.stats.counter(f"bytes.{source.value}").value
-        return total
-
-    def mean_latency(self, source: SourceType) -> float:
-        values = []
-        for channel in self.channels:
-            values.extend(channel.stats.histogram(
-                f"latency.{source.value}").values())
-        return sum(values) / len(values) if values else 0.0
 
     def bandwidth_series(self, source: SourceType,
                          window: int = 1000) -> list[tuple[int, float]]:
@@ -212,7 +184,7 @@ class MemorySystem:
         return sorted(merged.items())
 
 
-class MemoryFabric:
+class MemoryFabric(ChannelStats):
     """Aggregate statistics view over several :class:`MemorySystem`
     endpoints (a multi-endpoint topology's DRAM side).
 
@@ -237,30 +209,6 @@ class MemoryFabric:
             for key, value in system.stats_dump().items():
                 out[f"ep{index}.{key}"] = value
         return out
-
-    def row_hit_rate(self) -> float:
-        hits = sum(c.stats.rate("row_hit").hits for c in self.channels)
-        total = sum(c.stats.rate("row_hit").total for c in self.channels)
-        return hits / total if total else 0.0
-
-    def bytes_per_activation(self) -> float:
-        for channel in self.channels:
-            channel.drain_flush_stats()
-        values = []
-        for channel in self.channels:
-            values.extend(
-                channel.stats.histogram("bytes_per_activation").values())
-        return sum(values) / len(values) if values else 0.0
-
-    def total_bytes(self, source: Optional[SourceType] = None) -> int:
-        return sum(system.total_bytes(source) for system in self.systems)
-
-    def mean_latency(self, source: SourceType) -> float:
-        values = []
-        for channel in self.channels:
-            values.extend(channel.stats.histogram(
-                f"latency.{source.value}").values())
-        return sum(values) / len(values) if values else 0.0
 
     def bandwidth_series(self, source: SourceType,
                          window: int = 1000) -> list[tuple[int, float]]:

@@ -50,19 +50,19 @@ class CPUCore:
     """One core's memory-side behavior (see module docstring)."""
 
     def __init__(self, events: EventQueue, core_id: int,
-                 submit, config: CPUCoreConfig, base_address: int,
+                 memory_port, config: CPUCoreConfig, base_address: int,
                  seed: int = 0) -> None:
         self.events = events
         self.core_id = core_id
         self.config = config
         self.base_address = base_address
         self.stats = StatGroup(f"cpu{core_id}")
-        # ``submit`` may be a legacy callable or any port-connectable
-        # target (the NoC, a memory system); requests leave through a
-        # timing port so bounded links can backpressure the core.
+        # ``memory_port`` is anything with an ``ingress`` port (the NoC, a
+        # memory system); requests leave through a timing port so bounded
+        # links can backpressure the core.
         self.port = RequestPort(f"cpu{core_id}.mem", owner=self,
                                 on_retry=self._retry_send)
-        self.port.connect(submit)
+        self.port.connect(memory_port)
         self._pending: Optional[MemRequest] = None   # blocked at the port
         self._rng = random.Random((seed << 8) | core_id)
         self._in_flight = 0
@@ -227,7 +227,7 @@ class CPUCluster:
     cluster — e.g. ``("app", "big", "little", "little")``.
     """
 
-    def __init__(self, events: EventQueue, submit,
+    def __init__(self, events: EventQueue, memory_port,
                  num_cores: int = 4, seed: int = 7,
                  base_address: int = 0x8000_0000,
                  core_types: Optional[tuple[str, ...]] = None) -> None:
@@ -256,7 +256,7 @@ class CPUCluster:
                                    if CORE_PROFILES[name][1]]
         self.core_types = core_types
         for core_id in range(num_cores):
-            core = CPUCore(events, core_id, submit, configs[core_id],
+            core = CPUCore(events, core_id, memory_port, configs[core_id],
                            base_address=base_address + core_id * 0x0100_0000,
                            seed=seed)
             self.cores.append(core)

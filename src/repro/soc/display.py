@@ -25,7 +25,7 @@ from repro.memory.request import MemRequest, SourceType
 
 
 class DisplayController:
-    def __init__(self, events: EventQueue, submit,
+    def __init__(self, events: EventQueue, memory_port,
                  framebuffer_address: int, frame_bytes: int,
                  period_ticks: int, burst_bytes: int = 256,
                  outstanding: int = 4, abort_fraction: float = 0.5,
@@ -39,7 +39,7 @@ class DisplayController:
         # deadline, feeding the abort loop).
         self.port = RequestPort("display.mem", owner=self,
                                 on_retry=self._retry_send)
-        self.port.connect(submit)
+        self.port.connect(memory_port)
         self._blocked: Optional[MemRequest] = None
         self.injector = injector
         self.framebuffer_address = framebuffer_address

@@ -1,12 +1,14 @@
 """System interconnect: a port-connected link between IPs and memory.
 
-The NoC is one :class:`~repro.common.ports.Link` from the IP-side ingress
-to the memory system.  The paper uses gem5's classic (coherent) system
-network; a fixed-latency link preserves the first-order effect — IP-to-
-DRAM distance — without a flit-level model, and the link's optional
-``capacity`` / ``bytes_per_cycle`` knobs add MGSim-style bounded
-bandwidth: under sustained overload requests queue in the link (visible
-as queue-occupancy/stall statistics and rising traversal latency) and
+The NoC is one :class:`~repro.common.ports.Link` from the IP-side
+``ingress`` to the memory system; the CPU cores, the display controller
+and the GPU L2 connect their request ports there, and there is no other
+way in.  The paper uses gem5's classic (coherent) system network; a
+fixed-latency link preserves the first-order effect — IP-to-DRAM
+distance — without a flit-level model.  A link budget from the resolved
+topology (``NoCTopology.links``) adds MGSim-style bounded bandwidth:
+under sustained overload requests queue in the link (visible as
+queue-occupancy/stall statistics and rising traversal latency) and
 backpressure propagates to the issuing IPs through the port retry
 handshake.
 
@@ -40,7 +42,7 @@ from repro.common.events import EventQueue
 from repro.common.ports import Link, RequestPort, ResponsePort
 from repro.common.stats import StatGroup
 from repro.health.interpose import EXTRA_KEY, ResilienceTap, WatchdogTap
-from repro.memory.request import MemRequest, SourceType, adapt_completion
+from repro.memory.request import MemRequest
 
 
 class EndpointRouter:
@@ -109,16 +111,15 @@ class SystemNoC:
     ``memory`` may be a single endpoint (one link named ``noc.link`` —
     the seed's exact structure) or a sequence of N endpoints: one link
     per endpoint (``noc.link0`` ... ) behind an address-interleaved
-    :class:`EndpointRouter`, with per-link budgets from
-    ``link_budgets`` (anything exposing ``capacity`` /
-    ``bytes_per_cycle``, e.g. :class:`repro.common.config.NoCLinkBudget`).
+    :class:`EndpointRouter`.  ``link_budgets`` (the resolved topology's
+    ``NoCTopology.links``: one :class:`repro.common.config.NoCLinkBudget`
+    per endpoint, or None for unbounded links) is the only source of
+    link capacity and bandwidth.
     """
 
     def __init__(self, events: EventQueue, memory,
                  latency: int = 12, watchdog=None, injector=None,
-                 retry=None, capacity: Optional[int] = None,
-                 bytes_per_cycle: Optional[float] = None,
-                 tracer=None, link_budgets=None,
+                 retry=None, tracer=None, link_budgets=None,
                  interleave_bytes: int = 4096) -> None:
         self.events = events
         memories = (list(memory) if isinstance(memory, (list, tuple))
@@ -136,32 +137,21 @@ class SystemNoC:
             # parks it in metadata; the link consumes it on acceptance.
             def extra_hook(request):
                 return request.metadata.pop(EXTRA_KEY, 0)
+        self.links = []
+        for index, endpoint in enumerate(memories):
+            budget = link_budgets[index] if link_budgets else None
+            name = "noc.link" if len(memories) == 1 else f"noc.link{index}"
+            link = Link(
+                events, name, latency=latency,
+                capacity=budget.capacity if budget else None,
+                bytes_per_cycle=budget.bytes_per_cycle if budget else None,
+                extra_latency=extra_hook)
+            link.connect(endpoint)
+            self.links.append(link)
+        self.link = self.links[0]
         self.router: Optional[EndpointRouter] = None
-        if len(memories) == 1:
-            budget = link_budgets[0] if link_budgets else None
-            if budget is not None:
-                capacity = budget.capacity
-                bytes_per_cycle = budget.bytes_per_cycle
-            self.link = Link(events, "noc.link", latency=latency,
-                             capacity=capacity,
-                             bytes_per_cycle=bytes_per_cycle,
-                             extra_latency=extra_hook)
-            self.link.connect(memories[0])
-            self.links = [self.link]
-            head = self.link
-        else:
-            self.links = []
-            for index, endpoint in enumerate(memories):
-                budget = link_budgets[index] if link_budgets else None
-                link = Link(
-                    events, f"noc.link{index}", latency=latency,
-                    capacity=budget.capacity if budget else None,
-                    bytes_per_cycle=(budget.bytes_per_cycle
-                                     if budget else None),
-                    extra_latency=extra_hook)
-                link.connect(endpoint)
-                self.links.append(link)
-            self.link = self.links[0]
+        head = self.link
+        if len(self.links) > 1:
             self.router = EndpointRouter(self.links, interleave_bytes,
                                          stats=self.stats)
             head = self.router
@@ -185,24 +175,3 @@ class SystemNoC:
         #: IP-facing ResponsePort — CPU cores, the display controller and
         #: the GPU L2 connect their request ports here.
         self.ingress = head.ingress
-        self._entry = RequestPort("noc.submit", owner=self)
-        self._entry.connect(head)
-
-    def submit(self, request: MemRequest) -> None:
-        """Callable entry kept for recorders and tests.
-
-        Raises on backpressure (bounded links) — flow-control-aware
-        callers connect a port to ``ingress`` instead.
-        """
-        self._entry.send(request, tick=self.events.now)
-
-    def access(self, address, size, write, callback):
-        """Cache-port compatible entry (used behind the GPU L2).
-
-        The completed :class:`MemRequest` is passed through to callbacks
-        that accept it (latency and fault markers flow back to the
-        issuer); zero-argument cache callbacks are invoked bare.
-        """
-        self.submit(MemRequest(
-            address=address, size=size, write=write, source=SourceType.GPU,
-            callback=adapt_completion(callback)))

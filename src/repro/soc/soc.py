@@ -160,7 +160,7 @@ class EmeraldSoC:
         self.topology = run_config.resolve_topology()
         frame_source = self._build_events_and_health(run_config, frame_source)
         self._build_memory(run_config)
-        self._build_noc(run_config)
+        self._build_noc()
         self._build_ips(run_config, framebuffer_address)
         self._build_loop(run_config, frame_source, start_frame, start_tick)
         self._build_sanitizer(run_config)
@@ -249,7 +249,7 @@ class EmeraldSoC:
                         f"dram{index}.ch{channel.channel_id}")
             self.memory = MemoryFabric(self.memory_endpoints)
 
-    def _build_noc(self, run_config: SoCRunConfig) -> None:
+    def _build_noc(self) -> None:
         noc_topo = self.topology.noc
         memory = (self.memory_endpoints[0]
                   if len(self.memory_endpoints) == 1
@@ -258,8 +258,6 @@ class EmeraldSoC:
                              latency=noc_topo.latency,
                              watchdog=self.watchdog,
                              injector=self.injector, retry=self._retry,
-                             capacity=run_config.noc_capacity,
-                             bytes_per_cycle=run_config.noc_bytes_per_cycle,
                              tracer=self.tracer,
                              link_budgets=noc_topo.links,
                              interleave_bytes=noc_topo.interleave_bytes)

@@ -8,8 +8,10 @@ missed deadlines, and load-dependent traffic timing (§5.2.3).
 This module implements that methodology *inside* the reproduction so the
 gap is measurable:
 
-* :class:`TraceRecorder` taps the system NoC of an execution-driven run
-  and records every request (time, address, size, source, rw);
+* :class:`MemoryTraceTap` is a port tap that :func:`record_soc_trace`
+  places between each NoC link and its memory endpoint in an
+  execution-driven run; it records every request (time, address, size,
+  source, rw) as the memory receives it;
 * :class:`TraceReplayer` replays a recorded trace into a fresh memory
   system at the recorded issue times — no dependencies, no feedback —
   and reports per-source latency/bandwidth, the quantities trace-driven
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.events import EventQueue
+from repro.common.ports import PortTap, RequestPort
 from repro.memory.request import MemRequest, SourceType
 from repro.memory.system import MemorySystem
 
@@ -142,32 +145,36 @@ class MemoryTrace:
             return cls.from_json(handle.read())
 
 
-class TraceRecorder:
-    """Wraps a submit function; records everything passing through."""
+class MemoryTraceTap(PortTap):
+    """Records every request it forwards into ``trace``; adds no events."""
 
-    def __init__(self, events: EventQueue, submit) -> None:
+    def __init__(self, events: EventQueue, trace: MemoryTrace,
+                 name: str) -> None:
+        super().__init__(name)
         self.events = events
-        self._submit = submit
-        self.trace = MemoryTrace()
+        self.trace = trace
 
-    def submit(self, request: MemRequest) -> None:
+    def on_request(self, request: MemRequest) -> None:
         self.trace.entries.append(TraceEntry(
             time=self.events.now, address=request.address,
             size=request.size, write=request.write,
             source=request.source, source_id=request.source_id))
-        self._submit(request)
 
 
 def record_soc_trace(soc) -> MemoryTrace:
-    """Install a recorder on an (un-run) EmeraldSoC; returns the live trace.
+    """Tap an (un-run) EmeraldSoC's memory traffic; returns the live trace.
 
     Call before ``soc.run()``; the trace fills as the system executes.
-    The tap sits at the memory system's ingress (post-NoC), which every
-    IP's traffic funnels through.
+    One :class:`MemoryTraceTap` sits between each NoC link and its memory
+    endpoint (post-NoC), so every IP's traffic to every endpoint is
+    recorded, in delivery order.
     """
-    recorder = TraceRecorder(soc.events, soc.memory.submit)
-    soc.memory.submit = recorder.submit
-    return recorder.trace
+    trace = MemoryTrace()
+    for link in soc.noc.links:
+        tap = MemoryTraceTap(soc.events, trace, f"{link.name}.trace")
+        tap.connect(link.egress.peer)
+        link.connect(tap)
+    return trace
 
 
 @dataclass
@@ -219,11 +226,12 @@ class TraceReplayer:
 
             pace(SourceType.GPU, gpu_period)
             pace(SourceType.DISPLAY, display_period)
+        port = RequestPort("replay", owner=self).connect(memory)
         for entry in self.trace.entries:
             request = MemRequest(address=entry.address, size=entry.size,
                                  write=entry.write, source=entry.source,
                                  source_id=entry.source_id)
-            events.schedule_at(entry.time - base, memory.submit, request)
+            events.schedule_at(entry.time - base, port.send, request)
         result = events.run()
         # An unbudgeted run only stops when drained; assert the contract so
         # a future budgeted caller cannot mistake truncation for completion.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.events import EventQueue
 from repro.common.ports import (
-    AccessAdapter,
     Link,
     PortProtocolError,
     PortTap,
@@ -105,7 +104,7 @@ def test_send_error_owner_prefers_the_owning_component():
         name = "noc"
 
     sink = Sink(accept=False)
-    port = RequestPort("noc.submit", owner=Component()).connect(sink)
+    port = RequestPort("noc.out", owner=Component()).connect(sink)
     with pytest.raises(PortProtocolError) as excinfo:
         port.send(make_request())
     assert excinfo.value.owner == "noc"
@@ -149,44 +148,7 @@ def test_on_response_false_consumes_the_unwind():
     assert done == []
 
 
-# -- adapters ------------------------------------------------------------------
-
-
-class LegacyLevel:
-    def __init__(self):
-        self.calls = []
-
-    def access(self, address, size, write, callback):
-        self.calls.append((address, size, write))
-        if callback is not None:
-            callback()
-
-
-def test_access_adapter_bridges_legacy_levels():
-    level = LegacyLevel()
-    done = []
-    port = RequestPort("p").connect(level)
-    assert isinstance(port.peer, ResponsePort)
-    request = make_request(callback=done.append)
-    assert port.try_send(request)
-    assert level.calls == [(0x1000, 64, False)]
-    assert done == [request]
-
-
-def test_access_adapter_fire_and_forget_passes_no_callback():
-    level = LegacyLevel()
-    adapter = AccessAdapter(level)
-    request = make_request()        # no callback, no route
-    assert adapter.ingress._recv(request)
-    assert level.calls == [(0x1000, 64, False)]
-
-
-def test_as_response_port_accepts_bare_callable():
-    received = []
-    port = RequestPort("p").connect(received.append)
-    request = make_request()
-    assert port.try_send(request)
-    assert received == [request]
+# -- connection targets --------------------------------------------------------
 
 
 def test_as_response_port_prefers_ingress():
@@ -197,6 +159,21 @@ def test_as_response_port_prefers_ingress():
 def test_as_response_port_rejects_garbage():
     with pytest.raises(TypeError):
         as_response_port(42)
+
+
+class AccessLevel:
+    """An ``access(address, size, write, callback)`` level: no ingress."""
+
+    def access(self, address, size, write, callback):
+        raise AssertionError("never reached")
+
+
+@pytest.mark.parametrize("target", [AccessLevel(), print],
+                         ids=["access-level", "callable"])
+def test_connect_refuses_targets_without_an_ingress_port(target):
+    with pytest.raises(TypeError) as excinfo:
+        RequestPort("p").connect(target)
+    assert repr(target) in str(excinfo.value)
 
 
 # -- PortTap -------------------------------------------------------------------
@@ -306,10 +283,11 @@ def test_bounded_link_rejects_at_capacity_and_retries_fifo():
 
 def test_bounded_link_serializes_by_bytes_per_cycle():
     events = EventQueue()
-    sink = Sink()
     arrivals = []
-    link = Link(events, "l", latency=10, bytes_per_cycle=8.0).connect(
-        lambda request: arrivals.append((events.now, request)))
+    sink = ResponsePort(
+        "sink.in", lambda request: arrivals.append((events.now, request))
+        or True)
+    link = Link(events, "l", latency=10, bytes_per_cycle=8.0).connect(sink)
     port = RequestPort("p").connect(link)
     # 64B at 8 B/cycle = 8 ticks on the line; back-to-back packets queue
     # behind the busy line.

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig
 from repro.common.events import EventQueue
-from repro.gpu.caches import Cache, LatencyPort, PerfectMemory
+from repro.gpu.caches import Cache
 from repro.gpu.coalescer import coalesce
 from repro.shader.isa import MemSpace
+from tests.fake_memory import FixedLatencyMemory, send
 
 
 def make_cache(size=1024, ways=2, line=128, mem_latency=100):
     events = EventQueue()
-    memory = PerfectMemory(events, latency=mem_latency)
+    memory = FixedLatencyMemory(events, latency=mem_latency)
     cache = Cache(events, CacheConfig(size, line_bytes=line, ways=ways),
                   "test", memory)
     return events, cache, memory
@@ -25,9 +26,9 @@ class TestCacheBasics:
     def test_cold_miss_then_hit(self):
         events, cache, memory = make_cache()
         times = []
-        cache.access(0, 128, False, lambda: times.append(events.now))
+        send(cache, 0, done=lambda _: times.append(events.now))
         events.run()
-        cache.access(0, 128, False, lambda: times.append(events.now))
+        send(cache, 0, done=lambda _: times.append(events.now))
         start = events.now
         events.run()
         assert times[0] >= 100                      # went to memory
@@ -37,16 +38,16 @@ class TestCacheBasics:
 
     def test_different_lines_miss_separately(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, False, None)
-        cache.access(128, 128, False, None)
+        send(cache, 0)
+        send(cache, 128)
         events.run()
         assert memory.accesses == 2
 
     def test_mshr_merges_secondary_miss(self):
         events, cache, memory = make_cache()
         done = []
-        cache.access(0, 128, False, lambda: done.append("a"))
-        cache.access(0, 128, False, lambda: done.append("b"))
+        send(cache, 0, done=lambda _: done.append("a"))
+        send(cache, 0, done=lambda _: done.append("b"))
         events.run()
         assert sorted(done) == ["a", "b"]
         assert memory.accesses == 1
@@ -56,7 +57,7 @@ class TestCacheBasics:
         # 2-way, line 128, 1024 bytes -> 4 sets. Same set: stride 512.
         events, cache, memory = make_cache(size=1024, ways=2)
         for address in (0, 512, 1024):    # third line evicts the first
-            cache.access(address, 128, False, None)
+            send(cache, address)
             events.run()
         assert not cache.contains(0)
         assert cache.contains(512)
@@ -65,22 +66,22 @@ class TestCacheBasics:
     def test_lru_touch_refreshes(self):
         events, cache, memory = make_cache(size=1024, ways=2)
         for address in (0, 512):
-            cache.access(address, 128, False, None)
+            send(cache, address)
             events.run()
-        cache.access(0, 128, False, None)     # touch 0: now MRU
+        send(cache, 0)     # touch 0: now MRU
         events.run()
-        cache.access(1024, 128, False, None)  # evicts 512, not 0
+        send(cache, 1024)  # evicts 512, not 0
         events.run()
         assert cache.contains(0)
         assert not cache.contains(512)
 
     def test_dirty_eviction_writes_back(self):
         events, cache, memory = make_cache(size=1024, ways=2)
-        cache.access(0, 128, True, None)      # dirty line
+        send(cache, 0, write=True)      # dirty line
         events.run()
         reads_before = memory.accesses
-        cache.access(512, 128, False, None)
-        cache.access(1024, 128, False, None)  # evicts dirty line 0
+        send(cache, 512)
+        send(cache, 1024)  # evicts dirty line 0
         events.run()
         assert cache.stats.counter("writebacks").value == 1
         # fills for 512 & 1024 plus one writeback
@@ -88,9 +89,9 @@ class TestCacheBasics:
 
     def test_flush_dirty(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, True, None)
-        cache.access(128, 128, True, None)
-        cache.access(256, 128, False, None)
+        send(cache, 0, write=True)
+        send(cache, 128, write=True)
+        send(cache, 256)
         events.run()
         before = memory.accesses
         assert cache.flush_dirty() == 2
@@ -100,7 +101,7 @@ class TestCacheBasics:
 
     def test_write_allocate(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, True, None)
+        send(cache, 0, write=True)
         events.run()
         assert cache.contains(0)
         assert memory.accesses == 1           # fill on write miss
@@ -112,16 +113,16 @@ class TestMSHREdgeCases:
         line, or the write is silently lost at eviction time."""
         events, cache, memory = make_cache(size=1024, ways=2)
         done = []
-        cache.access(0, 128, False, lambda: done.append("read"))
-        cache.access(0, 128, True, lambda: done.append("write"))
+        send(cache, 0, done=lambda _: done.append("read"))
+        send(cache, 0, write=True, done=lambda _: done.append("write"))
         assert cache._mshrs[0].write        # the merge dirtied the entry
         events.run()
         assert sorted(done) == ["read", "write"]
         assert cache.stats.counter("mshr_merges").value == 1
         # Evict line 0 (2-way set, stride 512): the merged write must
         # surface as a writeback.
-        cache.access(512, 128, False, None)
-        cache.access(1024, 128, False, None)
+        send(cache, 512)
+        send(cache, 1024)
         events.run()
         assert cache.stats.counter("writebacks").value == 1
 
@@ -132,8 +133,7 @@ class TestMSHREdgeCases:
         events, cache, memory = make_cache(size=1024, ways=2)
         done = []
         for address in (0, 512, 1024):      # all map to set 0
-            cache.access(address, 128, False,
-                         lambda a=address: done.append(a))
+            send(cache, address, done=lambda _, a=address: done.append(a))
         assert len(cache._mshrs) == 3       # all in flight at once
         events.run()
         assert sorted(done) == [0, 512, 1024]
@@ -145,7 +145,7 @@ class TestMSHREdgeCases:
     def test_mshr_occupancy_histogram_tracks_full_occupancy(self):
         events, cache, memory = make_cache()
         for index in range(8):
-            cache.access(index * 128, 128, False, None)
+            send(cache, index * 128)
         assert len(cache._mshrs) == 8
         occupancy = cache.stats.histogram("mshr_occupancy")
         assert occupancy.count == 8         # one sample per allocation
@@ -155,22 +155,11 @@ class TestMSHREdgeCases:
 
     def test_mshr_allocation_tick_is_current_time(self):
         events, cache, memory = make_cache()
-        cache.access(0, 128, False, None)
+        send(cache, 0)
         events.run()
         assert events.now >= 100
-        cache.access(4096, 128, False, None)
+        send(cache, 4096)
         assert cache._mshrs[cache.line_of(4096)].allocated_at == events.now
-
-
-class TestLatencyPort:
-    def test_adds_latency(self):
-        events = EventQueue()
-        memory = PerfectMemory(events, latency=10)
-        port = LatencyPort(events, latency=5, next_level=memory)
-        done = []
-        port.access(0, 128, False, lambda: done.append(events.now))
-        events.run()
-        assert done == [15]
 
 
 class LaneAccess(NamedTuple):

@@ -5,10 +5,10 @@ import pytest
 
 from repro.common.config import CacheConfig, SIMTCoreConfig
 from repro.common.events import EventQueue
-from repro.gpu.caches import PerfectMemory
 from repro.gpu.simt_core import SIMTCore, WarpTask
 from repro.shader.interpreter import TraceOp, WarpTrace
 from repro.shader.isa import MemSpace, Opcode
+from tests.fake_memory import FixedLatencyMemory
 
 
 def small_core_config(**kwargs):
@@ -24,7 +24,7 @@ def small_core_config(**kwargs):
 
 def make_core(config=None, mem_latency=100):
     events = EventQueue()
-    memory = PerfectMemory(events, latency=mem_latency)
+    memory = FixedLatencyMemory(events, latency=mem_latency)
     core = SIMTCore(events, config or small_core_config(), core_id=0,
                     l2_port=memory, noc_latency=4)
     return events, core, memory

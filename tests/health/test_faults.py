@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
 from repro.health import (FaultConfig, FaultInjector, HealthConfig,
                           RetryConfig)
 from repro.health.watchdog import Watchdog, WatchdogTimeout
@@ -152,7 +153,7 @@ class TestNoCRetryPath:
         done = []
         request = MemRequest(address=0x40, size=64, write=False,
                              source=SourceType.CPU, callback=done.append)
-        noc.submit(request)
+        RequestPort("cpu0.mem").connect(noc).send(request)
         result = events.run()
         assert result.drained
         assert done == [request]                  # original object delivered
@@ -167,8 +168,9 @@ class TestNoCRetryPath:
         noc = self._noc(events, _ScriptedInjector([("delay", 5_000)]),
                         RetryConfig(timeout=500, max_retries=2))
         done = []
-        noc.submit(MemRequest(address=0x40, size=64, write=False,
-                              source=SourceType.CPU, callback=done.append))
+        RequestPort("cpu0.mem").connect(noc).send(MemRequest(
+            address=0x40, size=64, write=False, source=SourceType.CPU,
+            callback=done.append))
         result = events.run()
         assert result.drained
         assert len(done) == 1
@@ -183,8 +185,9 @@ class TestNoCRetryPath:
                         injector=injector,
                         retry=RetryConfig(timeout=500, max_retries=2,
                                           backoff=2.0))
-        noc.submit(MemRequest(address=0xDEAD, size=64, write=False,
-                              source=SourceType.CPU, source_id=0))
+        RequestPort("cpu0.mem").connect(noc).send(MemRequest(
+            address=0xDEAD, size=64, write=False, source=SourceType.CPU,
+            source_id=0))
         with pytest.raises(WatchdogTimeout) as excinfo:
             events.run()
         assert noc.stats.counter("retries").value == 2

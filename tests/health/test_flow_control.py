@@ -1,13 +1,19 @@
 """Flow-control edge cases: the port fabric's retry handshake interacting
-with bounded links, the watchdog, and the fault/retry machinery (the
-ISSUE's four scenarios)."""
+with bounded links, the watchdog, and the fault/retry machinery; and where
+an assembled SoC's link budgets come from."""
 
+from dataclasses import replace
+
+from repro.common.config import NoCLinkBudget
 from repro.common.events import EventQueue
-from repro.common.ports import ResponsePort, respond
+from repro.common.ports import RequestPort, ResponsePort, respond
+from repro.harness.scenes import SceneSession
 from repro.health import RetryConfig
 from repro.health.watchdog import Watchdog
 from repro.memory.request import MemRequest, SourceType
 from repro.soc.noc import SystemNoC
+from repro.soc.soc import EmeraldSoC
+from tests.health.full_system import tiny_config
 
 
 class FakeMemory:
@@ -51,10 +57,11 @@ def test_retry_succeeds_while_queue_drains():
     its held packet arrives after the queued ones (FIFO, no loss)."""
     events = EventQueue()
     memory = FakeMemory()
-    noc = SystemNoC(events, memory, latency=4, capacity=2)
-    port_cls = type(noc._entry)
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=(NoCLinkBudget(capacity=2),))
     woken = []
-    sender = port_cls("test.sender", on_retry=lambda: woken.append(events.now))
+    sender = RequestPort("test.sender",
+                         on_retry=lambda: woken.append(events.now))
     sender.connect(noc.ingress)
     first, second, third = (_request(0x100 * i) for i in (1, 2, 3))
     assert sender.try_send(first)
@@ -74,9 +81,10 @@ def test_watchdog_deadline_fires_under_sustained_backpressure():
     memory = FakeMemory()                       # never replies on its own
     watchdog = Watchdog(events, request_timeout=1_000, check_period=200,
                         on_timeout=lambda report: None)
-    noc = SystemNoC(events, memory, latency=4, capacity=4,
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=(NoCLinkBudget(capacity=4),),
                     watchdog=watchdog)
-    noc.submit(_request())
+    RequestPort("cpu1.mem").connect(noc).send(_request())
     assert watchdog.in_flight == 1              # queued == tracked
     events.run(max_events=50)
     assert watchdog.reports
@@ -94,11 +102,13 @@ def test_fault_dropped_reply_of_queued_packet_recovered_by_retry():
     memory = FakeMemory()
     done = []
     noc = SystemNoC(events, memory, latency=4,
-                    capacity=4, bytes_per_cycle=2.0,   # 64B -> 32-tick line
+                    link_budgets=(NoCLinkBudget(     # 64B -> 32-tick line
+                        capacity=4, bytes_per_cycle=2.0),),
                     injector=_ScriptedInjector([("drop", 0)]),
                     retry=RetryConfig(timeout=500, max_retries=2))
-    noc.submit(_request(callback=done.append))
-    noc.submit(_request(address=0x80))          # queue behind the first
+    sender = RequestPort("cpu1.mem").connect(noc)
+    sender.send(_request(callback=done.append))
+    sender.send(_request(address=0x80))         # queue behind the first
     events.run_until(100)                       # both drain the slow line
     assert len(memory.received) == 2
     memory.reply(0)                             # first reply: dropped
@@ -120,10 +130,11 @@ def test_exactly_once_when_retry_races_slow_link():
     events = EventQueue()
     memory = FakeMemory()
     done = []
-    noc = SystemNoC(events, memory, latency=4, bytes_per_cycle=1.0,
+    noc = SystemNoC(events, memory, latency=4,
+                    link_budgets=(NoCLinkBudget(bytes_per_cycle=1.0),),
                     injector=_ScriptedInjector([("delay", 5_000)]),
                     retry=RetryConfig(timeout=300, max_retries=2))
-    noc.submit(_request(callback=done.append))
+    RequestPort("cpu1.mem").connect(noc).send(_request(callback=done.append))
     events.run_until(100)
     assert len(memory.received) == 1
     memory.reply(0)                             # fate: delayed 5000 ticks
@@ -134,3 +145,33 @@ def test_exactly_once_when_retry_races_slow_link():
     events.run()                                # late original arrives...
     assert len(done) == 1                       # ...and is deduplicated
     assert noc.stats.counter("duplicate_replies").value == 1
+
+
+def _link_of(config):
+    session = SceneSession("cube", config.width, config.height)
+    soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
+    return soc.noc.link
+
+
+def test_link_budgets_come_only_from_the_resolved_topology():
+    """An explicit topology overrides the ``noc_*`` knobs (its hash is the
+    machine checkpoints are stamped with); the knobs alone still bound
+    the link, through the topology they resolve to."""
+    base = tiny_config()
+    budget = NoCLinkBudget(capacity=2, bytes_per_cycle=1.0)
+
+    knobs_ignored = replace(base, topology=base.resolve_topology(),
+                            noc_capacity=2, noc_bytes_per_cycle=1.0)
+    link = _link_of(knobs_ignored)
+    assert (link.capacity, link.bytes_per_cycle) == (None, None)
+
+    topology = base.resolve_topology()
+    declared = replace(base, topology=replace(
+        topology, noc=replace(topology.noc, links=(budget,))))
+    link = _link_of(declared)
+    assert (link.capacity, link.bytes_per_cycle) == (2, 1.0)
+
+    knobs_only = replace(base, noc_capacity=2, noc_bytes_per_cycle=1.0)
+    assert knobs_only.resolve_topology().noc.links == (budget,)
+    link = _link_of(knobs_only)
+    assert (link.capacity, link.bytes_per_cycle) == (2, 1.0)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
+from repro.health.interpose import WatchdogTap
 from repro.health.watchdog import Watchdog, WatchdogReport, WatchdogTimeout
 from repro.memory.builders import build_baseline_memory
 from repro.memory.request import MemRequest, SourceType
@@ -111,14 +113,15 @@ class TestTimeouts:
 
 class TestStandaloneAttachment:
     def test_memory_system_attach_watchdog(self):
-        """Standalone (no-NoC) runs track lifecycles at the memory
-        ingress; a serviced request retires normally."""
+        """Standalone (no-NoC) runs track lifecycles with a WatchdogTap in
+        front of the memory; a serviced request retires normally."""
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         wd = Watchdog(events, request_timeout=100_000, check_period=1000)
-        memory.attach_watchdog(wd)
+        tap = WatchdogTap(wd, name="memory.watchdog").connect(memory)
         done = []
-        memory.submit(_request(callback=done.append))
+        RequestPort("cpu1.mem").connect(tap).send(
+            _request(callback=done.append))
         result = events.run()
         assert result.drained
         assert done and done[0].complete_time is not None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
 from repro.memory.builders import build_dash_memory, build_memory_by_name
 from repro.memory.dash import DashConfig, DashState
 from repro.memory.request import MemRequest, SourceType
@@ -40,9 +41,9 @@ class TestDashUnregisteredIP:
         events = EventQueue()
         system, state = build_dash_memory(events, DRAMConfig(channels=1))
         done = []
-        system.submit(MemRequest(address=0, size=128, write=False,
-                                 source=SourceType.DISPLAY,
-                                 callback=lambda r: done.append(r)))
+        RequestPort("display.mem").connect(system).send(MemRequest(
+            address=0, size=128, write=False, source=SourceType.DISPLAY,
+            callback=done.append))
         events.run()
         assert len(done) == 1
 

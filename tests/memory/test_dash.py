@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
 from repro.memory.builders import build_dash_memory
 from repro.memory.dash import DashConfig, DashScheduler, DashState, IPDeadlineState
 from repro.memory.request import MemRequest, SourceType
@@ -117,8 +118,9 @@ class TestDashScheduler:
         cpu = MemRequest(address=row_stride, size=128, write=False,
                         source=SourceType.CPU,
                         callback=lambda r: order.append("cpu"))
-        system.submit(gpu)
-        system.submit(cpu)
+        port = RequestPort("test.sender").connect(system)
+        port.send(gpu)
+        port.send(cpu)
         events.run()
         return order
 

@@ -11,14 +11,16 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
 from repro.memory.builders import build_baseline_memory, build_dash_memory
 from repro.memory.request import MemRequest, SourceType
 
 
 def flood(system, count, source=SourceType.GPU, start=0):
     done = {}
+    port = RequestPort("test.flood").connect(system)
     for i in range(count):
-        system.submit(MemRequest(
+        port.send(MemRequest(
             address=start + i * 128, size=128, write=False, source=source,
             callback=lambda r, i=i: done.__setitem__(i, r.complete_time)))
     return done
@@ -35,10 +37,9 @@ class TestPriorityUnderLoad:
         state.report_ip_progress(SourceType.GPU, 1.0, 0)   # never urgent
         gpu_done = flood(system, 64, SourceType.GPU)
         cpu_done = []
-        system.submit(MemRequest(address=0x800_0000, size=128, write=False,
-                                 source=SourceType.CPU,
-                                 callback=lambda r: cpu_done.append(
-                                     r.complete_time)))
+        RequestPort("cpu0.mem").connect(system).send(MemRequest(
+            address=0x800_0000, size=128, write=False, source=SourceType.CPU,
+            callback=lambda r: cpu_done.append(r.complete_time)))
         events.run()
         finished_before_cpu = sum(1 for t in gpu_done.values()
                                   if t < cpu_done[0])
@@ -53,10 +54,10 @@ class TestPriorityUnderLoad:
         gpu_done = flood(system, 32, SourceType.GPU)
         row_stride = 16 * 8 * 128
         cpu_done = []
-        system.submit(MemRequest(address=50 * row_stride, size=128,
-                                 write=False, source=SourceType.CPU,
-                                 callback=lambda r: cpu_done.append(
-                                     r.complete_time)))
+        RequestPort("cpu0.mem").connect(system).send(MemRequest(
+            address=50 * row_stride, size=128, write=False,
+            source=SourceType.CPU,
+            callback=lambda r: cpu_done.append(r.complete_time)))
         events.run()
         finished_before_cpu = sum(1 for t in gpu_done.values()
                                   if t < cpu_done[0])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
+from repro.common.ports import RequestPort
 from repro.memory.builders import (
     MEMORY_CONFIG_NAMES,
     build_baseline_memory,
@@ -15,8 +16,9 @@ from repro.memory.system import SourceTypeRouter, dram_cycle_ticks
 
 
 def submit_and_run(system, events, requests):
+    port = RequestPort("test.sender").connect(system)
     for request in requests:
-        system.submit(request)
+        port.send(request)
     events.run()
 
 
@@ -142,9 +144,9 @@ class TestBuilders:
         system, dash_state = build_memory_by_name(
             name, events, DRAMConfig(channels=2))
         done = []
-        system.submit(req(0, SourceType.CPU, done=lambda r: done.append(r)))
-        system.submit(req(128, SourceType.GPU, done=lambda r: done.append(r)))
-        events.run()
+        submit_and_run(system, events,
+                       [req(0, SourceType.CPU, done=done.append),
+                        req(128, SourceType.GPU, done=done.append)])
         assert len(done) == 2
         assert all(r.complete_time is not None for r in done)
         if name in ("DCB", "DTB"):

@@ -15,6 +15,7 @@ from repro.sanitize import (
     SanitizeConfig,
     Sanitizer,
 )
+from tests.fake_memory import send
 
 
 def make_request(address=0x1000):
@@ -25,6 +26,14 @@ def make_request(address=0x1000):
 class RefusingSink:
     def __init__(self):
         self.ingress = ResponsePort("sink.in", lambda request: False,
+                                    owner=self)
+
+
+class SwallowingSink:
+    """Accepts every packet and never answers."""
+
+    def __init__(self):
+        self.ingress = ResponsePort("sink.in", lambda request: True,
                                     owner=self)
 
 
@@ -42,14 +51,14 @@ class TestMSHRLeak:
         # The next level swallows fills and never replies: every miss's
         # MSHR entry is allocated and never freed.
         return Cache(events, CacheConfig(1024, ways=2), "l1",
-                     lambda request: None)
+                     SwallowingSink())
 
     def test_aged_entry_raises(self):
         events = EventQueue()
         cache = self.make_leaky_cache(events)
         sanitizer = Sanitizer(events, SanitizeConfig(mshr_age=1_000))
         sanitizer.register_cache(cache)
-        cache.access(0, 128, False, lambda: None)
+        send(cache, 0, done=lambda _: None)
         sanitizer.sweep(500)                    # in flight, young: fine
         with pytest.raises(ResourceLeakViolation) as excinfo:
             sanitizer.sweep(5_000)
@@ -60,7 +69,7 @@ class TestMSHRLeak:
     def test_entry_allocation_tick_is_stamped(self):
         events = EventQueue()
         cache = self.make_leaky_cache(events)
-        events.schedule(750, cache.access, 0, 128, False, None)
+        events.schedule(750, send, cache, 0)
         events.run()
         (entry,) = cache._mshrs.values()
         assert entry.allocated_at == 750
@@ -71,7 +80,7 @@ class TestMSHRLeak:
         sanitizer = Sanitizer(events, SanitizeConfig(mshr_age=10**9,
                                                      mode="record"))
         sanitizer.register_cache(cache)
-        cache.access(0, 128, False, lambda: None)
+        send(cache, 0, done=lambda _: None)
         stranded = sanitizer.check_drained()
         assert [v.kind for v in stranded] == ["resource-leak"]
 

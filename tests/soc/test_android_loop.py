@@ -23,7 +23,7 @@ def make_loop(num_frames=3, period=200_000, dash=False, cpu_work=20,
         dash_state = None
     gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)), 64, 48,
                      memory=memory)
-    app_core = CPUCore(events, 0, memory.submit,
+    app_core = CPUCore(events, 0, memory,
                        CPUCoreConfig(active=False), base_address=0x9000_0000)
     session = SceneSession("cube", 64, 48)
     loop = RenderLoop(events, gpu, app_core, session.frame,

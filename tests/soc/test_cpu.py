@@ -18,7 +18,7 @@ def make_system():
 class TestCPUCore:
     def test_job_completes_and_fires_callback(self):
         events, memory = make_system()
-        core = CPUCore(events, 0, memory.submit,
+        core = CPUCore(events, 0, memory,
                        CPUCoreConfig(active=False), base_address=0)
         done = []
         core.start_job(20, on_done=lambda: done.append(events.now))
@@ -28,7 +28,7 @@ class TestCPUCore:
 
     def test_zero_work_job_fires_immediately(self):
         events, memory = make_system()
-        core = CPUCore(events, 0, memory.submit,
+        core = CPUCore(events, 0, memory,
                        CPUCoreConfig(active=False), base_address=0)
         done = []
         core.start_job(0, on_done=lambda: done.append(True))
@@ -36,7 +36,7 @@ class TestCPUCore:
 
     def test_concurrent_jobs_rejected(self):
         events, memory = make_system()
-        core = CPUCore(events, 0, memory.submit,
+        core = CPUCore(events, 0, memory,
                        CPUCoreConfig(active=False), base_address=0)
         core.start_job(10, on_done=lambda: None)
         with pytest.raises(RuntimeError):
@@ -45,7 +45,7 @@ class TestCPUCore:
     def test_outstanding_window_respected(self):
         events, memory = make_system()
         config = CPUCoreConfig(outstanding=2, active=False)
-        core = CPUCore(events, 0, memory.submit, config, base_address=0)
+        core = CPUCore(events, 0, memory, config, base_address=0)
         core.start_job(10, on_done=lambda: None)
         # Before any completion, only the window has issued.
         assert core.stats.counter("requests").value == 2
@@ -58,7 +58,7 @@ class TestCPUCore:
             events = EventQueue()
             memory = build_baseline_memory(
                 events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
-            core = CPUCore(events, 0, memory.submit,
+            core = CPUCore(events, 0, memory,
                            CPUCoreConfig(active=False), base_address=0)
             done = []
             core.start_job(50, on_done=lambda: done.append(events.now))
@@ -70,7 +70,7 @@ class TestCPUCore:
     def test_locality_pattern(self):
         """Run-length sequential accesses produce row-buffer hits."""
         events, memory = make_system()
-        core = CPUCore(events, 0, memory.submit,
+        core = CPUCore(events, 0, memory,
                        CPUCoreConfig(run_length=16, active=False),
                        base_address=0)
         core.start_job(64, on_done=lambda: None)
@@ -80,7 +80,7 @@ class TestCPUCore:
     def test_deterministic_with_seed(self):
         def run_once():
             events, memory = make_system()
-            core = CPUCore(events, 0, memory.submit,
+            core = CPUCore(events, 0, memory,
                            CPUCoreConfig(active=False), base_address=0,
                            seed=3)
             done = []
@@ -92,7 +92,7 @@ class TestCPUCore:
 
     def test_background_mode_runs_until_stopped(self):
         events, memory = make_system()
-        core = CPUCore(events, 1, memory.submit,
+        core = CPUCore(events, 1, memory,
                        CPUCoreConfig(think_time=10), base_address=0)
         core.start_background()
         events.run_until(5_000)
@@ -108,7 +108,7 @@ class TestCPUCluster:
     def test_cluster_profile_grading(self):
         """Background cores have distinct intensities for TCM to classify."""
         events, memory = make_system()
-        cluster = CPUCluster(events, memory.submit, num_cores=4)
+        cluster = CPUCluster(events, memory, num_cores=4)
         cluster.start_background()
         events.run_until(30_000)
         cluster.stop_background()
@@ -119,17 +119,17 @@ class TestCPUCluster:
 
     def test_app_core_accessor(self):
         events, memory = make_system()
-        cluster = CPUCluster(events, memory.submit)
+        cluster = CPUCluster(events, memory)
         assert cluster.app_core is cluster.cores[0]
 
     def test_needs_one_core(self):
         events, memory = make_system()
         with pytest.raises(ValueError):
-            CPUCluster(events, memory.submit, num_cores=0)
+            CPUCluster(events, memory, num_cores=0)
 
     def test_total_requests(self):
         events, memory = make_system()
-        cluster = CPUCluster(events, memory.submit)
+        cluster = CPUCluster(events, memory)
         cluster.app_core.start_job(10, on_done=lambda: None)
         events.run()
         assert cluster.total_requests() == 10

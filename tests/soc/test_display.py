@@ -20,7 +20,7 @@ def make_display(period=50_000, frame_bytes=64 * 64 * 4, data_rate=1333,
         memory = build_baseline_memory(
             events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
         state = None
-    display = DisplayController(events, memory.submit,
+    display = DisplayController(events, memory,
                                 framebuffer_address=0x1000_0000,
                                 frame_bytes=frame_bytes,
                                 period_ticks=period, dash_state=state)

@@ -5,8 +5,9 @@ import pytest
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
 from repro.memory.builders import build_dash_memory
-from repro.memory.request import MemRequest, SourceType
+from repro.memory.request import SourceType
 from repro.soc.display import DisplayController
+from tests.fake_memory import send
 
 
 def starved_display(period=20_000, competing_gpu_requests=600):
@@ -15,7 +16,7 @@ def starved_display(period=20_000, competing_gpu_requests=600):
         events, DRAMConfig(channels=1, data_rate_mbps=400))
     state.register_ip(SourceType.DISPLAY, period)
     state.register_ip(SourceType.GPU, period * 2)
-    display = DisplayController(events, memory.submit,
+    display = DisplayController(events, memory,
                                 framebuffer_address=0x1000_0000,
                                 frame_bytes=96 * 96 * 4,
                                 period_ticks=period, dash_state=state)
@@ -23,9 +24,7 @@ def starved_display(period=20_000, competing_gpu_requests=600):
     state.start_ip_period(SourceType.GPU, 0)
     state.report_ip_progress(SourceType.GPU, 1.0, 0)    # GPU never urgent
     for i in range(competing_gpu_requests):
-        events.schedule(i * 50, memory.submit, MemRequest(
-            address=0x4000_0000 + i * 128, size=128, write=False,
-            source=SourceType.GPU))
+        events.schedule(i * 50, send, memory, 0x4000_0000 + i * 128)
     return events, display, state
 
 

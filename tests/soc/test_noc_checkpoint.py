@@ -1,4 +1,4 @@
-"""Tests for the system NoC adapter and checkpoint edge cases."""
+"""Tests for the system NoC and checkpoint edge cases."""
 
 import json
 
@@ -11,6 +11,7 @@ from repro.memory.request import MemRequest, SourceType
 from repro.soc.checkpoint import (CheckpointError, GraphicsCheckpoint,
                                   capture)
 from repro.soc.noc import SystemNoC
+from tests.fake_memory import send
 
 
 class TestSystemNoC:
@@ -19,21 +20,20 @@ class TestSystemNoC:
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=25)
         done = []
-        noc.submit(MemRequest(address=0, size=128, write=False,
-                              source=SourceType.CPU,
-                              callback=lambda r: done.append(r)))
+        send(noc, 0, source=SourceType.CPU, done=done.append)
         events.run()
         assert len(done) == 1
         # issue_time is stamped by the memory system after the NoC hop.
         assert done[0].issue_time >= 25
 
     def test_cache_port_interface(self):
-        """The GPU L2 talks to the NoC through the cache access API."""
+        """A GPU request reaches DRAM through the NoC's ingress port, the
+        way the GPU L2's misses do."""
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         times = []
-        noc.access(0, 128, False, lambda: times.append(events.now))
+        send(noc, 0, done=lambda _: times.append(events.now))
         events.run()
         assert times and times[0] > 5
         assert memory.total_bytes(SourceType.GPU) == 128
@@ -42,18 +42,18 @@ class TestSystemNoC:
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
-        noc.access(0, 128, True, None)
+        send(noc, 0, write=True)
         events.run()
         assert memory.total_bytes(SourceType.GPU) == 128
 
     def test_access_passes_completed_request_through(self):
-        """A one-argument callback receives the completed MemRequest, so
-        latency and fault markers flow back to the issuer."""
+        """The callback receives the completed MemRequest, so latency and
+        fault markers flow back to the issuer."""
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         seen = []
-        noc.access(0x400, 128, False, lambda request: seen.append(request))
+        send(noc, 0x400, done=seen.append)
         events.run()
         assert len(seen) == 1
         request = seen[0]
@@ -221,7 +221,7 @@ class TestDisplayDashRegistration:
         from repro.soc.display import DisplayController
         events = EventQueue()
         memory = build_baseline_memory(events, DRAMConfig(channels=1))
-        display = DisplayController(events, memory.submit,
+        display = DisplayController(events, memory,
                                     framebuffer_address=0,
                                     frame_bytes=16 * 16 * 4,
                                     period_ticks=10_000, dash_state=None)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
+from repro.common.config import (DRAMConfig, GPUConfig, MemoryTopology,
+                                 NoCTopology, SoCTopology, scaled_gpu)
 from repro.common.events import EventQueue
 from repro.harness.scenes import SceneSession
 from repro.memory.builders import build_baseline_memory, build_memory_by_name
@@ -17,7 +18,7 @@ from repro.soc.tracedriven import (
 )
 
 
-def run_recorded_soc(memory_config="BAS", frames=2):
+def run_recorded_soc(memory_config="BAS", frames=2, topology=None):
     session = SceneSession("cube", 64, 48)
     config = SoCRunConfig(
         width=64, height=48, num_frames=frames,
@@ -25,7 +26,7 @@ def run_recorded_soc(memory_config="BAS", frames=2):
         dram=DRAMConfig(channels=2),
         gpu=scaled_gpu(GPUConfig(num_clusters=2)),
         gpu_frame_period_ticks=150_000, display_period_ticks=75_000,
-        cpu_work_per_frame=40)
+        cpu_work_per_frame=40, topology=topology)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     trace = record_soc_trace(soc)
     results = soc.run()
@@ -56,6 +57,39 @@ class TestRecording:
     def test_duration(self):
         _, _, trace = run_recorded_soc()
         assert trace.duration() > 0
+
+    def test_two_endpoint_trace_bytes_match_execution(self):
+        """With several memory endpoints every NoC link is recorded, so
+        the trace still carries each source's DRAM traffic, in order."""
+        topology = SoCTopology(
+            name="two-stacks",
+            gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+            memory=(MemoryTopology(name="dram0", dram=DRAMConfig(channels=1)),
+                    MemoryTopology(name="dram1", dram=DRAMConfig(channels=1))),
+            noc=NoCTopology())
+        _, results, trace = run_recorded_soc(topology=topology)
+        by_source = trace.bytes_by_source()
+        for source in ("cpu", "gpu", "display"):
+            assert by_source[source] >= results.dram_bytes[source] * 0.95
+        times = [e.time for e in trace.entries]
+        assert times == sorted(times)
+
+
+# The one-frame BAS recording: entry count, digest, events fired and end
+# tick.  Recording observes only, so the run itself is unchanged too.
+RECORDED_GOLDEN = (
+    2279,
+    "9798ac97e14a827774cc7f1829bed23a878da98bbf3012ff4926c2e3c6cedaff",
+    20327,
+    150_000,
+)
+
+
+class TestRecordedGolden:
+    def test_one_frame_recording_reproduces_its_golden(self):
+        soc, results, trace = run_recorded_soc("BAS", frames=1)
+        assert (len(trace), trace.digest(), soc.events.events_fired,
+                results.end_tick) == RECORDED_GOLDEN
 
 
 class TestReplay:
