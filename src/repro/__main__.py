@@ -170,46 +170,15 @@ def _print_sampled(sampled) -> None:
           f"functional + {sampled.wall_detailed:.2f}s detailed")
 
 
-def _cs1_ffwd_or_sample(args, config, sanitize) -> int:
-    """cs1's --ffwd / --sample paths (sampling owns the checkpointing)."""
-    from repro.harness.case_study1 import make_cs1_setup
-    from repro.sampling import fast_forward, parse_sample_spec, run_sampled
-
-    run_config, factory = make_cs1_setup(args.model, args.config, args.load,
-                                         config, sanitize=sanitize)
-    if args.sample:
-        schedule = parse_sample_spec(args.sample, config.num_frames)
-        sampled = run_sampled(run_config, factory, schedule)
-        print(f"{args.model} {args.config} ({args.load} load), "
-              f"sampled {schedule.spec()}:")
-        _print_sampled(sampled)
-        return 0
-    result = fast_forward(run_config, factory, args.ffwd)
-    print(f"{args.model} {args.config} ({args.load} load), "
-          f"ffwd {args.ffwd}/{config.num_frames} frames:")
-    print(f"  functional frames       : {result.frames_functional} "
-          f"({result.wall_functional:.2f}s)")
-    print(f"  detailed frames         : {result.frames_detailed} "
-          f"({result.wall_detailed:.2f}s)")
-    print(f"  mean GPU frame time     : "
-          f"{result.results.mean_gpu_time:10.0f} ticks")
-    print(f"  mean total frame time   : "
-          f"{result.results.mean_total_time:10.0f} ticks")
-    print(f"  final fb CRC            : 0x{result.final_fb_crc:08x}")
-    return 0
-
-
 def _cmd_cs1(args) -> int:
     from repro.harness.case_study1 import CS1Config, run_cs1
     config = CS1Config(num_frames=args.frames)
-    health = _build_health(args)
+    try:
+        health = _build_health(args)
+    except ValueError as exc:            # a bad --inject spec, pre-run
+        print(f"bad cs1 invocation: {exc}")
+        return 2
     sanitize = _build_sanitize(args)
-    if args.ffwd or args.sample:
-        if health is not None:
-            print("--ffwd/--sample own the run's checkpointing; combine "
-                  "them with the health flags via `repro ffwd` instead")
-            return 2
-        return _cs1_ffwd_or_sample(args, config, sanitize)
     results = run_cs1(args.model, args.config, args.load, config,
                       health=health, stats_path=args.dump_stats,
                       trace=_build_trace(args), sanitize=sanitize)
@@ -281,59 +250,69 @@ def _cmd_ffwd(args) -> int:
     suite and turns it into the exit code — the CI ffwd smoke job's
     gate.  ``--sample`` runs the periodic-sampling mode instead and
     reports extrapolated metrics with standard-error bars.  Plain
-    ``--ffwd K`` fast-forwards K frames and runs the rest detailed.
+    ``--ffwd K`` fast-forwards K frames and runs the rest detailed.  A
+    frame count, ffwd count or sampling spec the run cannot honour exits
+    2 with one line.
     """
     import json
 
     from repro.harness.case_study1 import CS1Config, make_cs1_setup
-    from repro.sampling import (fast_forward, parse_sample_spec,
-                                run_sampled, verify_equivalence)
+    from repro.sampling import (ExtrapolationError, FunctionalSimError,
+                                WindowScheduleError, fast_forward,
+                                parse_sample_spec, run_sampled,
+                                verify_equivalence)
 
     config = CS1Config(num_frames=args.frames)
     run_config, factory = make_cs1_setup(args.model, args.config,
                                          args.load, config)
     report: dict
     status = 0
-    if args.verify:
-        ffwd = args.ffwd or max(1, args.frames // 2)
-        report = verify_equivalence(run_config, factory, ffwd)
-        print(f"{args.model} {args.config} equivalence "
-              f"(ffwd {ffwd}/{args.frames} frames):")
-        for name, passed in report["checks"].items():
-            print(f"  {name:<24}: {'ok' if passed else 'FAILED'}")
-        wall = report["wall"]
-        print(f"  wall: ffwd {wall['ffwd']:.2f}s (functional portion "
-              f"{wall['ffwd_functional']:.2f}s) vs full detail "
-              f"{wall['full_detail']:.2f}s")
-        print("equivalence OK" if report["ok"] else "equivalence FAILED")
-        status = 0 if report["ok"] else 1
-    elif args.sample:
-        schedule = parse_sample_spec(args.sample, args.frames)
-        sampled = run_sampled(run_config, factory, schedule)
-        print(f"{args.model} {args.config} sampled {schedule.spec()} "
-              f"over {args.frames} frames:")
-        _print_sampled(sampled)
-        report = sampled.as_dict()
-    else:
-        if not args.ffwd:
-            print("nothing to do: give --ffwd K, --sample D:P, or --verify")
-            return 2
-        result = fast_forward(run_config, factory, args.ffwd)
-        print(f"{args.model} {args.config} ffwd "
-              f"{args.ffwd}/{args.frames} frames:")
-        print(f"  functional: {result.frames_functional} frames in "
-              f"{result.wall_functional:.2f}s; detailed: "
-              f"{result.frames_detailed} frames in "
-              f"{result.wall_detailed:.2f}s")
-        print(f"  final fb CRC: 0x{result.final_fb_crc:08x}")
-        report = {
-            "model": args.model, "config": args.config,
-            "ffwd_frames": args.ffwd, "total_frames": args.frames,
-            "final_fb_crc": result.final_fb_crc,
-            "fingerprint": result.fingerprint(),
-            "wall": {"functional": result.wall_functional,
-                     "detailed": result.wall_detailed},
-        }
+    try:
+        if args.verify:
+            ffwd = args.ffwd or max(1, args.frames // 2)
+            report = verify_equivalence(run_config, factory, ffwd)
+            print(f"{args.model} {args.config} equivalence "
+                  f"(ffwd {ffwd}/{args.frames} frames):")
+            for name, passed in report["checks"].items():
+                print(f"  {name:<24}: {'ok' if passed else 'FAILED'}")
+            wall = report["wall"]
+            print(f"  wall: ffwd {wall['ffwd']:.2f}s (functional portion "
+                  f"{wall['ffwd_functional']:.2f}s) vs full detail "
+                  f"{wall['full_detail']:.2f}s")
+            print("equivalence OK" if report["ok"] else "equivalence FAILED")
+            status = 0 if report["ok"] else 1
+        elif args.sample:
+            schedule = parse_sample_spec(args.sample, args.frames)
+            sampled = run_sampled(run_config, factory, schedule)
+            print(f"{args.model} {args.config} sampled {schedule.spec()} "
+                  f"over {args.frames} frames:")
+            _print_sampled(sampled)
+            report = sampled.as_dict()
+        else:
+            if not args.ffwd:
+                print("nothing to do: give --ffwd K, --sample D:P, "
+                      "or --verify")
+                return 2
+            result = fast_forward(run_config, factory, args.ffwd)
+            print(f"{args.model} {args.config} ffwd "
+                  f"{args.ffwd}/{args.frames} frames:")
+            print(f"  functional: {result.frames_functional} frames in "
+                  f"{result.wall_functional:.2f}s; detailed: "
+                  f"{result.frames_detailed} frames in "
+                  f"{result.wall_detailed:.2f}s")
+            print(f"  final fb CRC: 0x{result.final_fb_crc:08x}")
+            report = {
+                "model": args.model, "config": args.config,
+                "ffwd_frames": args.ffwd, "total_frames": args.frames,
+                "final_fb_crc": result.final_fb_crc,
+                "fingerprint": result.fingerprint(),
+                "wall": {"functional": result.wall_functional,
+                         "detailed": result.wall_detailed},
+            }
+    except (FunctionalSimError, WindowScheduleError,
+            ExtrapolationError) as exc:  # a spec the run cannot honour
+        print(f"bad ffwd invocation: {exc}")
+        return 2
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2)
@@ -355,32 +334,24 @@ def _cmd_dfsl(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the tracked benchmarks (see :mod:`repro.bench`).
+    """Run the sampled-simulation gate (see :mod:`repro.bench`).
 
-    Runs each workload once, checks its identity fingerprint against the
-    values pinned for the scale, and writes one ``BENCH_<name>.json``
-    artifact per benchmark.  ``--gate`` turns the machine-independent
-    checks (pinned fingerprints, the ffwd CRC and error bounds) into the
-    exit code — the CI smoke job runs ``bench --scale smoke --gate``.
+    Measures sampled and fast-forwarded runs against full detail, writes
+    ``BENCH_ffwd.json`` with ``--out``, and with ``--gate`` turns the
+    machine-independent checks (the ffwd CRC identity and the error
+    bounds) into the exit code.
     """
     from repro import bench
 
-    names = args.only or list(bench.BENCHMARKS)
-    failures: list[str] = []
-    for name in names:
-        report = bench.run([name], scale=args.scale)[0]
-        if args.out is not None:
-            path = bench.write_report(report, args.out)
-            print(f"wrote {path}")
-        if args.summary or not args.out:
-            print(bench.format_summary(report))
-        failures.extend(bench.gate(report))
-    if failures:
-        for failure in failures:
-            print(f"BENCH GATE: {failure}")
-        if args.gate:
-            return 1
-    return 0
+    report = bench.run_ffwd(args.scale)
+    if args.out is not None:
+        print(f"wrote {bench.write_report(report, args.out)}")
+    if args.summary or not args.out:
+        print(bench.format_summary(report))
+    failures = bench.gate(report)
+    for failure in failures:
+        print(f"BENCH GATE: {failure}")
+    return 1 if failures and args.gate else 0
 
 
 def _cmd_selftest(args) -> int:
@@ -997,13 +968,6 @@ def main(argv=None) -> int:
                    help="snapshot the run every N frames (0 = off)")
     p.add_argument("--checkpoint-path",
                    help="write the latest snapshot to this file")
-    p.add_argument("--ffwd", type=int, default=0, metavar="K",
-                   help="fast-forward the first K frames functionally "
-                        "(zero timing events), then run detailed")
-    p.add_argument("--sample", metavar="D:P[:W]",
-                   help="periodic sampling: D detailed frames per period "
-                        "of P, W warmup frames per window; extrapolates "
-                        "with error bars")
     p.add_argument("--dump-stats", metavar="PATH",
                    help="write every component's statistics (including "
                         "per-link port stats) to one JSON file")
@@ -1012,22 +976,22 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_cs1)
 
     p = sub.add_parser("bench",
-                       help="tracked benchmarks: wall time, pinned "
-                            "fingerprint check, BENCH_*.json artifacts")
+                       help="sampled-simulation gate: speedup, "
+                            "extrapolation error and fast-forward CRC "
+                            "identity against full detail")
     p.add_argument("--scale", choices=("default", "smoke", "micro"),
                    default="default",
                    help="workload size (default = the recorded operating "
-                        "points, smoke = CI seconds-scale, micro = tests)")
-    p.add_argument("--only", action="append",
-                   choices=("fig14", "pipeline", "ffwd"),
-                   help="run a subset (repeatable; default: all)")
-    p.add_argument("--out", help="directory for BENCH_<name>.json artifacts")
+                        "point, smoke = CI seconds-scale, micro = tests)")
+    p.add_argument("--only", action="append", choices=("ffwd",),
+                   help="accepted for scripts that name it: ffwd is "
+                        "the only benchmark")
+    p.add_argument("--out", help="directory for the BENCH_ffwd.json artifact")
     p.add_argument("--summary", action="store_true",
                    help="print the human-readable table")
     p.add_argument("--gate", action="store_true",
-                   help="exit 1 when a fingerprint drifts from its pins "
-                        "or an ffwd check fails (machine-independent "
-                        "checks only)")
+                   help="exit 1 when an ffwd check fails "
+                        "(machine-independent checks only)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest",

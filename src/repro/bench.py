@@ -1,35 +1,22 @@
-"""Benchmark artifacts pinned to the event schedule.
+"""The sampled-simulation gate: ``python -m repro bench``.
 
-Every artifact this module writes embeds the identity fingerprint that
-proves the run computed the pinned simulation.  Three reference workloads
-are tracked:
+``run_ffwd`` measures sampled simulation (DESIGN.md §13) against full
+detail on the Fig. 14 scene (M1 under the BAS memory system, high
+load): wall-clock speedup, per-metric extrapolation error against a
+full-detail ground truth, and the fast-forward framebuffer-CRC identity
+check.  It compares an *approximation* to the exact run, so the gate
+bounds the error rather than demanding bit identity of the estimates;
+the CRC identity of the fast-forwarded run stays exact.
 
-* ``fig14`` — the case-study-I unit behind Fig. 14 (M1 under the BAS
-  memory system, high-load scenario): DRAM-scheduler-bound, the worst
-  case for the event kernel and the FR-FCFS scan.
-* ``pipeline`` — one :class:`~repro.gpu.gpu.EmeraldGPU` teapot frame:
-  shader/raster-bound, the worst case for per-op dispatch.
-* ``ffwd`` — sampled simulation (DESIGN.md §13) against full detail on
-  the Fig. 14 scene: wall-clock speedup, per-metric extrapolation error
-  vs a symmetric per-frame ground truth, and the fast-forward
-  framebuffer-CRC identity check.  It compares an *approximation* to the
-  exact run, so the gate bounds the error (≤5 %) rather than demanding
-  bit identity of the estimates — the CRC identity of the fast-forwarded
-  run stays exact.
-
-``fig14`` and ``pipeline`` run their workload once and report wall time,
-events/sec and (for the GPU frame) fragments/sec next to the identity
-fingerprint (end tick / cycles, events fired, framebuffer CRC, ...).
-:data:`PINS` holds the expected fingerprint for every scale, and
-:func:`gate` fails when a run drifts from it: the event schedule changed.
-
-Machine-independence: a fingerprint is the same on every host, so CI gates
-on it.  A wall time is one sample on a host whose speed varies; it is
-reported, never gated.  ``perfbench/`` takes repeated, host-speed-corrected
-measurements with a per-layer host-time table (``perfbench/README.md``).
+The fingerprints of the reference workloads (the Fig. 14 unit and the
+GPU teapot frame, at every scale) are golden tests in
+``tests/soc/test_port_fabric.py``.  Repeated, host-speed-corrected
+speed measurements with a per-layer host-time table come from
+``perfbench/``, folded into ``BENCH_perf.json`` by
+``benchmarks/fold_perf.py``.
 
 Entry points: ``python -m repro bench --summary`` (writes
-``BENCH_<name>.json``) and the CI smoke job (``--scale smoke --gate``).
+``BENCH_ffwd.json``) and CI's ffwd job (``--scale smoke --gate``).
 """
 
 from __future__ import annotations
@@ -37,47 +24,10 @@ from __future__ import annotations
 import json
 import platform
 import time
-import zlib
 from pathlib import Path
 from typing import Callable
 
-#: Identity fingerprints per benchmark and scale.  The default-scale end
-#: tick / cycles and event counts are those first recorded at commit
-#: f9eb076; a legitimate schedule change re-pins these together with the
-#: golden tests, never alone.
-PINS = {
-    "fig14": {
-        "default": {"end_tick": 1_357_432, "events_fired": 274_152,
-                    "fb_crc": 967344438,
-                    "row_hit_rate": 0.7729785508955553,
-                    "mean_gpu_time": 206497.33333333334},
-        "smoke": {"end_tick": 240_000, "events_fired": 46_972,
-                  "fb_crc": 723212397, "row_hit_rate": 0.2994871794871795,
-                  "mean_gpu_time": 7703.0},
-        "micro": {"end_tick": 120_000, "events_fired": 25_446,
-                  "fb_crc": 511478711, "row_hit_rate": 0.3783783783783784,
-                  "mean_gpu_time": 0.0},
-    },
-    "pipeline": {
-        "default": {"cycles": 35_612, "fragments": 6_650,
-                    "events_fired": 125_678, "fb_crc": 2197508556,
-                    "dram_bytes": 146_944},
-        "smoke": {"cycles": 14_433, "fragments": 1_690,
-                  "events_fired": 58_735, "fb_crc": 4187011321,
-                  "dram_bytes": 55_424},
-        "micro": {"cycles": 9_863, "fragments": 417,
-                  "events_fired": 42_027, "fb_crc": 554418416,
-                  "dram_bytes": 35_456},
-    },
-}
-
-BENCHMARKS = ("fig14", "pipeline", "ffwd")
 SCALES = ("default", "smoke", "micro")
-
-#: Stamped next to every single-run wall time in an artifact.
-WALL_NOTE = ("wall_s is one sample on a host whose speed varies; "
-             "perfbench/ takes repeated, host-speed-corrected measurements "
-             "(perfbench/README.md)")
 
 #: Largest relative extrapolation error the ffwd gate tolerates, per
 #: metric, at the default (Fig. 14) operating point.  The estimates are
@@ -103,89 +53,6 @@ def _host() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
     }
-
-
-def _fig14_config(scale: str):
-    from repro.harness.case_study1 import CS1Config
-
-    if scale == "default":
-        # The benchmarks/conftest.py quick-mode operating point.
-        return CS1Config(num_frames=4)
-    if scale == "smoke":
-        # The CI trace-smoke operating point: seconds, not minutes.
-        return CS1Config(width=48, height=36, num_frames=2,
-                         texture_size=64,
-                         gpu_frame_period_ticks=120_000,
-                         display_period_ticks=60_000,
-                         cpu_work_per_frame=40, cpu_fixed_ticks=5_000)
-    if scale == "micro":
-        return CS1Config(width=48, height=36, num_frames=1,
-                         texture_size=64,
-                         gpu_frame_period_ticks=120_000,
-                         display_period_ticks=60_000,
-                         cpu_work_per_frame=40, cpu_fixed_ticks=5_000)
-    raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-
-
-def run_fig14(scale: str = "default") -> dict:
-    """Benchmark the Fig. 14 unit (M1 / BAS / high load)."""
-    from repro.harness.case_study1 import make_cs1_soc
-
-    config = _fig14_config(scale)
-    soc = make_cs1_soc("M1", "BAS", "high", config=config)
-    wall, results = _timed(soc.run)
-    events = soc.events.events_fired
-    row = {
-        "wall_s": round(wall, 4),
-        "events_fired": events,
-        "events_per_s": round(events / wall, 1),
-        "end_tick": results.end_tick,
-        "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
-        "row_hit_rate": results.row_hit_rate,
-        "mean_gpu_time": results.mean_gpu_time,
-    }
-    workload = {
-        "name": "cs1 M1/BAS/high",
-        "width": config.width, "height": config.height,
-        "num_frames": config.num_frames,
-    }
-    return _report("fig14", scale, workload, row)
-
-
-def run_pipeline(scale: str = "default") -> dict:
-    """Benchmark one EmeraldGPU teapot frame (shader/raster bound)."""
-    from repro.common.config import DRAMConfig, GPUConfig
-    from repro.common.events import EventQueue
-    from repro.gpu.gpu import EmeraldGPU
-    from repro.harness.scenes import SceneSession
-    from repro.memory.builders import build_baseline_memory
-
-    sizes = {"default": (256, 192), "smoke": (128, 96), "micro": (64, 48)}
-    if scale not in sizes:
-        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    width, height = sizes[scale]
-
-    session = SceneSession("teapot", width, height)
-    frame = session.frame(0)
-    events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
-    gpu = EmeraldGPU(events, GPUConfig(num_clusters=4),
-                     width, height, memory=memory)
-    wall, stats = _timed(lambda: gpu.run_frame(frame))
-    fired = events.events_fired
-    row = {
-        "wall_s": round(wall, 4),
-        "events_fired": fired,
-        "events_per_s": round(fired / wall, 1),
-        "cycles": stats.cycles,
-        "fragments": stats.fragments,
-        "fragments_per_s": round(stats.fragments / wall, 1),
-        "dram_bytes": stats.dram_bytes,
-        "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
-    }
-    workload = {"name": "gpu teapot frame", "width": width,
-                "height": height, "clusters": 4, "channels": 2}
-    return _report("pipeline", scale, workload, row)
 
 
 def _ffwd_operating_point(scale: str):
@@ -217,11 +84,11 @@ def run_ffwd(scale: str = "default") -> dict:
 
     Three runs of M1 / BAS / high load:
 
-    1. **full detail** — the exact run, with a per-frame activity hook so
-       the ground-truth per-frame metrics are computed *the same way* the
-       sampler computes its window samples (deltas between frame
-       boundaries, app warmup frame 0 excluded) — asymmetric definitions
-       would report definition error as extrapolation error;
+    1. **full detail** — the exact run, measured as one detailed window
+       over every frame from frame 1 on (the app warmup frame 0
+       excluded), so the ground-truth per-frame metrics come from the
+       reduction the sampler applies to its own windows — asymmetric
+       definitions would report definition error as extrapolation error;
     2. **sampled** — functional/detailed alternation under the scale's
        schedule, extrapolated with error bars;
     3. **fast-forward** — half the frames functional, rest detailed; its
@@ -229,55 +96,24 @@ def run_ffwd(scale: str = "default") -> dict:
        (the mode-switch exactness check, same contract CI's
        ``repro ffwd --verify`` gates on).
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.gpu.energy import frame_energy, gpu_activity_snapshot
     from repro.harness.case_study1 import make_cs1_setup
-    from repro.sampling import fast_forward, parse_sample_spec, run_sampled
+    from repro.sampling import (Window, fast_forward, fb_crc,
+                                parse_sample_spec, run_sampled)
+    from repro.sampling.sampler import measure_window
     from repro.sampling.stats import SAMPLE_METRICS
-    from repro.soc.soc import EmeraldSoC
 
     config, spec, ffwd_frames, error_bound = _ffwd_operating_point(scale)
     run_config, factory = make_cs1_setup("M1", "BAS", "high", config=config)
     schedule = parse_sample_spec(spec, config.num_frames)
 
-    # 1. Full detail with symmetric per-frame ground truth.
-    per_frame: list[dict] = []
-    cell: dict = {}
-
-    def hook(frame_index: int, tick: int) -> None:
-        soc = cell["soc"]
-        activity = gpu_activity_snapshot(soc.gpu)
-        per_frame.append({"frame": frame_index,
-                          "total_bytes": soc.memory.total_bytes(),
-                          "issued": activity["issued"],
-                          "l1_accesses": activity["l1_accesses"]})
-
+    # 1. Full detail, reduced the way the sampler reduces a window.
+    everything = Window(start=0, end=config.num_frames, kind="detailed",
+                        measure_from=1)
     session = factory()
-    soc = EmeraldSoC(dc_replace(run_config, frame_hook=hook),
-                     session.frame, session.framebuffer_address)
-    cell["soc"] = soc
-    wall_full, results = _timed(soc.run)
-    full_fb_crc = zlib.crc32(soc.gpu.fb.color.tobytes())
-
-    previous = {"total_bytes": 0, "issued": 0, "l1_accesses": 0}
-    by_index = {entry["frame"]: entry for entry in per_frame}
-    rows: list[tuple] = []
-    for record in results.frames:
-        entry = by_index[record.index]
-        delta_bytes = entry["total_bytes"] - previous["total_bytes"]
-        delta_issued = entry["issued"] - previous["issued"]
-        delta_l1 = entry["l1_accesses"] - previous["l1_accesses"]
-        previous = entry
-        if record.index == 0:
-            continue                      # app warmup: excluded both sides
-        rows.append((record.gpu_time, record.total_time, delta_bytes,
-                     frame_energy(record.gpu_stats, delta_issued,
-                                  delta_l1).total_uj))
-    ground_truth = {
-        metric: sum(row[i] for row in rows) / len(rows)
-        for i, metric in enumerate(SAMPLE_METRICS)
-    }
+    wall_full, (soc, _, truth) = _timed(
+        lambda: measure_window(run_config, everything, session))
+    full_fb_crc = fb_crc(soc)
+    ground_truth = {metric: truth.metric(metric) for metric in SAMPLE_METRICS}
 
     # 2. Sampled run + extrapolation.
     wall_sampled, sampled = _timed(
@@ -333,114 +169,63 @@ def run_ffwd(scale: str = "default") -> dict:
     }
 
 
-def _report(name: str, scale: str, workload: dict, row: dict) -> dict:
-    pinned = PINS[name][scale]
-    return {
-        "benchmark": name,
-        "scale": scale,
-        "workload": workload,
-        "run": row,
-        "pinned": pinned,
-        "wall_note": WALL_NOTE,
-        "host": _host(),
-        "generated_by": "python -m repro bench",
-    }
-
-
-def _drifted(report: dict) -> list:
-    """Fingerprint keys whose run value differs from the pinned one."""
-    return [key for key, expected in report["pinned"].items()
-            if report["run"][key] != expected]
-
-
 def gate(report: dict, min_speedup: float = 0.9) -> list:
-    """Machine-independent pass/fail checks for one report.
+    """Machine-independent pass/fail checks for one ``run_ffwd`` report.
 
-    Returns a list of failure strings (empty = pass).  ``fig14`` and
-    ``pipeline`` fail when their fingerprint drifts from :data:`PINS`.
-    ``ffwd`` fails on a fast-forward CRC mismatch, an extrapolation error
-    over its bound, or a sampled run slower than the full-detail run of
-    the same process beyond the noise allowance ``min_speedup``.
+    Returns a list of failure strings (empty = pass): a fast-forward CRC
+    mismatch, an extrapolation error over its bound, or a sampled run
+    slower than the full-detail run of the same process beyond the noise
+    allowance ``min_speedup``.
     """
     failures = []
-    name = report["benchmark"]
-    if name == "ffwd":
-        if not report["identical"]:
-            failures.append(
-                f"ffwd: fast-forwarded final framebuffer CRC "
-                f"{report['ffwd']['final_fb_crc']} != full-detail "
-                f"{report['full_detail']['fb_crc']} — the mode switch "
-                f"changed the simulation")
-        bound = report["error_bound"]
-        for metric, error in report["errors"].items():
-            if error > bound:
-                failures.append(
-                    f"ffwd: {metric} extrapolation error {error * 100:.2f}% "
-                    f"exceeds the {bound * 100:.0f}% bound")
-        if report["speedup_sampled_vs_full"] < min_speedup:
-            failures.append(
-                f"ffwd: sampled run is slower than full detail "
-                f"({report['sampled']['wall_s']:.3f}s vs "
-                f"{report['full_detail']['wall_s']:.3f}s, ratio "
-                f"{report['speedup_sampled_vs_full']:.3f} < {min_speedup})")
-        return failures
-    for key in _drifted(report):
+    if not report["identical"]:
         failures.append(
-            f"{name}: {key} {report['run'][key]} != pinned "
-            f"{report['pinned'][key]} — the event schedule drifted")
+            f"ffwd: fast-forwarded final framebuffer CRC "
+            f"{report['ffwd']['final_fb_crc']} != full-detail "
+            f"{report['full_detail']['fb_crc']} — the mode switch "
+            f"changed the simulation")
+    bound = report["error_bound"]
+    for metric, error in report["errors"].items():
+        if error > bound:
+            failures.append(
+                f"ffwd: {metric} extrapolation error {error * 100:.2f}% "
+                f"exceeds the {bound * 100:.0f}% bound")
+    if report["speedup_sampled_vs_full"] < min_speedup:
+        failures.append(
+            f"ffwd: sampled run is slower than full detail "
+            f"({report['sampled']['wall_s']:.3f}s vs "
+            f"{report['full_detail']['wall_s']:.3f}s, ratio "
+            f"{report['speedup_sampled_vs_full']:.3f} < {min_speedup})")
     return failures
 
 
-def artifact_name(report: dict) -> str:
-    return f"BENCH_{report['benchmark']}.json"
-
-
 def write_report(report: dict, out_dir: str = ".") -> Path:
+    """Write the report as ``BENCH_ffwd.json`` in ``out_dir``."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / artifact_name(report)
+    path = directory / "BENCH_ffwd.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
     return path
 
 
 def format_summary(report: dict) -> str:
-    """Human-readable one-benchmark summary for ``bench --summary``."""
-    if report["benchmark"] == "ffwd":
-        full, sampled = report["full_detail"], report["sampled"]
-        lines = [f"ffwd ({report['scale']}): {report['workload']['name']} "
-                 f"{report['workload']['width']}x"
-                 f"{report['workload']['height']} "
-                 f"x{report['workload']['num_frames']} frames, "
-                 f"sample {report['workload']['sample']}"]
-        lines.append(f"  full detail   {full['wall_s']:>7.3f}s")
-        lines.append(f"  sampled       {sampled['wall_s']:>7.3f}s  "
-                     f"({sampled['coverage'] * 100:.0f}% coverage, "
-                     f"{sampled['windows']} windows)  "
-                     f"{report['speedup_sampled_vs_full']:.2f}x")
-        lines.append(f"  fast-forward  {report['ffwd']['wall_s']:>7.3f}s  "
-                     f"{report['ffwd']['speedup_vs_full']:.2f}x  "
-                     f"(fb CRC identical: {report['identical']})")
-        errors = "  ".join(f"{k} {v * 100:.2f}%"
-                           for k, v in report["errors"].items())
-        lines.append(f"  extrapolation error (bound "
-                     f"{report['error_bound'] * 100:.0f}%): {errors}")
-        return "\n".join(lines)
-    row = report["run"]
-    drifted = _drifted(report)
-    lines = [f"{report['benchmark']} ({report['scale']}): "
-             f"{report['workload']['name']} "
-             f"{report['workload']['width']}x{report['workload']['height']}"]
-    lines.append(f"  wall {row['wall_s']:.3f}s (one sample)  "
-                 f"{row['events_per_s']:,.0f} events/s"
-                 + (f"  {row['fragments_per_s']:,.0f} frags/s"
-                    if "fragments_per_s" in row else ""))
-    lines.append("  fingerprint: "
-                 + ("matches its pins" if not drifted
-                    else f"drifted on {', '.join(drifted)}"))
+    """Human-readable summary for ``bench --summary``."""
+    full, sampled = report["full_detail"], report["sampled"]
+    workload = report["workload"]
+    lines = [f"ffwd ({report['scale']}): {workload['name']} "
+             f"{workload['width']}x{workload['height']} "
+             f"x{workload['num_frames']} frames, "
+             f"sample {workload['sample']}"]
+    lines.append(f"  full detail   {full['wall_s']:>7.3f}s")
+    lines.append(f"  sampled       {sampled['wall_s']:>7.3f}s  "
+                 f"({sampled['coverage'] * 100:.0f}% coverage, "
+                 f"{sampled['windows']} windows)  "
+                 f"{report['speedup_sampled_vs_full']:.2f}x")
+    lines.append(f"  fast-forward  {report['ffwd']['wall_s']:>7.3f}s  "
+                 f"{report['ffwd']['speedup_vs_full']:.2f}x  "
+                 f"(fb CRC identical: {report['identical']})")
+    errors = "  ".join(f"{k} {v * 100:.2f}%"
+                       for k, v in report["errors"].items())
+    lines.append(f"  extrapolation error (bound "
+                 f"{report['error_bound'] * 100:.0f}%): {errors}")
     return "\n".join(lines)
-
-
-def run(names=BENCHMARKS, scale: str = "default") -> list:
-    runners = {"fig14": run_fig14, "pipeline": run_pipeline,
-               "ffwd": run_ffwd}
-    return [runners[name](scale) for name in names]

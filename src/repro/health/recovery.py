@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 from repro.common.events import SimulationError
 from repro.gl.context import Frame
-from repro.soc.checkpoint import (CheckpointTopologyError,
-                                  GraphicsCheckpoint, capture)
+from repro.soc.checkpoint import GraphicsCheckpoint, capture
 
 
 class PreemptionRequested(SimulationError):
@@ -132,29 +131,21 @@ def load_checkpoint(path: str) -> GraphicsCheckpoint:
         return GraphicsCheckpoint.from_json(handle.read())
 
 
-def resume_run(checkpoint: GraphicsCheckpoint, run_config,
+def resume_soc(checkpoint: GraphicsCheckpoint, run_config,
                frame_source: Callable[[int], Frame],
-               framebuffer_address: int,
-               max_events: Optional[int] = None):
-    """Resume a crashed run from ``checkpoint``.
+               framebuffer_address: int):
+    """Build the SoC that resumes ``checkpoint``, not yet run.
 
     Rebuilds GL-side state by draw-call replay (which also validates the
-    trace), then constructs a fresh SoC that re-enters simulated time at the
-    snapshot tick and the render loop at the snapshot frame index.  Returns
-    ``(soc, results)`` — the results cover the resumed frames only, but the
-    final framebuffer matches an uninterrupted run.
-
+    trace), then constructs a fresh SoC that re-enters simulated time at
+    the snapshot tick and the render loop at the snapshot frame index.
     A snapshot stamped with a topology hash is checked against the
     topology ``run_config`` would assemble *before* any state is rebuilt;
     a mismatch raises :class:`CheckpointTopologyError`.
     """
     from repro.soc.soc import EmeraldSoC   # late import: soc imports health
 
-    if checkpoint.topology is not None:
-        config_hash = run_config.resolve_topology().topology_hash()
-        if checkpoint.topology != config_hash:
-            raise CheckpointTopologyError(
-                snapshot_hash=checkpoint.topology, config_hash=config_hash)
+    checkpoint.require_topology(run_config)
     restored = checkpoint.restore_frames()
     soc = EmeraldSoC(run_config, frame_source, framebuffer_address,
                      start_frame=checkpoint.frame_index,
@@ -166,6 +157,20 @@ def resume_run(checkpoint: GraphicsCheckpoint, run_config,
         # without this a resume re-draws the whole fault sequence from the
         # seed and diverges from the uninterrupted run.
         soc.injector.restore_rng(checkpoint.rng)
+    return soc
+
+
+def resume_run(checkpoint: GraphicsCheckpoint, run_config,
+               frame_source: Callable[[int], Frame],
+               framebuffer_address: int,
+               max_events: Optional[int] = None):
+    """Resume a crashed run from ``checkpoint``: :func:`resume_soc`, run.
+
+    Returns ``(soc, results)`` — the results cover the resumed frames
+    only, but the final framebuffer matches an uninterrupted run.
+    """
+    soc = resume_soc(checkpoint, run_config, frame_source,
+                     framebuffer_address)
     results = soc.run(max_events=max_events) if max_events is not None \
         else soc.run()
     return soc, results

@@ -34,8 +34,7 @@ from typing import Callable, Optional
 from repro.gl.context import Frame
 from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.renderer import ReferenceRenderer
-from repro.soc.checkpoint import (CheckpointTopologyError, GraphicsCheckpoint,
-                                  capture)
+from repro.soc.checkpoint import GraphicsCheckpoint, capture
 
 # What the functional engine renders: "none" advances GL state only (the
 # cheapest fast-forward), "boundary" renders the last frame before each
@@ -87,16 +86,11 @@ class FunctionalSim:
         """Continue functionally from a snapshot either engine wrote.
 
         Same topology guard as detailed resume
-        (:func:`repro.health.recovery.resume_run`): a snapshot stamped
+        (:meth:`GraphicsCheckpoint.require_topology`): a snapshot stamped
         with a different topology hash is refused before any state is
         rebuilt.
         """
-        if checkpoint.topology is not None:
-            config_hash = run_config.resolve_topology().topology_hash()
-            if checkpoint.topology != config_hash:
-                raise CheckpointTopologyError(
-                    snapshot_hash=checkpoint.topology,
-                    config_hash=config_hash)
+        checkpoint.require_topology(run_config)
         sim = cls(run_config, frame_source, render=render)
         sim.frames = checkpoint.restore_frames()
         sim.next_frame = checkpoint.frame_index

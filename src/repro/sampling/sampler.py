@@ -26,11 +26,12 @@ from typing import Callable, Optional
 
 from repro.gpu.energy import frame_energy, gpu_activity_snapshot
 from repro.health import HealthConfig
+from repro.health.recovery import resume_soc
 from repro.sampling.ffwd import fb_crc
 from repro.sampling.functional import FunctionalSim
 from repro.sampling.stats import (ExtrapolatedRun, WindowSample, extrapolate)
 from repro.sampling.windows import Window, WindowSchedule
-from repro.soc.checkpoint import (CheckpointTopologyError, GraphicsCheckpoint)
+from repro.soc.checkpoint import GraphicsCheckpoint
 
 
 @dataclass
@@ -79,30 +80,6 @@ class SampledRunResult:
         return doc
 
 
-def _resume_soc(config, checkpoint: Optional[GraphicsCheckpoint], session):
-    """Build the detailed-window SoC (the resume_run recipe, un-run).
-
-    Inlined rather than calling :func:`repro.health.recovery.resume_run`
-    because the sampler needs the live SoC *before* the run starts — the
-    per-frame metric hook closes over it.
-    """
-    from repro.soc.soc import EmeraldSoC   # late import: cycle via health
-    if checkpoint is None:
-        return EmeraldSoC(config, session.frame, session.framebuffer_address)
-    if checkpoint.topology is not None:
-        config_hash = config.resolve_topology().topology_hash()
-        if checkpoint.topology != config_hash:
-            raise CheckpointTopologyError(
-                snapshot_hash=checkpoint.topology, config_hash=config_hash)
-    restored = checkpoint.restore_frames()
-    soc = EmeraldSoC(config, session.frame, session.framebuffer_address,
-                     start_frame=checkpoint.frame_index,
-                     start_tick=checkpoint.tick)
-    if soc.checkpoints is not None:
-        soc.checkpoints.seed(restored)
-    return soc
-
-
 def _window_sample(window: Window, results, per_frame: list[dict]
                    ) -> Optional[WindowSample]:
     """Reduce one detailed window's per-frame telemetry to a sample."""
@@ -138,6 +115,44 @@ def _window_sample(window: Window, results, per_frame: list[dict]
         energy_uj=sum(energy) / count)
 
 
+def measure_window(run_config, window: Window, session,
+                   checkpoint: Optional[GraphicsCheckpoint] = None):
+    """Run one detailed window and reduce it to a :class:`WindowSample`.
+
+    The SoC resumes from ``checkpoint`` (from frame 0 when None) and runs
+    to ``run_config.num_frames``.  A per-frame activity hook, chained
+    after the config's own ``frame_hook``, records the cumulative DRAM
+    and GPU counters at every frame end, so the sample's DRAM bytes and
+    energy are per-frame deltas.  Frames before ``window.measure_from``
+    run but are not measured.  Returns ``(soc, results, sample)``;
+    ``sample`` is None when no frame was measured.
+    """
+    from repro.soc.soc import EmeraldSoC   # late import: cycle via health
+
+    caller_hook = run_config.frame_hook
+    per_frame: list[dict] = []
+
+    def hook(frame_index: int, tick: int) -> None:
+        if caller_hook is not None:
+            caller_hook(frame_index, tick)
+        activity = gpu_activity_snapshot(soc.gpu)
+        per_frame.append({
+            "frame": frame_index,
+            "total_bytes": soc.memory.total_bytes(),
+            "issued": activity["issued"],
+            "l1_accesses": activity["l1_accesses"],
+        })
+
+    config = replace(run_config, frame_hook=hook)
+    if checkpoint is None:
+        soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
+    else:
+        soc = resume_soc(checkpoint, config, session.frame,
+                         session.framebuffer_address)
+    results = soc.run()
+    return soc, results, _window_sample(window, results, per_frame)
+
+
 def run_sampled(run_config, session_factory: Callable[[], object],
                 schedule: WindowSchedule, job: Optional[str] = None,
                 render: str = "none") -> SampledRunResult:
@@ -153,7 +168,6 @@ def run_sampled(run_config, session_factory: Callable[[], object],
         raise ValueError(
             f"schedule covers {schedule.total_frames} frames but the run "
             f"config has {run_config.num_frames}")
-    caller_hook = run_config.frame_hook
     checkpoint: Optional[GraphicsCheckpoint] = None
     samples: list[WindowSample] = []
     window_results: list = []
@@ -183,35 +197,16 @@ def run_sampled(run_config, session_factory: Callable[[], object],
             wall_functional += time.perf_counter() - start
             continue
         # Detailed window: full timing model from the previous boundary,
-        # with a per-frame activity hook for DRAM/energy attribution and
-        # a snapshot landing exactly at the window end
+        # with a snapshot landing exactly at the window end
         # (on_frame_done snapshots when (index+1) % every == 0).
         start = time.perf_counter()
-        session = session_factory()
-        per_frame: list[dict] = []
-        cell: dict = {}
-
-        def hook(frame_index: int, tick: int) -> None:
-            if caller_hook is not None:
-                caller_hook(frame_index, tick)
-            soc = cell["soc"]
-            activity = gpu_activity_snapshot(soc.gpu)
-            per_frame.append({
-                "frame": frame_index, "tick": tick,
-                "total_bytes": soc.memory.total_bytes(),
-                "issued": activity["issued"],
-                "l1_accesses": activity["l1_accesses"],
-            })
-
         window_config = replace(
             run_config, num_frames=window.end,
             health=HealthConfig(
                 checkpoint_every=0 if is_last else window.end,
-                checkpoint_job=job),
-            frame_hook=hook)
-        soc = _resume_soc(window_config, checkpoint, session)
-        cell["soc"] = soc
-        results = soc.run()
+                checkpoint_job=job))
+        soc, results, sample = measure_window(
+            window_config, window, session_factory(), checkpoint)
         if is_last:
             checkpoint = None
         else:
@@ -221,7 +216,6 @@ def run_sampled(run_config, session_factory: Callable[[], object],
                     f"detailed window [{window.start}, {window.end}) ended "
                     f"without a boundary snapshot (got "
                     f"{checkpoint and checkpoint.frame_index})")
-        sample = _window_sample(window, results, per_frame)
         if sample is not None:
             samples.append(sample)
         window_results.append(results)
@@ -229,6 +223,7 @@ def run_sampled(run_config, session_factory: Callable[[], object],
         final_fb_frame = window.end - 1
         frames_detailed += window.frames
         wall_detailed += time.perf_counter() - start
+        del soc   # not alive beside the next window's: ~5 MB peak RSS
     estimates = extrapolate(samples)
     extrapolated = ExtrapolatedRun(
         estimates=estimates, total_frames=schedule.total_frames,

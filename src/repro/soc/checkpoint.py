@@ -242,6 +242,17 @@ class GraphicsCheckpoint:
         """Replay the recorded draw calls through a fresh GL context."""
         return replay(self.trace_json)
 
+    def require_topology(self, run_config) -> None:
+        """Refuse to restore onto the topology ``run_config`` assembles
+        unless it is the one this snapshot was taken on (the one guard
+        every resume path, detailed or functional, runs first)."""
+        if self.topology is None:
+            return
+        config_hash = run_config.resolve_topology().topology_hash()
+        if self.topology != config_hash:
+            raise CheckpointTopologyError(
+                snapshot_hash=self.topology, config_hash=config_hash)
+
     def rewind(self, count: int) -> "GraphicsCheckpoint":
         """A copy with the last ``count`` frames dropped from the trace.
 

@@ -1,7 +1,9 @@
-"""Tier-1 coverage for the benchmark artifacts and their gate (repro.bench).
+"""Tier-1 coverage for the sampled-simulation gate (repro.bench).
 
-The micro scale keeps these fast enough for every test run; CI's bench
-smoke job runs the smoke scale through the CLI.
+The micro scale keeps these fast enough for every test run; CI's ffwd
+job runs the smoke scale through the CLI.  The Fig. 14 and pipeline
+fingerprints are golden tests (tests/soc/test_port_fabric.py,
+``TestBenchPins``).
 """
 
 import json
@@ -12,79 +14,60 @@ from repro import bench
 
 
 @pytest.fixture(scope="module")
-def micro_pipeline():
-    return bench.run_pipeline("micro")
-
-
-@pytest.fixture(scope="module")
-def micro_fig14():
-    return bench.run_fig14("micro")
+def micro_ffwd():
+    return bench.run_ffwd("micro")
 
 
 class TestMicroRuns:
-    def test_pipeline_identity(self, micro_pipeline):
-        report = micro_pipeline
-        assert report["pinned"] == bench.PINS["pipeline"]["micro"]
-        for key, value in report["pinned"].items():
-            assert report["run"][key] == value
-        assert report["run"]["fragments"] > 0
-        assert bench.gate(report) == []
+    def test_micro_run_reproduces_its_golden(self, micro_ffwd):
+        """The estimates, the ground truth and their errors are
+        deterministic simulation quantities: pinned to the digit."""
+        report = micro_ffwd
+        assert report["errors"] == {"gpu_time": 0.04858,
+                                    "total_time": 0.06861,
+                                    "dram_bytes": 0.04356,
+                                    "energy_uj": 0.04406}
+        assert report["full_detail"]["per_frame"] == {
+            "gpu_time": 6312.1429, "total_time": 20709.4286,
+            "dram_bytes": 120265.1429, "energy_uj": 1.0425}
+        means = {name: estimate["mean"] for name, estimate
+                 in report["sampled"]["estimates"].items()}
+        assert means == {"gpu_time": 6005.5, "total_time": 19288.5,
+                         "dram_bytes": 125504.0, "energy_uj": 0.99659}
+        assert report["sampled"]["windows"] == 2
+        assert report["identity"] == {"fb_crc": 1794369063}
+        assert report["identical"]
 
-    def test_fig14_identity(self, micro_fig14):
-        report = micro_fig14
-        assert report["pinned"] == bench.PINS["fig14"]["micro"]
-        for key, value in report["pinned"].items():
-            assert report["run"][key] == value
-        assert report["run"]["events_fired"] > 0
-        assert bench.gate(report) == []
-
-    def test_drifted_run_is_reported(self, micro_pipeline):
-        run = micro_pipeline["run"]
-        report = dict(micro_pipeline,
-                      run=dict(run, events_fired=run["events_fired"] + 1))
-        failures = bench.gate(report)
-        assert len(failures) == 1
-        assert "events_fired" in failures[0] and "drifted" in failures[0]
-        assert "drifted on events_fired" in bench.format_summary(report)
-
-    def test_report_shape(self, micro_pipeline):
-        report = micro_pipeline
-        for key in ("benchmark", "scale", "workload", "run", "pinned",
-                    "wall_note", "host"):
+    def test_report_shape(self, micro_ffwd):
+        report = micro_ffwd
+        for key in ("benchmark", "scale", "workload", "full_detail",
+                    "sampled", "ffwd", "errors", "error_bound",
+                    "identical", "identity", "speedup_sampled_vs_full",
+                    "host"):
             assert key in report
-        assert "one sample" in report["wall_note"]
+        assert report["benchmark"] == "ffwd"
+        assert report["error_bound"] == 0.10
         # The artifact must round-trip through JSON (CI uploads it).
         assert json.loads(json.dumps(report)) == report
 
-    def test_write_report(self, micro_pipeline, tmp_path):
-        path = bench.write_report(micro_pipeline, tmp_path / "artifacts")
-        assert path.name == "BENCH_pipeline.json"
-        assert json.loads(path.read_text())["benchmark"] == "pipeline"
+    def test_write_report(self, micro_ffwd, tmp_path):
+        path = bench.write_report(micro_ffwd, tmp_path / "artifacts")
+        assert path.name == "BENCH_ffwd.json"
+        assert json.loads(path.read_text())["benchmark"] == "ffwd"
 
-    def test_format_summary(self, micro_pipeline):
-        text = bench.format_summary(micro_pipeline)
-        assert "pipeline (micro)" in text
-        assert "one sample" in text
-        assert "matches its pins" in text
+    def test_format_summary(self, micro_ffwd):
+        text = bench.format_summary(micro_ffwd)
+        assert "ffwd (micro)" in text
+        assert "48x36 x8 frames, sample 3:4:2" in text
+        assert "(75% coverage, 2 windows)" in text
+        assert "fb CRC identical: True" in text
+        assert ("extrapolation error (bound 10%): gpu_time 4.86%  "
+                "total_time 6.86%  dram_bytes 4.36%  energy_uj 4.41%"
+                in text)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
-            bench.run_pipeline("huge")
-        with pytest.raises(ValueError):
-            bench.run_fig14("huge")
-
-
-def _fake_report(**overrides):
-    pinned = {"cycles": 100, "fragments": 10, "events_fired": 50,
-              "fb_crc": 123, "dram_bytes": 640}
-    report = {
-        "benchmark": "pipeline",
-        "scale": "default",
-        "run": dict(pinned, wall_s=1.0),
-        "pinned": pinned,
-    }
-    report.update(overrides)
-    return report
+            bench.run_ffwd("huge")
 
 
 def _fake_ffwd_report(**overrides):
@@ -104,14 +87,14 @@ def _fake_ffwd_report(**overrides):
 
 class TestGate:
     def test_passes_clean_report(self):
-        assert bench.gate(_fake_report()) == []
         assert bench.gate(_fake_ffwd_report()) == []
 
     def test_fails_on_identity_mismatch(self):
-        report = _fake_report(run=dict(_fake_report()["run"], fb_crc=999))
+        report = _fake_ffwd_report(identical=False,
+                                   ffwd={"final_fb_crc": 999})
         failures = bench.gate(report)
         assert len(failures) == 1
-        assert "fb_crc 999 != pinned 123" in failures[0]
+        assert "CRC 999 != full-detail 7" in failures[0]
 
     def test_noise_allowance(self):
         # A sampled run within the noise band of full detail passes; the
@@ -128,31 +111,3 @@ class TestGate:
         assert len(failures) == 2
         assert "mode switch" in failures[0]
         assert "gpu_time" in failures[1] and "5% bound" in failures[1]
-
-    def test_detects_seed_schedule_drift(self):
-        report = _fake_report(run=dict(_fake_report()["run"],
-                                       events_fired=51))
-        failures = bench.gate(report)
-        assert len(failures) == 1
-        assert "drifted" in failures[0]
-        assert "events_fired" in failures[0]
-
-    def test_seed_match_passes(self):
-        # Wall times never enter the gate: only the fingerprint does.
-        report = _fake_report(run=dict(_fake_report()["run"], wall_s=99.0))
-        assert bench.gate(report) == []
-
-
-class TestSeedBaseline:
-    def test_records_identity_pins(self):
-        # The default-scale pins are the schedule recorded at the seed
-        # commit; if either workload's schedule legitimately changes,
-        # re-pin it together with the golden tests, don't just edit these.
-        assert bench.PINS["fig14"]["default"]["end_tick"] == 1_357_432
-        assert bench.PINS["fig14"]["default"]["events_fired"] == 274_152
-        assert bench.PINS["fig14"]["default"]["fb_crc"] == 967344438
-        assert bench.PINS["pipeline"]["default"]["cycles"] == 35_612
-        assert bench.PINS["pipeline"]["default"]["events_fired"] == 125_678
-        assert bench.PINS["pipeline"]["default"]["fb_crc"] == 2197508556
-        for name in ("fig14", "pipeline"):
-            assert sorted(bench.PINS[name]) == sorted(bench.SCALES)

@@ -4,8 +4,10 @@
    statistics — and its *event schedule* — bit-identically.  The golden
    numbers below were captured on the pre-port-fabric tree; any drift
    means the refactor changed timing, which is a regression by
-   definition.  ``DTB_GOLDEN`` pins the same run under DASH, and
-   ``CS2_GOLDEN`` the standalone GPU's schedule, the same way.
+   definition.  ``DTB_GOLDEN`` pins the same run under DASH,
+   ``CS2_GOLDEN`` the standalone GPU's schedule, and ``FIG14_PINS`` /
+   ``PIPELINE_PINS`` the Fig. 14 unit and the GPU teapot frame at three
+   scales, the same way.
 2. Bounded-bandwidth mode exhibits genuine queueing delay: under the
    Fig. 12 high-load configuration, mean link traversal latency rises
    strictly as the link's service rate falls.
@@ -16,8 +18,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.config import DRAMConfig, GPUConfig
+from repro.common.events import EventQueue
+from repro.gpu.gpu import EmeraldGPU
+from repro.harness.case_study1 import CS1Config, make_cs1_soc
 from repro.harness.case_study2 import CS2Config, make_gpu
 from repro.harness.scenes import SceneSession
+from repro.memory.builders import build_baseline_memory
 from repro.soc.soc import EmeraldSoC
 from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
 
@@ -61,6 +68,52 @@ CS2_GOLDEN = {
     "events_fired": 8_986,
     "fb_crc": 1362813562,
 }
+
+
+# The Fig. 14 unit (case study I: M1 under BAS, high load) at three
+# scales; the default-scale end tick and event count date from commit
+# f9eb076.
+FIG14_PINS = {
+    "default": {"end_tick": 1_357_432, "events_fired": 274_152,
+                "fb_crc": 967344438,
+                "row_hit_rate": 0.7729785508955553,
+                "mean_gpu_time": 206497.33333333334},
+    "smoke": {"end_tick": 240_000, "events_fired": 46_972,
+              "fb_crc": 723212397, "row_hit_rate": 0.2994871794871795,
+              "mean_gpu_time": 7703.0},
+    "micro": {"end_tick": 120_000, "events_fired": 25_446,
+              "fb_crc": 511478711, "row_hit_rate": 0.3783783783783784,
+              "mean_gpu_time": 0.0},
+}
+
+_SMALL_CS1 = dict(width=48, height=36, texture_size=64,
+                  gpu_frame_period_ticks=120_000,
+                  display_period_ticks=60_000,
+                  cpu_work_per_frame=40, cpu_fixed_ticks=5_000)
+FIG14_CONFIGS = {
+    # The benchmarks/conftest.py quick-mode operating point.
+    "default": CS1Config(num_frames=4),
+    "smoke": CS1Config(num_frames=2, **_SMALL_CS1),
+    "micro": CS1Config(num_frames=1, **_SMALL_CS1),
+}
+
+# One EmeraldGPU teapot frame (4 clusters, 2-channel baseline DRAM) at
+# three resolutions; the default-scale cycles and event count date from
+# commit f9eb076.
+PIPELINE_PINS = {
+    "default": {"cycles": 35_612, "fragments": 6_650,
+                "events_fired": 125_678, "fb_crc": 2197508556,
+                "dram_bytes": 146_944},
+    "smoke": {"cycles": 14_433, "fragments": 1_690,
+              "events_fired": 58_735, "fb_crc": 4187011321,
+              "dram_bytes": 55_424},
+    "micro": {"cycles": 9_863, "fragments": 417,
+              "events_fired": 42_027, "fb_crc": 554418416,
+              "dram_bytes": 35_456},
+}
+
+PIPELINE_SIZES = {"default": (256, 192), "smoke": (128, 96),
+                  "micro": (64, 48)}
 
 
 @pytest.mark.slow
@@ -131,6 +184,37 @@ class TestCS2Golden:
             "events_fired": gpu.events.events_fired,
             "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
         } == CS2_GOLDEN
+
+
+class TestBenchPins:
+    @pytest.mark.parametrize("scale", sorted(FIG14_PINS))
+    def test_fig14_reproduces_its_pins(self, scale):
+        soc = make_cs1_soc("M1", "BAS", "high", config=FIG14_CONFIGS[scale])
+        results = soc.run()
+        assert {
+            "end_tick": results.end_tick,
+            "events_fired": soc.events.events_fired,
+            "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
+            "row_hit_rate": results.row_hit_rate,
+            "mean_gpu_time": results.mean_gpu_time,
+        } == FIG14_PINS[scale]
+
+    @pytest.mark.parametrize("scale", sorted(PIPELINE_PINS))
+    def test_pipeline_reproduces_its_pins(self, scale):
+        width, height = PIPELINE_SIZES[scale]
+        session = SceneSession("teapot", width, height)
+        events = EventQueue()
+        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), width, height,
+                         memory=memory)
+        stats = gpu.run_frame(session.frame(0))
+        assert {
+            "cycles": stats.cycles,
+            "fragments": stats.fragments,
+            "events_fired": events.events_fired,
+            "fb_crc": zlib.crc32(gpu.fb.color.tobytes()),
+            "dram_bytes": stats.dram_bytes,
+        } == PIPELINE_PINS[scale]
 
 
 def _bounded_run(bytes_per_cycle):

@@ -40,10 +40,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["cs1", "M9", "BAS"])
 
-    def test_cs1_bad_inject_spec_rejected(self):
-        """The fault spec is validated before the (expensive) run starts."""
-        with pytest.raises(ValueError, match="unknown fault"):
-            main(["cs1", "M1", "BAS", "--inject", "bogus=1"])
+    def test_cs1_bad_inject_spec_rejected(self, capsys):
+        """The fault spec is validated before the (expensive) run starts,
+        and a bad one is a one-line refusal, not a traceback."""
+        assert main(["cs1", "M1", "BAS", "--inject", "bogus=1"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("bad cs1 invocation: unknown fault 'bogus'")
+        assert out.count("\n") == 1
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
@@ -116,24 +119,57 @@ class TestCLI:
 
 
 class TestBenchCLI:
-    def test_gate_passes_on_pinned_fingerprint(self, capsys, tmp_path):
-        assert main(["bench", "--scale", "micro", "--only", "pipeline",
+    def test_gate_passes_on_a_micro_run(self, capsys, monkeypatch,
+                                        tmp_path):
+        from functools import partial
+
+        from repro import bench
+
+        # The sampled-vs-full wall-clock ratio follows the host's speed
+        # during two short runs; this checks the machine-independent
+        # part of the gate (CRC identity and the error bounds).
+        monkeypatch.setattr(bench, "gate",
+                            partial(bench.gate, min_speedup=0.0))
+        assert main(["bench", "--scale", "micro", "--only", "ffwd",
                      "--gate", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "BENCH GATE" not in out
-        assert (tmp_path / "BENCH_pipeline.json").exists()
+        assert (tmp_path / "BENCH_ffwd.json").exists()
 
-    def test_gate_fails_on_drifted_fingerprint(self, capsys, monkeypatch):
+    def test_gate_fails_when_a_bound_is_crossed(self, capsys, monkeypatch):
         from repro import bench
 
-        pins = bench.PINS["pipeline"]
-        drifted = dict(pins["micro"], fb_crc=pins["micro"]["fb_crc"] + 1)
-        monkeypatch.setitem(pins, "micro", drifted)
-        assert main(["bench", "--scale", "micro", "--only", "pipeline",
-                     "--gate"]) == 1
+        point = bench._ffwd_operating_point
+        monkeypatch.setattr(bench, "_ffwd_operating_point",
+                            lambda scale: point(scale)[:3] + (0.01,))
+        assert main(["bench", "--scale", "micro", "--gate"]) == 1
         out = capsys.readouterr().out
-        assert "BENCH GATE: pipeline: fb_crc" in out
-        assert "drifted on fb_crc" in out
+        assert ("BENCH GATE: ffwd: gpu_time extrapolation error 4.86% "
+                "exceeds the 1% bound" in out)
+
+
+class TestFfwdCLI:
+    """A frame count, ffwd count or sampling spec the run cannot honour
+    is a one-line refusal with exit 2, not a traceback."""
+
+    def _refused(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("bad ffwd invocation: ")
+        return out
+
+    def test_ffwd_past_the_last_frame_exits_2(self, capsys):
+        out = self._refused(capsys, ["ffwd", "M1", "BAS", "--ffwd", "18"])
+        assert "need 0 < ffwd < 5, got 18" in out
+
+    def test_malformed_sample_spec_exits_2(self, capsys):
+        out = self._refused(capsys, ["ffwd", "M1", "BAS", "--sample", "3:2"])
+        assert "detail must be in [1, period=2], got 3" in out
+
+    def test_sample_spec_with_one_window_exits_2(self, capsys):
+        out = self._refused(capsys, ["ffwd", "M1", "BAS", "--load", "high",
+                                     "--sample", "2:12:1"])
+        assert "a single detailed window has no variance estimate" in out
 
 
 class TestFleetCLI:
