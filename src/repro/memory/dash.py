@@ -14,15 +14,21 @@ first:
 
 Within a class, FR-FCFS.  The clustering bandwidth ambiguity the paper
 dissects is exposed as ``include_ip_bandwidth`` (False = DCB, True = DTB).
+
+Classes are never stored: every entry of one source shares its class, so
+each pick ranks the channel's sources (the GPU, the display and each CPU
+core) afresh and scans only the winning class's entries.  A TCM
+recluster or an urgency flip therefore needs no bookkeeping, and a pick
+costs O(sources) plus the class's row-hit scan, not O(queue).
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.memory.dram import DRAMChannel, QueuedRequest
-from repro.memory.frfcfs import frfcfs_within
 from repro.memory.request import SourceType
 from repro.memory.tcm import IntensityClassifier
 
@@ -71,38 +77,60 @@ class DashConfig:
 
 
 class DashScheduler:
-    """One DASH instance; shared across channels via :class:`DashState`."""
+    """One channel's DASH picker over the shared :class:`DashState`.
+
+    The channel's queued entries are also kept here in one list per
+    source key ``(source, source_id)``, each in queue order, so a pick
+    classifies each source once instead of each entry.
+    """
 
     def __init__(self, state: "DashState") -> None:
         self.state = state
+        self._sources: dict[tuple, list[QueuedRequest]] = defaultdict(list)
+
+    def note_enqueued(self, entry: QueuedRequest) -> None:
+        request = entry.request
+        self._sources[request.source, request.source_id].append(entry)
 
     def choose(self, queue: list[QueuedRequest], channel: DRAMChannel,
                now: int) -> int:
-        self.state.advance(now)
-        urgent, nonintensive, nonurgent_ip, intensive = [], [], [], []
-        for index, entry in enumerate(queue):
-            request = entry.request
-            if request.source is SourceType.CPU:
-                if self.state.classifier.is_intensive(request.source_id):
-                    intensive.append(index)
-                else:
-                    nonintensive.append(index)
+        state = self.state
+        state.advance(now)
+        # Class ranks, highest priority first: urgent IPs, non-intensive
+        # CPU threads, then non-urgent IPs and intensive CPU threads in
+        # the order the last switching draw chose.
+        intensive_rank, ip_rank = ((2, 3) if state.intensive_cpu_first
+                                   else (3, 2))
+        cpu, is_intensive = SourceType.CPU, state.classifier.is_intensive
+        best_rank, best = 4, []
+        for (source, source_id), entries in self._sources.items():
+            if not entries:
+                continue
+            if source is cpu:
+                rank = intensive_rank if is_intensive(source_id) else 1
             else:
-                ip = self.state.ip_state(request.source)
-                if ip is not None and ip.urgent:
-                    urgent.append(index)
-                else:
-                    nonurgent_ip.append(index)
-        for candidates in self._class_order(urgent, nonintensive,
-                                            nonurgent_ip, intensive):
-            if candidates:
-                return frfcfs_within(queue, channel, candidates)
-        return 0    # pragma: no cover - queue is never empty here
-
-    def _class_order(self, urgent, nonintensive, nonurgent_ip, intensive):
-        if self.state.intensive_cpu_first:
-            return (urgent, nonintensive, intensive, nonurgent_ip)
-        return (urgent, nonintensive, nonurgent_ip, intensive)
+                ip = state.ip_state(source)
+                rank = 0 if ip is not None and ip.urgent else ip_rank
+            if rank < best_rank:
+                best_rank, best = rank, [entries]
+            elif rank == best_rank:
+                best.append(entries)
+        # FR-FCFS within the class: each source offers its first row hit,
+        # else its oldest entry; a row hit beats a miss, then age decides.
+        chosen = None
+        for entries in best:
+            for entry in entries:
+                if entry.bank.open_row == entry.row:
+                    offer = (0, entry.seq)
+                    break
+            else:
+                entry = entries[0]
+                offer = (1, entry.seq)
+            if chosen is None or offer < chosen[0]:
+                chosen = (offer, entries, entry)
+        _, entries, entry = chosen
+        entries.remove(entry)
+        return queue.index(entry)
 
     def note_served(self, entry: QueuedRequest, now: int) -> None:
         self.state.note_served(entry.request, now)

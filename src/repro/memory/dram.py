@@ -13,6 +13,13 @@ channel commits up to :data:`ISSUE_WINDOW` transactions so bank-level
 parallelism can hide preparation latency — the effect HMC's bank-striped
 IP mapping banks on.
 
+The queue, ``pending``, is one list in enqueue order, and each entry
+carries its place in that order (``QueuedRequest.seq``).  A
+:class:`Scheduler` sees each entry once as it is queued
+(``note_enqueued``), names the next one to commit (``choose``, an index
+into ``pending``) and hears of each service (``note_served``).  FR-FCFS
+scans ``pending`` itself; DASH keeps its own per-source view of it.
+
 Statistics per channel: row hit rate, activations, bytes per activation,
 per-source bandwidth time series and latency histograms — everything
 Figs. 10, 11 and 14 plot.
@@ -34,8 +41,11 @@ ISSUE_WINDOW = 4            # transactions committed per scheduler wake
 DEFAULT_ROWS = 4096
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class QueuedRequest:
+    """One queued transaction.  Compares by identity, so finding a
+    scheduler's chosen entry in the queue is one ``list.index``."""
+
     request: MemRequest
     coord: DramCoord
     enqueue_time: int
@@ -44,10 +54,15 @@ class QueuedRequest:
     # queue entry per wake.
     bank: "_Bank" = None
     row: int = 0
+    seq: int = 0        # the channel's enqueue order, 0, 1, 2, ...
 
 
 class Scheduler(Protocol):
     """Picks the next queued transaction; notified of each service."""
+
+    def note_enqueued(self, entry: QueuedRequest) -> None:
+        """``entry`` was just appended to the channel's queue."""
+        ...
 
     def choose(self, queue: list[QueuedRequest], channel: "DRAMChannel",
                now: int) -> int:
@@ -87,6 +102,7 @@ class DRAMChannel:
         self.banks = [_Bank() for _ in range(config.banks * config.ranks)]
         self.bus_free = 0
         self.pending: list[QueuedRequest] = []
+        self._enqueued = 0
         self.stats = stats or StatGroup(f"dram.ch{channel_id}")
         self._owner = f"dram.ch{channel_id}"
         self._run_ahead_ticks = ISSUE_WINDOW * max(
@@ -120,8 +136,11 @@ class DRAMChannel:
 
     def submit(self, request: MemRequest) -> None:
         coord = self._decode(request.address)
-        self.pending.append(QueuedRequest(request, coord, self.events._now,
-                                          self.bank_of(coord), coord.row))
+        entry = QueuedRequest(request, coord, self.events._now,
+                              self.bank_of(coord), coord.row, self._enqueued)
+        self._enqueued += 1
+        self.pending.append(entry)
+        self.scheduler.note_enqueued(entry)
         self._ctr_requests.add()
         self._hist_queue_depth.record(len(self.pending))
         tracer = self.events.tracer
@@ -133,18 +152,8 @@ class DRAMChannel:
     def queue_length(self) -> int:
         return len(self.pending)
 
-    def oldest_pending_age(self, now: int) -> int:
-        """Age in ticks of the longest-queued entry (0 when empty);
-        the sanitizer's dram-queue leak scan reads this."""
-        if not self.pending:
-            return 0
-        return now - min(entry.enqueue_time for entry in self.pending)
-
     def bank_of(self, coord: DramCoord) -> _Bank:
         return self.banks[coord.rank * self.config.banks + coord.bank]
-
-    def is_row_hit(self, coord: DramCoord) -> bool:
-        return self.bank_of(coord).open_row == coord.row
 
     # -- internals ------------------------------------------------------------
 

@@ -3,12 +3,12 @@
 Row hits are serviced before row misses; ties break by arrival order.
 This is the ``BAS`` configuration of case study I (Table 6).
 
-The queue is append-only between pops, so ``enqueue_time`` is
-non-decreasing in list order (and along any ascending candidate index
-list).  "Oldest" is therefore always the *first* entry considered, and
-the scan can return the first row hit it meets — identical choices to
-the reference min-scan, in one early-exit pass.  Row hit tests compare
-the bank/row pair resolved at enqueue (see ``QueuedRequest``).
+The queue is append-only between pops, so list order is enqueue order.
+"Oldest" is therefore always the *first* entry, and the scan can return
+the first row hit it meets — identical choices to the reference
+min-scan, in one early-exit pass.  Row hit tests compare the bank/row
+pair resolved at enqueue (see ``QueuedRequest``).  FR-FCFS reads the
+channel's queue itself, so it keeps no per-entry state of its own.
 """
 
 from __future__ import annotations
@@ -26,15 +26,8 @@ class FRFCFSScheduler:
                 return index
         return 0
 
-    def note_served(self, entry: QueuedRequest, now: int) -> None:
+    def note_enqueued(self, entry: QueuedRequest) -> None:
         pass
 
-
-def frfcfs_within(queue: list[QueuedRequest], channel: DRAMChannel,
-                  candidates: list[int]) -> int:
-    """FR-FCFS restricted to an ascending candidate subset (DASH classes)."""
-    for index in candidates:
-        entry = queue[index]
-        if entry.bank.open_row == entry.row:
-            return index
-    return candidates[0]
+    def note_served(self, entry: QueuedRequest, now: int) -> None:
+        pass

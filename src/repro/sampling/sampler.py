@@ -29,7 +29,8 @@ from repro.health import HealthConfig
 from repro.health.recovery import resume_soc
 from repro.sampling.ffwd import fb_crc
 from repro.sampling.functional import FunctionalSim
-from repro.sampling.stats import (ExtrapolatedRun, WindowSample, extrapolate)
+from repro.sampling.stats import (ExtrapolatedRun, WindowSample, extrapolate,
+                                  require_windows)
 from repro.sampling.windows import Window, WindowSchedule
 from repro.soc.checkpoint import GraphicsCheckpoint
 
@@ -168,6 +169,8 @@ def run_sampled(run_config, session_factory: Callable[[], object],
         raise ValueError(
             f"schedule covers {schedule.total_frames} frames but the run "
             f"config has {run_config.num_frames}")
+    # Refused before the first window runs, not after the last.
+    require_windows(schedule.measured_windows())
     checkpoint: Optional[GraphicsCheckpoint] = None
     samples: list[WindowSample] = []
     window_results: list = []

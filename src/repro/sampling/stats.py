@@ -98,23 +98,28 @@ class SampledEstimate:
         }
 
 
+def require_windows(count: int) -> None:
+    """Refuse fewer than two measured windows: zero windows has nothing
+    to estimate, one window has no variance — both raise
+    :class:`ExtrapolationError` (never NaN)."""
+    if count == 0:
+        raise ExtrapolationError(
+            "no detailed windows were measured — the schedule produced "
+            "nothing to extrapolate from", windows=0)
+    if count == 1:
+        raise ExtrapolationError(
+            "a single detailed window has no variance estimate; use at "
+            "least two sampling periods to get an error bar", windows=1)
+
+
 def extrapolate(samples: list[WindowSample],
                 metrics: tuple[str, ...] = SAMPLE_METRICS
                 ) -> dict[str, SampledEstimate]:
     """Window means -> per-metric estimates with standard-error bars.
 
-    Requires at least two measured windows: zero windows has nothing to
-    estimate, one window has no variance — both raise
-    :class:`ExtrapolationError` (never NaN).
+    Requires at least two measured windows (see :func:`require_windows`).
     """
-    if len(samples) == 0:
-        raise ExtrapolationError(
-            "no detailed windows were measured — the schedule produced "
-            "nothing to extrapolate from", windows=0)
-    if len(samples) == 1:
-        raise ExtrapolationError(
-            "a single detailed window has no variance estimate; use at "
-            "least two sampling periods to get an error bar", windows=1)
+    require_windows(len(samples))
     out: dict[str, SampledEstimate] = {}
     n = len(samples)
     for name in metrics:

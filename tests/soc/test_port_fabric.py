@@ -5,9 +5,10 @@
    numbers below were captured on the pre-port-fabric tree; any drift
    means the refactor changed timing, which is a regression by
    definition.  ``DTB_GOLDEN`` pins the same run under DASH,
-   ``CS2_GOLDEN`` the standalone GPU's schedule, and ``FIG14_PINS`` /
+   ``CS2_GOLDEN`` the standalone GPU's schedule, ``FIG14_PINS`` /
    ``PIPELINE_PINS`` the Fig. 14 unit and the GPU teapot frame at three
-   scales, the same way.
+   scales, and ``DASH_PINS`` the default-scale Fig. 14 unit under both
+   DASH cells, the same way.
 2. Bounded-bandwidth mode exhibits genuine queueing delay: under the
    Fig. 12 high-load configuration, mean link traversal latency rises
    strictly as the link's service rate falls.
@@ -115,6 +116,18 @@ PIPELINE_PINS = {
 PIPELINE_SIZES = {"default": (256, 192), "smoke": (128, 96),
                   "micro": (64, 48)}
 
+# The default-scale Fig. 14 unit under case study I's two DASH cells
+# (DTB clusters on system bandwidth, DCB on CPU bandwidth), captured at
+# commit c7911f4.  Unlike DTB_GOLDEN's tiny run, the two cells differ.
+DASH_PINS = {
+    "DTB": {"end_tick": 1_695_633, "events_fired": 308_696,
+            "fb_crc": 967344438, "row_hit_rate": 0.5449806534823731,
+            "mean_gpu_time": 256657.66666666666},
+    "DCB": {"end_tick": 1_756_841, "events_fired": 307_758,
+            "fb_crc": 967344438, "row_hit_rate": 0.5687183586464162,
+            "mean_gpu_time": 250185.66666666666},
+}
+
 
 @pytest.mark.slow
 @pytest.mark.full_system
@@ -152,8 +165,11 @@ class TestDashGolden:
         """DTB's GPU time and event count differ from GOLDEN's, so this
         pins DASH arbitration, not FR-FCFS.  There is no DCB case: DCB
         gives the same numbers at this scale.  The two differ only in
-        whether TCM's clustering counts IP bandwidth, and TCM reclusters
-        every 1M ticks, past this run's 240k-tick end."""
+        whether TCM's clustering counts IP bandwidth.  TCM reclusters 4
+        times in this 240k-tick run (``SoCRunConfig.dash_quantum_ticks``
+        is 50,000), and DCB calls CPU core 1 intensive in two of those
+        quanta where DTB does not, yet both cells make the same 3,554
+        picks in the same order.  ``DASH_PINS`` tells them apart."""
         session = SceneSession("cube", WIDTH, HEIGHT)
         config = replace(tiny_config(num_frames=2), memory_config="DTB")
         soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
@@ -167,6 +183,19 @@ class TestDashGolden:
             "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
             "events_fired": soc.events.events_fired,
         } == DTB_GOLDEN
+
+    @pytest.mark.parametrize("cell", sorted(DASH_PINS))
+    def test_fig14_cell_reproduces_its_pin(self, cell):
+        soc = make_cs1_soc("M1", cell, "high",
+                           config=CS1Config(num_frames=4))
+        results = soc.run()
+        assert {
+            "end_tick": results.end_tick,
+            "events_fired": soc.events.events_fired,
+            "fb_crc": zlib.crc32(soc.gpu.fb.color.tobytes()),
+            "row_hit_rate": results.row_hit_rate,
+            "mean_gpu_time": results.mean_gpu_time,
+        } == DASH_PINS[cell]
 
 
 class TestCS2Golden:
