@@ -25,7 +25,7 @@ from repro.gpu.gpu import EmeraldGPU
 from repro.harness.case_study2 import CS2Config, make_gpu as cs2_gpu
 from repro.harness.report import format_table
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 WIDTH, HEIGHT = 96, 96
 
@@ -52,7 +52,7 @@ def depth_complex_frame():
 
 def build_gpu(hiz_enabled=True, tc_bins=4):
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     config = scaled_gpu(GPUConfig(num_clusters=2))
     raster = replace(config.raster, hiz_enabled=hiz_enabled,
                      tc_bins_per_engine=tc_bins)

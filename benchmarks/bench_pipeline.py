@@ -13,7 +13,7 @@ from repro.common.events import EventQueue
 from repro.gpu.gpu import EmeraldGPU
 from repro.harness.report import format_table
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 
 WIDTH, HEIGHT = 128, 96
@@ -25,7 +25,7 @@ def test_pipeline_equivalence(benchmark):
 
     def run():
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
                          memory=memory)
         stats = gpu.run_frame(frame)

@@ -22,12 +22,12 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.common.events import EventQueue
 from repro.common.config import DRAMConfig
-from repro.harness.case_study1 import CS1Config, run_cs1, _cs1_gpu
+from repro.harness.case_study1 import CS1Config, make_cs1_setup, run_cs1
 from repro.harness.report import format_table
 from repro.harness.scenes import SceneSession
 from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC
 from repro.soc.tracedriven import TraceReplayer, record_soc_trace
 
 MODEL = "M2"
@@ -45,16 +45,7 @@ def test_trace_vs_execution(benchmark):
         # Execution-driven truth, including the recorded baseline.
         session = SceneSession("cube", cs1.width, cs1.height,
                                texture_size=cs1.texture_size)
-        base_config = SoCRunConfig(
-            width=cs1.width, height=cs1.height, num_frames=cs1.num_frames,
-            memory_config="BAS",
-            dram=DRAMConfig(channels=cs1.channels,
-                            data_rate_mbps=cs1.high_rate_mbps),
-            gpu=_cs1_gpu(),
-            gpu_frame_period_ticks=cs1.gpu_frame_period_ticks,
-            display_period_ticks=cs1.display_period_ticks,
-            cpu_work_per_frame=cs1.cpu_work_per_frame,
-            cpu_fixed_ticks=cs1.cpu_fixed_ticks)
+        base_config, _ = make_cs1_setup(MODEL, "BAS", "high", cs1)
         soc = EmeraldSoC(base_config, session.frame,
                          session.framebuffer_address)
         trace = record_soc_trace(soc)

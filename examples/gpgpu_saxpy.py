@@ -19,7 +19,7 @@ from repro.gl.state import CullMode
 from repro.gpu.compute import GlobalMemory, run_kernel
 from repro.gpu.gpu import EmeraldGPU
 from repro.gpu.kernels import saxpy, strided_copy
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 N = 4096
 ALPHA = 2.5
@@ -27,7 +27,7 @@ ALPHA = 2.5
 
 def main() -> None:
     events = EventQueue()
-    memory_system = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory_system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), 96, 96,
                      memory=memory_system)
 

@@ -18,7 +18,7 @@ from repro.geometry.models import cube
 from repro.gl.context import GLContext
 from repro.gl.textures import checkerboard
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 from repro.shader import builtins
 
@@ -48,7 +48,7 @@ def main() -> None:
 
     # 2. Build a standalone GPU: 4 SIMT clusters over 2 LPDDR channels.
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
                      memory=memory)
 

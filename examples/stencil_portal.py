@@ -23,7 +23,7 @@ from repro.gl.context import GLContext
 from repro.gl.state import CullMode, DepthFunc, StencilOp
 from repro.gl.textures import marble
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.shader import builtins
 
 WIDTH, HEIGHT = 160, 120
@@ -89,7 +89,7 @@ def main() -> None:
 
     frame = ctx.end_frame()
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
                      memory=memory)
     stats = gpu.run_frame(frame)

@@ -18,7 +18,7 @@ from repro.common.events import EventQueue
 from repro.gl.trace import RegionOfInterest, TraceRecorder, load
 from repro.gpu.gpu import EmeraldGPU
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 WIDTH, HEIGHT = 128, 96
 
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"replayed {len(frames)} frame(s) from the ROI")
 
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), WIDTH, HEIGHT,
                      memory=memory)
     stats = gpu.run_frame(frames[0])

@@ -65,11 +65,11 @@ def _cmd_render(args) -> int:
     from repro.gpu.energy import measure_frame_energy
     from repro.gpu.gpu import EmeraldGPU
     from repro.harness.scenes import SceneSession
-    from repro.memory.builders import build_baseline_memory
+    from repro.memory.builders import build_memory_by_name
 
     session = SceneSession(args.model, args.width, args.height)
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, GPUConfig(num_clusters=args.clusters),
                      args.width, args.height, memory=memory)
     gpu.work_tile_size = args.wt
@@ -361,25 +361,18 @@ def _cmd_selftest(args) -> int:
     DRAM, watchdog, checkpointing) in a few seconds and asserts a clean
     shutdown — the canary CI runs on every commit.
     """
-    from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
     from repro.harness.scenes import SceneSession
     from repro.health import HealthConfig
-    from repro.soc.soc import EmeraldSoC, SoCRunConfig
+    from repro.soc.soc import EmeraldSoC, tiny_run_config
 
     sanitize = _build_sanitize(args)
-    session = SceneSession("cube", 48, 36)
-    config = SoCRunConfig(
-        width=48, height=36, num_frames=args.frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
+    config = tiny_run_config(
+        num_frames=args.frames,
         health=HealthConfig(watchdog=True, checkpoint_every=1),
         trace=_build_trace(args),
         sanitize=sanitize,
     )
+    session = SceneSession("cube", config.width, config.height)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     results = soc.run()
     _print_profile(results, args)
@@ -528,6 +521,44 @@ def _parse_kill_specs(specs) -> dict:
     return inject
 
 
+class _LateSignal(Exception):
+    """SIGTERM or SIGINT while no fleet server was serving."""
+
+
+def _owns_signals(command):
+    """Keep SIGTERM/SIGINT handled for a whole fleet command.
+
+    While the server serves, its drain/abort ladder handles them; before
+    it starts and after it returns (set-up, the report) a signal ends the
+    command with the ladder's abort code, 5, instead of the default
+    action killing the process.
+    """
+    import functools
+
+    @functools.wraps(command)
+    def guarded(args) -> int:
+        import signal
+
+        from repro.fleet.server import EXIT_ABORTED
+
+        def late(signum, frame):
+            raise _LateSignal(signal.Signals(signum).name)
+
+        saved = {signum: signal.signal(signum, late)
+                 for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            return command(args)
+        except _LateSignal as exc:
+            print(f"ABORTED on {exc} outside the serve loop; rerun in "
+                  f"{args.workdir} to resume")
+            return EXIT_ABORTED
+        finally:
+            for signum, handler in saved.items():
+                signal.signal(signum, handler)
+    return guarded
+
+
+@_owns_signals
 def _cmd_fleet_sweep(args) -> int:
     """Run a sharded sweep under the fault-tolerant fleet (DESIGN.md §10).
 
@@ -551,8 +582,11 @@ def _cmd_fleet_sweep(args) -> int:
 
     try:
         if args.jobs:
-            with open(args.jobs) as handle:
-                docs = json.load(handle)
+            if args.jobs == "-":
+                docs = json.load(sys.stdin)
+            else:
+                with open(args.jobs) as handle:
+                    docs = json.load(handle)
             if not isinstance(docs, list):
                 raise JobSpecError(
                     f"{args.jobs} must hold a JSON list of job specs")
@@ -670,6 +704,7 @@ def _socket_request(workdir: str, doc: dict, timeout: float = 10.0) -> dict:
     return json.loads(buffer)
 
 
+@_owns_signals
 def _cmd_fleet_serve(args) -> int:
     """Start the durable fleet server (DESIGN.md §14).
 
@@ -875,6 +910,7 @@ def _add_sanitize_flags(p) -> None:
                         "(implies --sanitize)")
 
 
+@_owns_signals
 def _cmd_dse(args) -> int:
     """Design-space exploration: a topology grid through the fleet.
 
@@ -1090,7 +1126,7 @@ def main(argv=None) -> int:
     p.add_argument("--retries", action="store_true",
                    help="arm the NoC retry ladder in every job")
     p.add_argument("--jobs", metavar="PATH",
-                   help="JSON list of job specs (overrides "
+                   help="JSON list of job specs, '-' for stdin (overrides "
                         "--models/--seeds)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker pool size")

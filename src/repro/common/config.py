@@ -78,10 +78,6 @@ class RasterConfig:
     hiz_enabled: bool = True
     tc_flush_timeout: int = 32       # cycles without new raster tiles
 
-    @property
-    def tc_tile_px(self) -> int:
-        return self.raster_tile_px * self.tc_tile_raster_tiles
-
 
 @dataclass(frozen=True)
 class GPUConfig:

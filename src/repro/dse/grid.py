@@ -45,15 +45,12 @@ def _memory_endpoints(stacks: int, rate: int) -> tuple[MemoryTopology, ...]:
 def topology_grid(clusters: Sequence[int] = (2, 4),
                   stacks: Sequence[int] = (1, 2),
                   data_rates: Sequence[int] = (1333, 667),
-                  cpu_mixes: Sequence[str] = ("sym",),
-                  width: int = 48, height: int = 36) -> list[SoCTopology]:
+                  cpu_mixes: Sequence[str] = ("sym",)) -> list[SoCTopology]:
     """Enumerate the full cross product as validated topologies.
 
-    The default grid is 2x2x2x1 = 8 points.  ``width``/``height`` are
-    accepted for symmetry with the job shape but do not enter the
-    descriptor (resolution is a workload property, not a topology one).
+    The default grid is 2x2x2x1 = 8 points.  Resolution is a workload
+    property, not a topology one, so it is not an axis here.
     """
-    del width, height
     for mix in cpu_mixes:
         if mix not in CPU_MIXES:
             raise ConfigError(

@@ -58,20 +58,6 @@ def read_heartbeat(path: str) -> Optional[dict]:
     return doc if isinstance(doc, dict) else None
 
 
-def _progress_of(doc: dict):
-    """The doc's progress marker.
-
-    Current-format heartbeats carry an explicit monotonic ``progress``
-    counter.  Legacy docs (pre-ISSUE-10) fall back to the volatile-free
-    remainder of the document, so a heartbeat whose only change is its
-    wall-clock ``time`` field never counts as progress either way.
-    """
-    if "progress" in doc:
-        return ("counter", doc["progress"])
-    volatile_free = {k: v for k, v in doc.items() if k != "time"}
-    return ("doc", volatile_free)
-
-
 class HeartbeatMonitor:
     """Tracks one worker's heartbeat file; answers "is it stale?".
 
@@ -94,7 +80,9 @@ class HeartbeatMonitor:
         """Re-read the file; returns the latest heartbeat (or None)."""
         doc = read_heartbeat(self.path)
         if doc is not None:
-            progress = _progress_of(doc)
+            # Only the monotonic counter counts; a doc without one (or
+            # whose only change is its wall-clock ``time``) is no progress.
+            progress = doc.get("progress")
             if progress != self._last_progress:
                 self._last_progress = progress
                 self._changed_at = time.monotonic()

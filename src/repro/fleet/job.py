@@ -42,10 +42,12 @@ survives).  A drain signal cancels nothing: unfinished jobs stay
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.config import ConfigError, SoCTopology
+from repro.memory.builders import MEMORY_CONFIG_NAMES
 
 #: Attempt-level outcomes (one worker process).
 ATTEMPT_OUTCOMES = ("ok", "preempted", "crashed", "hung", "violation",
@@ -115,6 +117,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise JobSpecError("job name must be non-empty")
+        if self.memory_config not in MEMORY_CONFIG_NAMES:
+            raise JobSpecError(
+                f"unknown memory_config {self.memory_config!r}; valid "
+                f"Table 6 names: {', '.join(MEMORY_CONFIG_NAMES)}")
         for attr in ("width", "height", "frames"):
             value = getattr(self, attr)
             if not isinstance(value, int) or value <= 0:
@@ -221,6 +227,14 @@ class JobSpec:
         doc = self.to_dict()
         del doc["name"]
         return doc
+
+    def repro_command(self) -> str:
+        """The shell command that reruns this job alone, in a fresh
+        workdir and so a fresh cache: the ``repro.sh`` of its triage
+        bundles."""
+        return ('python -m repro fleet sweep --workdir "$(mktemp -d)" '
+                "--jobs - <<'EOF'\n"
+                f"{json.dumps([self.to_dict()])}\nEOF")
 
 
 @dataclass

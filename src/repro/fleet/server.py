@@ -82,6 +82,7 @@ from repro.fleet.manifest import build_manifest, cache_key, payload_bytes
 from repro.fleet.worker import (CHECKPOINT_FILE, CLAIM_FILE, CONTROL_FILE,
                                 HEARTBEAT_FILE, PREEMPT_FLAG, RESULT_FILE,
                                 TRIAGE_DIR, worker_entry)
+from repro.sanitize.violations import JournalConsistencyViolation
 
 SERVER_STATUS_SCHEMA = "repro-fleet-server-status/1"
 
@@ -322,7 +323,15 @@ class FleetServer:
 
     def _register(self, replayed: ReplayedJob,
                   outcome: Optional[str]) -> _ServerJob:
-        spec = JobSpec.from_dict(replayed.spec)
+        try:
+            spec = JobSpec.from_dict(replayed.spec)
+        except JobSpecError as exc:
+            # Journaled by a build that accepted a spec this one refuses.
+            self.journal.close()
+            raise JournalConsistencyViolation(
+                f"job {replayed.name!r} was journaled with a spec this "
+                f"build refuses: {exc}",
+                details={"check": "spec", "job": replayed.name}) from exc
         record = JobRecord(spec=spec, key=replayed.key or cache_key(spec))
         if outcome is not None:
             record.outcome = outcome
@@ -698,9 +707,7 @@ class FleetServer:
             return write_bundle(
                 os.path.join(jobdir, TRIAGE_DIR),
                 seed=record.spec.seed, error=failure,
-                command=f"python -m repro fleet --seeds {record.spec.seed} "
-                        f"--models {record.spec.model} "
-                        f"--frames {record.spec.frames}",
+                command=record.spec.repro_command(),
                 config={"job": record.spec.to_dict(),
                         "attempt": len(record.attempts) + 1,
                         "server": failure.details},
@@ -975,14 +982,33 @@ class FleetServer:
 
     async def serve_async(self, *,
                           install_signals: bool = True) -> int:
-        """Run until drained (or aborted); returns the exit code."""
+        """Run until drained (or aborted); returns the exit code.
+
+        With ``install_signals`` the drain/abort ladder owns SIGTERM and
+        SIGINT while the server serves, and the caller's handlers are put
+        back before it returns.  Plain ``signal.signal`` handlers, not
+        ``loop.add_signal_handler``: closing a loop resets the signals it
+        handled to their default action, which would leave the caller's
+        process to be killed by a signal arriving after the drain.
+        """
         loop = asyncio.get_running_loop()
+        saved = {}
         if install_signals:
+            def on_signal(signum, frame) -> None:
+                loop.call_soon_threadsafe(self._on_signal)
             for signum in (signal.SIGTERM, signal.SIGINT):
                 try:
-                    loop.add_signal_handler(signum, self._on_signal)
-                except (NotImplementedError, RuntimeError):
+                    saved[signum] = signal.signal(signum, on_signal)
+                except ValueError:               # not the main thread
                     pass
+        try:
+            return await self._serve(loop)
+        finally:
+            for signum, handler in saved.items():
+                if handler is not None:
+                    signal.signal(signum, handler)
+
+    async def _serve(self, loop) -> int:
         socket_server = None
         if self.config.enable_socket:
             _clear(self.socket_path)
@@ -1021,18 +1047,7 @@ class FleetServer:
         return EXIT_DRAINED if pending == 0 else EXIT_DRAINED_PENDING
 
     def serve(self, *, install_signals: bool = True) -> int:
-        # Closing the loop resets SIGTERM/SIGINT to their defaults: put
-        # back whatever handlers the caller had installed.
-        saved = {signum: signal.getsignal(signum)
-                 for signum in (signal.SIGTERM, signal.SIGINT)}
-        try:
-            return asyncio.run(
-                self.serve_async(install_signals=install_signals))
-        finally:
-            for signum, handler in saved.items():
-                if handler is not None \
-                        and signal.getsignal(signum) is not handler:
-                    signal.signal(signum, handler)
+        return asyncio.run(self.serve_async(install_signals=install_signals))
 
 
 def run_sweep(specs, config: Optional[FleetConfig] = None,

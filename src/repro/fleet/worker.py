@@ -130,34 +130,22 @@ def _sanitize_config(jobdir: str, spec: JobSpec):
     return replace(
         CHAOS_SANITIZE,
         bundle_dir=os.path.join(jobdir, TRIAGE_DIR),
-        command=f"python -m repro fleet --jobs - <<'EOF'\n"
-                f"[{json.dumps(spec.to_dict())}]\nEOF")
+        command=spec.repro_command())
 
 
 def _run_config(spec: JobSpec, jobdir: str, frame_hook, preempt_check,
                 job_key: Optional[str] = None,
                 claim: Optional[str] = None):
-    from repro.common.config import (DRAMConfig, GPUConfig, SoCTopology,
-                                     scaled_gpu)
-    from repro.soc.soc import SoCRunConfig
+    from repro.common.config import SoCTopology
+    from repro.soc.soc import tiny_run_config
 
     faults = None
     if spec.faults:
         faults = FaultConfig(seed=spec.seed, **spec.faults)
-    # A declarative spec carries the full system shape; name-string specs
-    # keep the fleet's historical default shape.
-    topology = (SoCTopology.from_dict(spec.topology)
-                if spec.topology is not None else None)
-    return SoCRunConfig(
+    config = tiny_run_config(
+        spec.memory_config,
         width=spec.width, height=spec.height, num_frames=spec.frames,
-        memory_config=spec.memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
         seed=spec.seed,
-        topology=topology,
         health=HealthConfig(
             watchdog=True,
             faults=faults,
@@ -171,6 +159,10 @@ def _run_config(spec: JobSpec, jobdir: str, frame_hook, preempt_check,
         sanitize=_sanitize_config(jobdir, spec),
         frame_hook=frame_hook,
     )
+    if spec.topology is not None:
+        # A declarative spec carries the whole machine.
+        config.topology = SoCTopology.from_dict(spec.topology)
+    return config
 
 
 def _metrics(soc, results) -> dict:

@@ -10,7 +10,6 @@ locality findings of case study I's Fig. 11 meaningful.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -136,9 +135,6 @@ class Texture2D:
         bottom = c01 * (1 - fx) + c11 * fx
         result = top * (1 - fy) + bottom * fy
         return result, (x0w, x1w, y0w, y1w)
-
-    def addresses_of(self, texels: Iterable[tuple[int, int]]) -> list[int]:
-        return [self.texel_address(tx, ty) for tx, ty in texels]
 
 
 def checkerboard(size: int = 64, squares: int = 8,

@@ -210,12 +210,3 @@ class Cluster:
             ctx.hiz.update_from_framebuffer(ctx.fb, tile.raster_tiles)
         self.tc.tile_retired(tile)
         ctx.dec("tile")
-
-    # -- state ----------------------------------------------------------------------
-
-    @property
-    def pipeline_idle(self) -> bool:
-        return (self.vpo_stage.idle and self.setup_stage.idle
-                and self.coarse_stage.idle and self.fine_stage.idle
-                and self.hiz_stage.idle and not self.tc.busy
-                and not self._pmrb_committed)

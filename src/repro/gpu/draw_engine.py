@@ -214,10 +214,6 @@ class DrawContext:
 
     # -- functional primitive resolution -----------------------------------------
 
-    def owner_of_tc_tile(self, tc_col: int, tc_row: int) -> int:
-        return work_tile_owner(tc_col, tc_row, self._tc_cols, self.wt_size,
-                               len(self.clusters))
-
     def resolve_primitive(self, ref: PrimRef) -> PrimitiveRecord:
         """Clip, cull and rasterize a primitive once (cached)."""
         if ref.prim_id in self.prim_table:

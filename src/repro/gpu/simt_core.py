@@ -142,9 +142,6 @@ class SIMTCore:
     def pending_work(self) -> int:
         return len(self._resident) + len(self._waiting)
 
-    def cache_for(self, space: MemSpace) -> Cache:
-        return self._space_routes[space]
-
     # -- the scheduler cycle --------------------------------------------------------
 
     def _cycle(self) -> bool:

@@ -16,9 +16,10 @@ from repro.common.config import (
     GPUConfig,
     SIMTCoreConfig,
     CacheConfig,
+    SoCTopology,
 )
 from repro.harness.scenes import CASE_STUDY1_SCENES, SceneSession
-from repro.memory.builders import MEMORY_CONFIG_NAMES
+from repro.memory.builders import MEMORY_CONFIG_NAMES, memory_topology_by_name
 from repro.soc.soc import EmeraldSoC, SoCResults, SoCRunConfig
 
 MODELS = tuple(CASE_STUDY1_SCENES)           # M1..M4
@@ -63,9 +64,6 @@ class CS1Config:
     regular_rate_mbps: int = 800
     high_rate_mbps: int = 400
     channels: int = 2
-    # Bounded-bandwidth NoC (None = unbounded; see SoCRunConfig).
-    noc_capacity: Optional[int] = None
-    noc_bytes_per_cycle: Optional[float] = None
     seed: int = 7
 
 
@@ -91,19 +89,18 @@ def make_cs1_setup(model: str, config_name: str, load: str = "regular",
 
     rate = (config.regular_rate_mbps if load == "regular"
             else config.high_rate_mbps)
+    dram = DRAMConfig(channels=config.channels, data_rate_mbps=rate)
     run_config = SoCRunConfig(
         width=config.width, height=config.height,
         num_frames=config.num_frames,
-        memory_config=config_name,
-        dram=DRAMConfig(channels=config.channels, data_rate_mbps=rate),
-        gpu=_cs1_gpu(),
         gpu_frame_period_ticks=config.gpu_frame_period_ticks,
         display_period_ticks=config.display_period_ticks,
         cpu_work_per_frame=config.cpu_work_per_frame,
         cpu_fixed_ticks=config.cpu_fixed_ticks,
-        noc_capacity=config.noc_capacity,
-        noc_bytes_per_cycle=config.noc_bytes_per_cycle,
         seed=config.seed,
+        topology=SoCTopology(
+            name=config_name, gpu=_cs1_gpu(),
+            memory=(memory_topology_by_name(config_name, dram),)),
         health=health,
         trace=trace,
         sanitize=sanitize,

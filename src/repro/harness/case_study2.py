@@ -23,7 +23,7 @@ from repro.common.events import EventQueue
 from repro.gpu.dfsl import DFSLController
 from repro.gpu.gpu import EmeraldGPU, GPUFrameStats
 from repro.harness.scenes import CASE_STUDY2_SCENES, SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 # Case study II workload keys in paper order.
 WORKLOADS = tuple(CASE_STUDY2_SCENES)        # W1..W6
@@ -81,8 +81,8 @@ class CS2Config:
 
 def make_gpu(config: CS2Config, wt_size: int) -> EmeraldGPU:
     events = EventQueue()
-    memory = build_baseline_memory(events, config.dram,
-                                   gpu_clock_ghz=config.gpu.clock_ghz)
+    memory, _ = build_memory_by_name("BAS", events, config.dram,
+                                     gpu_clock_ghz=config.gpu.clock_ghz)
     gpu_config = replace(config.gpu, work_tile_size=wt_size)
     gpu = EmeraldGPU(events, gpu_config, config.width, config.height,
                      memory=memory)

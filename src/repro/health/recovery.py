@@ -51,11 +51,11 @@ class CheckpointManager:
     checkpoint — the on-disk state a crashed process recovers from.
     """
 
-    def __init__(self, every: int, path: Optional[str] = None,
+    def __init__(self, every: int, topology: str,
+                 path: Optional[str] = None,
                  injector=None,
                  preempt_check: Optional[Callable[[int], bool]] = None,
                  job: Optional[str] = None,
-                 topology: Optional[str] = None,
                  claim: Optional[str] = None) -> None:
         if every <= 0:
             raise ValueError(f"checkpoint interval must be positive, "

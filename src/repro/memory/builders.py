@@ -5,17 +5,15 @@
 discipline, router, per-channel address mappings) into a wired
 :class:`~repro.memory.system.MemorySystem`.  The Table 6 configurations
 ``BAS``/``DCB``/``DTB``/``HMC`` are presets over that descriptor
-(:data:`MEMORY_PRESETS`), and the legacy name-string constructors below
-are thin wrappers kept for callers that predate the topology layer —
-both paths assemble byte-identical systems.
+(:data:`MEMORY_PRESETS`, :func:`memory_topology_by_name`), and
+:func:`build_memory_by_name` builds one by its abbreviation.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
-from repro.common.config import (ConfigError, DRAMConfig, MemoryTopology)
+from repro.common.config import ConfigError, DRAMConfig, MemoryTopology
 from repro.common.events import EventQueue
 from repro.memory.address_map import (AddressMapping, BASELINE_MAPPING,
                                       IP_CHANNEL_MAPPING)
@@ -31,6 +29,16 @@ MAPPINGS_BY_NAME: dict[str, AddressMapping] = {
 }
 
 #: Table 6 abbreviation -> (scheduler, router) preset.
+#:
+#: ``HMC`` is the heterogeneous memory controller (Nachiappan et al.): it
+#: partitions the channels statically by traffic source.  CPU channels
+#: keep the locality-optimized (page-striped) mapping, IP channels use
+#: the parallelism-optimized (cache-line-striped) mapping of Table 4, and
+#: each channel schedules FR-FCFS.  With Table 4's two channels that is
+#: one channel per source class.  Case study I shows its two failure
+#: modes: channel imbalance (CPU channels idle while the GPU renders) and
+#: poor row locality on the IP channels, because GPU traffic, unlike
+#: display scanout, is not sequential (Figs. 10 and 11).
 MEMORY_PRESETS: dict[str, tuple[str, str]] = {
     "BAS": ("frfcfs", "address"),
     "DCB": ("dash-cpu", "address"),
@@ -79,11 +87,9 @@ def build_memory(events: EventQueue, topology: MemoryTopology,
                  ) -> tuple[MemorySystem, Optional[DashState]]:
     """Assemble one memory endpoint from its descriptor.
 
-    Returns ``(memory_system, dash_state_or_None)``.  The construction
-    is object-for-object identical to the legacy name-string builders:
-    a ``frfcfs``/``address`` descriptor builds the same system as
-    :func:`build_baseline_memory`, and so on — the golden bit-identity
-    tests pin this.
+    Returns ``(memory_system, dash_state_or_None)``; the state is the
+    shared :class:`DashState` the SoC models report deadlines and
+    progress into, present for the ``dash-*`` schedulers only.
     """
     config = topology.dram
     state: Optional[DashState] = None
@@ -131,49 +137,3 @@ def build_memory_by_name(name: str, events: EventQueue, config: DRAMConfig,
     topology = memory_topology_by_name(name, config)
     return build_memory(events, topology, gpu_clock_ghz=gpu_clock_ghz,
                         rows=rows, dash_config=dash_config)
-
-
-# -- legacy constructors (pre-topology API, still widely used) --------------
-
-
-def build_baseline_memory(events: EventQueue, config: DRAMConfig,
-                          gpu_clock_ghz: float = 1.0,
-                          rows: int = DEFAULT_ROWS) -> MemorySystem:
-    """BAS: address-interleaved channels, FR-FCFS scheduling."""
-    system, _ = build_memory(
-        events, memory_topology_by_name("BAS", config),
-        gpu_clock_ghz=gpu_clock_ghz, rows=rows)
-    return system
-
-
-def build_dash_memory(events: EventQueue, config: DRAMConfig,
-                      gpu_clock_ghz: float = 1.0,
-                      include_ip_bandwidth: bool = False,
-                      dash_config: DashConfig | None = None,
-                      rows: int = DEFAULT_ROWS) -> tuple[MemorySystem, DashState]:
-    """DCB (CPU-bandwidth clustering) or DTB (system-bandwidth clustering).
-
-    Returns the memory system and the shared :class:`DashState` the SoC
-    models report deadlines/progress into.
-    """
-    name = "DTB" if include_ip_bandwidth else "DCB"
-    topology = memory_topology_by_name(name, config)
-    system, state = build_memory(events, topology,
-                                 gpu_clock_ghz=gpu_clock_ghz,
-                                 rows=rows, dash_config=dash_config)
-    assert state is not None
-    return system, state
-
-
-def build_hmc_memory(events: EventQueue, config: DRAMConfig,
-                     gpu_clock_ghz: float = 1.0,
-                     rows: int = DEFAULT_ROWS) -> MemorySystem:
-    """An HMC memory system: half the channels for CPU, half for IPs.
-
-    Kept as a convenience over the ``HMC`` preset descriptor; see
-    :mod:`repro.memory.hmc` for the organization's rationale.
-    """
-    system, _ = build_memory(
-        events, memory_topology_by_name("HMC", config),
-        gpu_clock_ghz=gpu_clock_ghz, rows=rows)
-    return system

@@ -175,7 +175,7 @@ def verify_equivalence(run_config, session_factory: Callable[[], object],
         "post_switch_fingerprint": functional_fp == detailed_fp,
     }
     return {
-        "workload": getattr(run_config, "memory_config", None),
+        "workload": run_config.topology.name,
         "ffwd_frames": ffwd_frames,
         "total_frames": run_config.num_frames,
         "checks": checks,

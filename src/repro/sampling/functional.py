@@ -66,7 +66,7 @@ class FunctionalSim:
                 f"render policy must be one of {RENDER_POLICIES}, "
                 f"got {render!r}")
         self.config = run_config
-        self.topology = run_config.resolve_topology()
+        self.topology = run_config.topology
         self.frame_source = frame_source
         self.render = render
         gpu = self.topology.gpu

@@ -33,8 +33,6 @@ from repro.health import FaultConfig, HealthConfig, RetryConfig
 from repro.sanitize.sanitizer import SanitizeConfig
 from repro.sanitize.violations import SanitizerViolation
 
-#: Sweep footprint (mirrors ``python -m repro selftest``).
-WIDTH, HEIGHT = 48, 36
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_BUDGET = 2_000_000
 
@@ -146,18 +144,11 @@ class ChaosReport:
 
 def _run_config(scenario: ChaosScenario, seed: int, frames: int,
                 sanitize: SanitizeConfig):
-    from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
-    from repro.soc.soc import SoCRunConfig
+    from repro.soc.soc import tiny_run_config
     from repro.trace import TraceConfig
 
-    return SoCRunConfig(
-        width=WIDTH, height=HEIGHT, num_frames=frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
+    return tiny_run_config(
+        num_frames=frames,
         seed=seed,
         health=HealthConfig(
             watchdog=True,
@@ -183,9 +174,9 @@ def run_one(scenario: ChaosScenario, seed: int, *,
         CHAOS_SANITIZE, bundle_dir=bundle_dir,
         command=(f"python -m repro chaos --scenario {scenario.name} "
                  f"--seeds {seed} --budget-events {budget_events}"))
-    session = SceneSession("cube", WIDTH, HEIGHT)
-    soc = EmeraldSoC(_run_config(scenario, seed, frames, sanitize),
-                     session.frame, session.framebuffer_address)
+    config = _run_config(scenario, seed, frames, sanitize)
+    session = SceneSession("cube", config.width, config.height)
+    soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     try:
         results = soc.run(max_events=budget_events)
     except SanitizerViolation as violation:

@@ -95,12 +95,6 @@ class Program:
         self._has_discard: Optional[bool] = None
 
     @property
-    def num_outputs(self) -> int:
-        if self.stage == "vertex":
-            return self.POSITION_SLOTS + self.varyings.total
-        return self.COLOR_SLOTS + 1
-
-    @property
     def has_discard(self) -> bool:
         if self._has_discard is None:
             self._has_discard = any(

@@ -104,28 +104,25 @@ class GraphicsCheckpoint:
     ``rng`` (optional) carries the fault injector's serialized RNG stream
     states (:meth:`repro.health.faults.FaultInjector.rng_state`) so a
     resumed run reproduces the *same* downstream fault pattern as an
-    uninterrupted one.  Absent (None) on runs without injection and in
-    pre-existing snapshots — the field is backward compatible both ways.
+    uninterrupted one.  Absent (None) on runs without injection.
 
     ``job`` (optional) names the owning run — the fleet stores the job's
     cache key here — so a resume path can refuse a snapshot left behind
     by a *different* job in a reused directory instead of silently
-    replaying foreign state.  Absent (None) outside the fleet and in
-    pre-existing snapshots.
+    replaying foreign state.  Absent (None) outside the fleet.
 
-    ``topology`` (optional) is the producing system's topology hash
-    (:meth:`repro.common.config.SoCTopology.topology_hash`); a resume onto
-    a differently-assembled SoC raises :class:`CheckpointTopologyError`
-    instead of replaying state into mismatched hardware.  Absent (None)
-    in pre-topology snapshots, which resume unchecked.
+    ``topology`` is the producing system's topology hash
+    (:meth:`repro.common.config.SoCTopology.topology_hash`); every
+    snapshot carries one, and a resume onto a differently-assembled SoC
+    raises :class:`CheckpointTopologyError` instead of replaying state
+    into mismatched hardware.
 
     ``mode`` (optional) records which execution engine produced the
     snapshot: ``"detailed"`` (the full timing model) or ``"functional"``
     (the zero-event replay mode, :mod:`repro.sampling.functional`).  It is
     provenance only — the snapshot payload is the *architectural* state
     both engines agree on, so either mode restores a snapshot the other
-    wrote (the fast-forward contract, DESIGN.md §13).  Absent (None) in
-    pre-sampling snapshots.
+    wrote (the fast-forward contract, DESIGN.md §13).
 
     ``claim`` (optional) names the *supervisor incarnation* that owned
     the attempt which wrote the snapshot — the fleet server stamps its
@@ -134,16 +131,15 @@ class GraphicsCheckpoint:
     alone (any incarnation of the same job may resume the snapshot —
     that is exactly what server crash-recovery does), but a triage
     bundle can attribute the snapshot to the exact server process and
-    claim that produced it.  Absent (None) outside server-claimed jobs
-    and in pre-existing snapshots.
+    claim that produced it.  Absent (None) outside server-claimed jobs.
     """
 
     trace_json: str
     tick: int
     frame_index: int
+    topology: str
     rng: Optional[dict] = None
     job: Optional[str] = None
-    topology: Optional[str] = None
     mode: Optional[str] = None
     claim: Optional[str] = None
 
@@ -158,8 +154,7 @@ class GraphicsCheckpoint:
             doc["rng"] = self.rng
         if self.job is not None:
             doc["job"] = self.job
-        if self.topology is not None:
-            doc["topology"] = self.topology
+        doc["topology"] = self.topology
         if self.mode is not None:
             doc["mode"] = self.mode
         if self.claim is not None:
@@ -179,20 +174,18 @@ class GraphicsCheckpoint:
         if not isinstance(doc, dict):
             raise CheckpointError(
                 f"expected an object, got {type(doc).__name__}", field="$")
-        crc = doc.get("crc")
-        if crc is not None:
-            # Snapshots written by this version embed a payload CRC;
-            # pre-CRC snapshots (no field) skip the check and rely on the
-            # schema validation below.
-            if isinstance(crc, bool) or not isinstance(crc, int):
-                raise CheckpointCorruptError(
-                    f"expected an integer, got {type(crc).__name__}",
-                    field="crc")
-            actual = _payload_crc(doc)
-            if actual != crc:
-                raise CheckpointCorruptError(
-                    "payload does not match its recorded CRC", field="crc",
-                    expected_crc=crc, actual_crc=actual)
+        if "crc" not in doc:
+            raise CheckpointCorruptError("missing", field="crc")
+        crc = doc["crc"]
+        if isinstance(crc, bool) or not isinstance(crc, int):
+            raise CheckpointCorruptError(
+                f"expected an integer, got {type(crc).__name__}",
+                field="crc")
+        actual = _payload_crc(doc)
+        if actual != crc:
+            raise CheckpointCorruptError(
+                "payload does not match its recorded CRC", field="crc",
+                expected_crc=crc, actual_crc=actual)
         version = doc.get("version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -219,8 +212,10 @@ class GraphicsCheckpoint:
         if job is not None and not isinstance(job, str):
             raise CheckpointError(
                 f"expected a string, got {type(job).__name__}", field="job")
-        topology = doc.get("topology")
-        if topology is not None and not isinstance(topology, str):
+        if "topology" not in doc:
+            raise CheckpointError("missing", field="topology")
+        topology = doc["topology"]
+        if not isinstance(topology, str):
             raise CheckpointError(
                 f"expected a string, got {type(topology).__name__}",
                 field="topology")
@@ -246,9 +241,7 @@ class GraphicsCheckpoint:
         """Refuse to restore onto the topology ``run_config`` assembles
         unless it is the one this snapshot was taken on (the one guard
         every resume path, detailed or functional, runs first)."""
-        if self.topology is None:
-            return
-        config_hash = run_config.resolve_topology().topology_hash()
+        config_hash = run_config.topology.topology_hash()
         if self.topology != config_hash:
             raise CheckpointTopologyError(
                 snapshot_hash=self.topology, config_hash=config_hash)
@@ -301,12 +294,13 @@ def _require_int(doc: dict, key: str) -> int:
 
 
 def capture(frames: list[Frame], tick: int, frame_index: int,
+            topology: str,
             rng: Optional[dict] = None,
             job: Optional[str] = None,
-            topology: Optional[str] = None,
             mode: Optional[str] = None,
             claim: Optional[str] = None) -> GraphicsCheckpoint:
-    """Record rendered frames into a checkpoint."""
+    """Record rendered frames into a checkpoint of the machine whose
+    topology hash is ``topology``."""
     if mode is not None and mode not in CHECKPOINT_MODES:
         raise CheckpointError(
             f"expected one of {sorted(CHECKPOINT_MODES)}, got {mode!r}",

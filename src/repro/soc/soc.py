@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
-                                 NoCLinkBudget, NoCTopology, SoCTopology)
+from repro.common.config import GPUConfig, SoCTopology, scaled_gpu
 from repro.common.events import EventQueue, SimulationError, StopReason
 from repro.gl.context import Frame
 from repro.gpu.gpu import EmeraldGPU
@@ -44,20 +43,10 @@ class SoCRunConfig:
     width: int = 192
     height: int = 144
     num_frames: int = 5
-    memory_config: str = "BAS"               # BAS | DCB | DTB | HMC
-    dram: DRAMConfig = field(default_factory=lambda: DRAMConfig(channels=2))
-    gpu: GPUConfig = field(default_factory=GPUConfig)
     gpu_frame_period_ticks: int = 400_000     # app target (30 FPS analog)
     display_period_ticks: int = 200_000       # vsync (60 FPS analog)
     cpu_work_per_frame: int = 150
     cpu_fixed_ticks: int = 0
-    num_cpu_cores: int = 4
-    noc_latency: int = 12
-    # Bounded-bandwidth NoC (None = unbounded, bit-identical to the seed):
-    # ``noc_capacity`` caps the link queue depth; ``noc_bytes_per_cycle``
-    # serializes packets so sustained overload queues (Fig. 12 regime).
-    noc_capacity: Optional[int] = None
-    noc_bytes_per_cycle: Optional[float] = None
     seed: int = 7
     # DASH epoch scaling: Table 3's quantum (1M cycles) assumes wall-clock-
     # scale workloads; scaled runs need the classifier to re-cluster within
@@ -79,34 +68,32 @@ class SoCRunConfig:
     # every completed frame, before checkpointing.  The fleet worker uses
     # it for heartbeats; it must not schedule events or draw randomness.
     frame_hook: Optional[Callable[[int, int], None]] = None
-    # Declarative assembly: an explicit :class:`SoCTopology` descriptor
-    # overrides the knob-derived system shape (memory_config / dram /
-    # num_cpu_cores / noc_*).  None derives an equivalent descriptor from
-    # those knobs — see :meth:`resolve_topology` — so every run, legacy or
-    # declarative, has a canonical topology (and hash).
-    topology: Optional[SoCTopology] = None
+    # The machine this run assembles: GPU, CPU cluster, memory endpoints
+    # and NoC.  Checkpoints stamp its hash and the fleet cache keys on it.
+    # The default is the Table 6 BAS organization on a two-channel LPDDR.
+    topology: SoCTopology = field(default_factory=lambda: SoCTopology(
+        name="BAS", memory=(memory_topology_by_name("BAS"),)))
 
-    def resolve_topology(self) -> SoCTopology:
-        """The :class:`SoCTopology` this run assembles.
 
-        The explicit descriptor when one is set; otherwise one derived
-        from the legacy knobs.  A default config and its hand-written
-        descriptor equivalent resolve to equal descriptors — and thus the
-        same topology hash — which is what lets checkpoint/cache
-        identities survive the declarative migration.
-        """
-        if self.topology is not None:
-            return self.topology
-        links = None
-        if self.noc_capacity is not None or self.noc_bytes_per_cycle is not None:
-            links = (NoCLinkBudget(capacity=self.noc_capacity,
-                                   bytes_per_cycle=self.noc_bytes_per_cycle),)
-        return SoCTopology(
-            name=self.memory_config,
-            gpu=self.gpu,
-            cpu=CPUClusterTopology(num_cores=self.num_cpu_cores),
-            memory=(memory_topology_by_name(self.memory_config, self.dram),),
-            noc=NoCTopology(latency=self.noc_latency, links=links))
+def tiny_run_config(memory_config: str = "BAS",
+                    **overrides) -> SoCRunConfig:
+    """The 48x36 two-cluster run behind ``selftest``, ``chaos`` and the
+    fleet worker's jobs: every IP runs, and a frame takes about a second.
+
+    ``memory_config`` names the Table 6 organization; ``overrides`` set
+    any other :class:`SoCRunConfig` field.
+    """
+    knobs = dict(
+        width=48, height=36,
+        gpu_frame_period_ticks=120_000,
+        display_period_ticks=60_000,
+        cpu_work_per_frame=40,
+        topology=SoCTopology(
+            name=memory_config,
+            gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+            memory=(memory_topology_by_name(memory_config),)))
+    knobs.update(overrides)
+    return SoCRunConfig(**knobs)
 
 
 @dataclass
@@ -144,12 +131,10 @@ class SoCResults:
 class EmeraldSoC:
     """The assembled system; create, then :meth:`run`.
 
-    Assembly is a staged builder pipeline over the run's resolved
+    Assembly is a staged builder pipeline over the run's
     :class:`~repro.common.config.SoCTopology` — events/health, memory
     endpoints, NoC, IPs, render loop, sanitizer, in that order (each
-    stage consumes what the previous ones built).  A run assembled from
-    the legacy name-string knobs and one assembled from the equivalent
-    explicit descriptor build object-for-object identical systems.
+    stage consumes what the previous ones built).
     """
 
     def __init__(self, run_config: SoCRunConfig,
@@ -157,7 +142,7 @@ class EmeraldSoC:
                  framebuffer_address: int,
                  start_frame: int = 0, start_tick: int = 0) -> None:
         self.config = run_config
-        self.topology = run_config.resolve_topology()
+        self.topology = run_config.topology
         frame_source = self._build_events_and_health(run_config, frame_source)
         self._build_memory(run_config)
         self._build_noc()
@@ -400,7 +385,7 @@ class EmeraldSoC:
 
         config = {"sanitize": asdict(sanitize),
                   "seed": self.config.seed,
-                  "memory_config": self.config.memory_config,
+                  "topology": self.topology.to_dict(),
                   "num_frames": self.config.num_frames}
         health = self.config.health
         if health is not None and health.faults is not None:
@@ -447,9 +432,7 @@ class EmeraldSoC:
     def _results(self) -> SoCResults:
         memory = self.memory
         return SoCResults(
-            config_name=(self.topology.name
-                         if self.config.topology is not None
-                         else self.config.memory_config),
+            config_name=self.topology.name,
             frames=list(self.loop.records),
             mean_gpu_time=self.loop.mean_gpu_time(),
             mean_total_time=self.loop.mean_total_time(),

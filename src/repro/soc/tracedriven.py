@@ -186,9 +186,6 @@ class ReplayResults:
     end_tick: int
     row_hit_rate: float
 
-    def latency_of(self, source: SourceType) -> float:
-        return self.mean_latency.get(source.value, 0.0)
-
 
 class TraceReplayer:
     """Open-loop replay of a recorded trace into a memory system."""

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from repro.geometry.mesh import Mesh
-from repro.geometry.models import cube, mask, sphere, teapot, triangles
+from repro.geometry.models import cube, mask, sphere, teapot
 from repro.gl.context import Frame, GLContext
 from repro.gl.state import BlendFactor, CullMode, DepthFunc
 from repro.gl.textures import checkerboard, gradient, marble
@@ -162,12 +162,6 @@ def _blending_layers() -> Frame:
                   blend_dst=BlendFactor.ONE_MINUS_SRC_ALPHA)
     for __ in range(3):
         ctx.draw_mesh(_quad(scale=0.9))
-    return ctx.end_frame()
-
-
-def _fan_heavy() -> Frame:
-    ctx = _flat_ctx()
-    ctx.draw_mesh(triangles(detail=8))
     return ctx.end_frame()
 
 

@@ -22,7 +22,7 @@ from repro.common.stats import mean_abs_relative_error, pearson
 from repro.gl.context import Frame
 from repro.gpu.gpu import EmeraldGPU, GPUFrameStats
 from repro.harness.case_study2 import _scaled_cs2_gpu
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 from repro.validation.microbench import MICROBENCHMARKS, HEIGHT, WIDTH
 
@@ -158,8 +158,8 @@ def run_simulator(frame: Frame) -> GPUFrameStats:
     """Render one microbenchmark frame on the timing model."""
     events = EventQueue()
     config = _scaled_cs2_gpu()
-    memory = build_baseline_memory(
-        events, DRAMConfig(channels=4, data_rate_mbps=1600),
+    memory, _ = build_memory_by_name(
+        "BAS", events, DRAMConfig(channels=4, data_rate_mbps=1600),
         gpu_clock_ghz=config.clock_ghz)
     gpu = EmeraldGPU(events, config, WIDTH, HEIGHT, memory=memory)
     return gpu.run_frame(frame)

@@ -1,5 +1,7 @@
 """JobSpec validation and the attempt/job failure taxonomy."""
 
+import json
+
 import pytest
 
 from repro.fleet.job import (ATTEMPT_OUTCOMES, JOB_OUTCOMES, RETRYABLE,
@@ -52,6 +54,25 @@ class TestJobSpec:
     def test_from_dict_requires_name(self):
         with pytest.raises(JobSpecError, match="missing 'name'"):
             JobSpec.from_dict({"seed": 1})
+
+    def test_unknown_memory_config_rejected(self):
+        with pytest.raises(JobSpecError) as excinfo:
+            JobSpec(name="x", memory_config="XYZ")
+        message = str(excinfo.value)
+        assert "'XYZ'" in message
+        assert "BAS, DCB, DTB, HMC" in message         # the Table 6 names
+
+    def test_repro_command_carries_the_whole_spec(self):
+        spec = JobSpec(name="j", width=40, height=30, frames=3,
+                       memory_config="HMC", seed=4,
+                       faults={"dram_drop": 0.01}, retries=True, ffwd=1)
+        command = spec.repro_command()
+        assert command.startswith("python -m repro fleet sweep ")
+        assert '--workdir "$(mktemp -d)"' in command
+        heredoc = command.split("--jobs - <<'EOF'\n", 1)[1]
+        body, end = heredoc.rsplit("\n", 1)
+        assert end == "EOF"
+        assert [JobSpec.from_dict(doc) for doc in json.loads(body)] == [spec]
 
     def test_identity_excludes_the_scheduling_label(self):
         """Two names, same physics -> same identity (and same cache key)."""

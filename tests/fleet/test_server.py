@@ -160,11 +160,14 @@ class TestSpoolIntake:
         server = make_server(tmp_path)
         self._drop(server, "broken.json", '{"name": "x", "frames":')
         self._drop(server, "badfield.json", {"name": "y", "frames": -5})
-        assert server.poll_spool() == 2
+        self._drop(server, "badmemory.json",
+                   {"name": "z", "memory_config": "XYZ"})
+        assert server.poll_spool() == 3
         quarantine = os.path.join(server.workdir, SPOOL_DIR,
                                   QUARANTINE_DIR)
         names = sorted(os.listdir(quarantine))
-        assert "broken.json" in names and "badfield.json" in names
+        assert {"broken.json", "badfield.json",
+                "badmemory.json"} <= set(names)
         with open(os.path.join(quarantine,
                                "broken.json.reason.json")) as handle:
             reason = json.load(handle)
@@ -173,7 +176,7 @@ class TestSpoolIntake:
         server.journal.close()
         replay = replay_journal(os.path.join(server.workdir, JOURNAL_DIR))
         kinds = [record["type"] for record in replay.records]
-        assert kinds.count("quarantine") == 2
+        assert kinds.count("quarantine") == 3
 
 
 class TestServeEndToEnd:
@@ -226,6 +229,22 @@ class TestServeEndToEnd:
         assert replay.incarnations == 2
         assert {name: job.outcome for name, job in replay.jobs.items()} \
             == {"a": "ok", "b": "ok"}
+
+    def test_journaled_spec_this_build_refuses_stops_the_start(
+            self, tmp_path):
+        """A journal written by a build that accepted a spec this one
+        refuses: the server refuses to start, typed, not a traceback."""
+        from repro.sanitize import JournalConsistencyViolation
+
+        workdir = tmp_path / "work"
+        journal, _ = JobJournal.open(str(workdir / JOURNAL_DIR))
+        journal.append("submit", name="x", key="k",
+                       spec={"name": "x", "memory_config": "XYZ"},
+                       priority=0, owner="o", deadline=None, source="test")
+        journal.close()
+        with pytest.raises(JournalConsistencyViolation,
+                           match="unknown memory_config 'XYZ'"):
+            make_server(tmp_path)
 
     def test_recovery_reconciles_from_cache_without_executing(
             self, tmp_path):

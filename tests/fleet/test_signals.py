@@ -19,11 +19,26 @@ import repro
 from repro.fleet.server import JOURNAL_DIR
 
 
-def _sweep_process(tmp_path, *, seeds="1,2", frames=300):
+#: The CLI with ``format_table`` wrapped so that rendering the report
+#: sends the process a SIGTERM: a signal that lands after the drain.
+LATE_SIGNAL = """
+import os, signal, sys
+import repro.__main__ as cli
+render = cli.format_table
+def format_table(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGTERM)
+    return render(*args, **kwargs)
+cli.format_table = format_table
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _sweep_process(tmp_path, *, seeds="1,2", frames=300,
+                   program=("-m", "repro")):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "repro", "fleet", "sweep",
+    argv = [sys.executable, *program, "fleet", "sweep",
             "--seeds", seeds, "--frames", str(frames),
             "--workers", "1", "--workdir", str(tmp_path / "work"),
             "--cache-dir", str(tmp_path / "cache")]
@@ -97,3 +112,14 @@ class TestSweepSignals:
             # Drained before the second signal landed (fast machine):
             # the drain contract still must hold.
             assert process.returncode == 4
+
+    def test_signal_after_the_drain_aborts_with_exit_5(self, tmp_path):
+        """Once the server has drained, the command still owns the
+        signals: one that lands while the report renders ends it with
+        exit 5, not the default action's death by SIGTERM."""
+        process = _sweep_process(tmp_path, program=("-c", LATE_SIGNAL))
+        _wait_for_worker_start(process, tmp_path)
+        process.send_signal(signal.SIGTERM)
+        out, _ = process.communicate(timeout=120)
+        assert process.returncode == 5, out
+        assert "ABORTED on SIGTERM" in out

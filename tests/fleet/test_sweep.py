@@ -5,10 +5,13 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 import repro.fleet.manifest as manifest_module
 import repro.fleet.server as server_module
 from repro.fleet import (BackoffPolicy, FleetConfig, FleetServer, JobSpec,
@@ -157,6 +160,32 @@ class TestFleetEndToEnd:
         assert rerun.cached == 2
         assert [r.payload for r in rerun.records] \
             == [r.payload for r in report.records]
+
+    def test_crash_bundle_reproduces_the_job(self, tmp_path):
+        """A crash bundle's ``repro.sh`` reruns the job that died (every
+        spec field, not the defaults) alone, in a fresh workdir."""
+        spec = tiny_spec("odd", seed=3, width=40, height=30,
+                         memory_config="HMC")
+        config = FleetConfig(workers=1, backoff=FAST_BACKOFF,
+                             cache_dir=str(tmp_path / "cache"),
+                             inject={"odd": [{"kill_at_frame": 0}]})
+        [record] = run_sweep([spec], config,
+                             workdir=str(tmp_path / "work")).records
+        assert [a.outcome for a in record.attempts] == ["crashed", "ok"]
+        script = os.path.join(record.attempts[0].bundle, "repro.sh")
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, TMPDIR=str(tmp_path),
+                   PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""),
+                   PATH=os.path.dirname(sys.executable) + os.pathsep
+                   + os.environ.get("PATH", ""))
+        rerun = subprocess.run(["sh", script], cwd=str(tmp_path), env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert rerun.returncode == 0, rerun.stdout + rerun.stderr
+        assert record.payload["fb_crc"] in rerun.stdout
+        assert "1 jobs: 1 ok; 1 worker processes" in rerun.stdout
 
     def test_retry_backoff_result_bit_identical_to_fault_free(self,
                                                               tmp_path):
@@ -480,3 +509,19 @@ class TestMonotonicProgressClock:
         write_heartbeat(path, frame=0, tick=0, beats=2, progress=5)
         monitor.poll()
         assert monitor.age() == 6.0
+
+    def test_doc_without_a_progress_counter_is_no_progress(self, tmp_path,
+                                                           monkeypatch):
+        """``write_heartbeat`` always writes ``progress``; a doc without
+        one shows no progress, however much else in it changes."""
+        clock = self._clock(monkeypatch)
+        path = tmp_path / "hb.json"
+        monitor = HeartbeatMonitor(str(path), timeout=10.0)
+        for beat in range(3):
+            clock.mono += 4.0
+            path.write_text(json.dumps({"frame": beat, "tick": beat * 10,
+                                        "beats": beat + 1}))
+            monitor.poll()
+        assert monitor.last["beats"] == 3
+        assert monitor.age() == 12.0
+        assert monitor.stale()

@@ -23,10 +23,12 @@ class TestResumeOwnership:
 
     def _plant(self, jobdir, job):
         from repro.soc.checkpoint import capture
+        from repro.soc.soc import tiny_run_config
         path = os.path.join(jobdir, CHECKPOINT_FILE)
+        machine = tiny_run_config().topology.topology_hash()
         with open(path, "w") as handle:
-            handle.write(
-                capture([], tick=9, frame_index=1, job=job).to_json())
+            handle.write(capture([], tick=9, frame_index=1, topology=machine,
+                                 job=job).to_json())
         return path
 
     def test_foreign_checkpoint_is_set_aside(self, tmp_path):

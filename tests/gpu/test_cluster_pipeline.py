@@ -9,7 +9,7 @@ from repro.geometry.mesh import Mesh
 from repro.gl.context import GLContext
 from repro.gl.state import BlendFactor, CullMode
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 
 SIZE = 32
@@ -20,7 +20,7 @@ FS = ("uniform vec4 flat_color;\n"
 
 def make_gpu(num_clusters=2, pmrb_entries=64):
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=1))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
     config = scaled_gpu(GPUConfig(num_clusters=num_clusters,
                                   pmrb_entries=pmrb_entries))
     return EmeraldGPU(events, config, SIZE, SIZE, memory=memory)

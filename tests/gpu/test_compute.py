@@ -8,13 +8,13 @@ from repro.common.events import EventQueue
 from repro.gpu.compute import ComputeEnv, GlobalMemory, launch_kernel, run_kernel
 from repro.gpu.gpu import EmeraldGPU
 from repro.gpu.kernels import clamped_threshold, saxpy, strided_copy, vector_add
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.shader.isa import MemSpace
 
 
 def make_gpu(num_clusters=2):
     events = EventQueue()
-    memory_system = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory_system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=num_clusters)),
                      32, 32, memory=memory_system)
     return gpu

@@ -7,13 +7,13 @@ from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
 from repro.common.events import EventQueue
 from repro.gpu.gpu import EmeraldGPU
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 
 def run_once(model="teapot", frames=2):
     session = SceneSession(model, 64, 48)
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=3)), 64, 48,
                      memory=memory)
     stats = [gpu.run_frame(session.frame(i)) for i in range(frames)]

@@ -13,7 +13,7 @@ from repro.gpu.energy import (
     measure_frame_energy,
 )
 from repro.gpu.gpu import EmeraldGPU, GPUFrameStats
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 
 from tests.pipeline.helpers import FLAT_COLOR_FS, FLAT_VS, fullscreen_quad
 from repro.gl.context import GLContext
@@ -22,7 +22,7 @@ from repro.gl.state import CullMode
 
 def make_gpu():
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     return EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)), 48, 48,
                       memory=memory)
 
@@ -80,7 +80,7 @@ class TestFrameEnergy:
         gpu_small = make_gpu()
         _, small = measure_frame_energy(gpu_small, flat_frame())
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         gpu_big = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)),
                              96, 96, memory=memory)
         _, big = measure_frame_energy(gpu_big, flat_frame(96, 96))

@@ -20,7 +20,7 @@ from repro.gl.context import GLContext
 from repro.gl.state import CullMode
 from repro.gl.textures import checkerboard
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 from repro.shader import builtins
 
@@ -34,7 +34,7 @@ from tests.pipeline.helpers import (
 
 def make_gpu(width=48, height=48, num_clusters=2, wt_size=1):
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=2))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
     config = scaled_gpu(GPUConfig(num_clusters=num_clusters,
                                   work_tile_size=wt_size))
     gpu = EmeraldGPU(events, config, width, height, memory=memory)

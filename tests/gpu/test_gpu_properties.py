@@ -15,7 +15,7 @@ from repro.geometry.mesh import Mesh
 from repro.gl.context import GLContext
 from repro.gl.state import BlendFactor, CullMode, DepthFunc
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 
 SIZE = 24
@@ -70,7 +70,7 @@ class TestRandomSceneEquivalence:
         frame = build_frame(triangles, state)
         reference, _ = ReferenceRenderer(SIZE, SIZE).render(frame)
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2,
                                                       work_tile_size=wt)),
                          SIZE, SIZE, memory=memory)
@@ -92,7 +92,7 @@ class TestRandomSceneEquivalence:
                                call.state.__dict__)  # no-op; keep frozen
         reference, _ = ReferenceRenderer(SIZE, SIZE).render(frame)
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=3)),
                          SIZE, SIZE, memory=memory)
         gpu.run_frame(frame)

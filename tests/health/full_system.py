@@ -5,25 +5,26 @@ seconds, big enough to exercise CPU prepare, GPU render, display scanout,
 DRAM and the NoC — the same footprint as ``python -m repro selftest``.
 """
 
-from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
+from dataclasses import replace
+
+from repro.common.config import NoCLinkBudget
 from repro.harness.scenes import SceneSession
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, SoCRunConfig, tiny_run_config
 
 WIDTH, HEIGHT = 48, 36
 
 
-def tiny_config(num_frames=1, health=None, sanitize=None) -> SoCRunConfig:
-    return SoCRunConfig(
-        width=WIDTH, height=HEIGHT, num_frames=num_frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
-        health=health,
-        sanitize=sanitize,
-    )
+def tiny_config(num_frames=1, health=None, sanitize=None,
+                memory_config="BAS") -> SoCRunConfig:
+    return tiny_run_config(memory_config, num_frames=num_frames,
+                           health=health, sanitize=sanitize)
+
+
+def with_link_budget(config, **budget) -> SoCRunConfig:
+    """``config`` with its NoC link bounded by a :class:`NoCLinkBudget`."""
+    topology = config.topology
+    noc = replace(topology.noc, links=(NoCLinkBudget(**budget),))
+    return replace(config, topology=replace(topology, noc=noc))
 
 
 def build_soc(num_frames=1, health=None, sanitize=None):

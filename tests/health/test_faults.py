@@ -10,7 +10,7 @@ from repro.common.ports import RequestPort
 from repro.health import (FaultConfig, FaultInjector, HealthConfig,
                           RetryConfig)
 from repro.health.watchdog import Watchdog, WatchdogTimeout
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import MemRequest, SourceType
 from repro.soc.noc import SystemNoC
 from tests.health.full_system import build_soc
@@ -142,7 +142,7 @@ class _ScriptedInjector:
 
 class TestNoCRetryPath:
     def _noc(self, events, injector, retry):
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         return SystemNoC(events, memory, latency=5, injector=injector,
                          retry=retry)
 
@@ -178,7 +178,7 @@ class TestNoCRetryPath:
 
     def test_exhausted_retries_left_for_watchdog(self):
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         wd = Watchdog(events, request_timeout=50_000, check_period=1_000)
         injector = _ScriptedInjector([("drop", 0)] * 10)    # every attempt
         noc = SystemNoC(events, memory, latency=5, watchdog=wd,

@@ -2,8 +2,6 @@
 with bounded links, the watchdog, and the fault/retry machinery; and where
 an assembled SoC's link budgets come from."""
 
-from dataclasses import replace
-
 from repro.common.config import NoCLinkBudget
 from repro.common.events import EventQueue
 from repro.common.ports import RequestPort, ResponsePort, respond
@@ -13,7 +11,7 @@ from repro.health.watchdog import Watchdog
 from repro.memory.request import MemRequest, SourceType
 from repro.soc.noc import SystemNoC
 from repro.soc.soc import EmeraldSoC
-from tests.health.full_system import tiny_config
+from tests.health.full_system import tiny_config, with_link_budget
 
 
 class FakeMemory:
@@ -154,24 +152,15 @@ def _link_of(config):
 
 
 def test_link_budgets_come_only_from_the_resolved_topology():
-    """An explicit topology overrides the ``noc_*`` knobs (its hash is the
-    machine checkpoints are stamped with); the knobs alone still bound
-    the link, through the topology they resolve to."""
+    """The run's topology is the only source of link budgets, so the
+    machine that bounds the link is the one checkpoints are stamped with:
+    bounding it changes the topology hash."""
     base = tiny_config()
-    budget = NoCLinkBudget(capacity=2, bytes_per_cycle=1.0)
-
-    knobs_ignored = replace(base, topology=base.resolve_topology(),
-                            noc_capacity=2, noc_bytes_per_cycle=1.0)
-    link = _link_of(knobs_ignored)
+    link = _link_of(base)
     assert (link.capacity, link.bytes_per_cycle) == (None, None)
 
-    topology = base.resolve_topology()
-    declared = replace(base, topology=replace(
-        topology, noc=replace(topology.noc, links=(budget,))))
-    link = _link_of(declared)
+    bounded = with_link_budget(base, capacity=2, bytes_per_cycle=1.0)
+    link = _link_of(bounded)
     assert (link.capacity, link.bytes_per_cycle) == (2, 1.0)
-
-    knobs_only = replace(base, noc_capacity=2, noc_bytes_per_cycle=1.0)
-    assert knobs_only.resolve_topology().noc.links == (budget,)
-    link = _link_of(knobs_only)
-    assert (link.capacity, link.bytes_per_cycle) == (2, 1.0)
+    assert (bounded.topology.topology_hash()
+            != base.topology.topology_hash())

@@ -10,14 +10,17 @@ from repro.health import (CheckpointManager, HealthConfig, load_checkpoint,
 from repro.soc.checkpoint import GraphicsCheckpoint
 from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
 
+#: The machine every snapshot below is stamped with (and resumes onto).
+MACHINE = tiny_config().topology.topology_hash()
+
 
 class TestCheckpointManager:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            CheckpointManager(every=0)
+            CheckpointManager(every=0, topology=MACHINE)
 
     def test_cadence(self):
-        manager = CheckpointManager(every=2)
+        manager = CheckpointManager(every=2, topology=MACHINE)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         for index in range(4):
@@ -29,7 +32,7 @@ class TestCheckpointManager:
 
     def test_path_receives_loadable_snapshot(self, tmp_path):
         path = tmp_path / "snap.json"
-        manager = CheckpointManager(every=1, path=str(path))
+        manager = CheckpointManager(every=1, topology=MACHINE, path=str(path))
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -46,7 +49,8 @@ class TestCheckpointRNGCapture:
         from repro.health.faults import FaultConfig, FaultInjector
 
         injector = FaultInjector(FaultConfig(seed=9, dram_drop=0.5))
-        manager = CheckpointManager(every=1, injector=injector)
+        manager = CheckpointManager(every=1, topology=MACHINE,
+                                    injector=injector)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -59,7 +63,7 @@ class TestCheckpointRNGCapture:
         assert restored.rng == manager.last.rng
 
     def test_injector_free_checkpoints_omit_rng(self):
-        manager = CheckpointManager(every=1)
+        manager = CheckpointManager(every=1, topology=MACHINE)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -74,7 +78,7 @@ class TestCheckpointOwnership:
     another's resume."""
 
     def _snapshot(self, job=None):
-        manager = CheckpointManager(every=1, job=job)
+        manager = CheckpointManager(every=1, topology=MACHINE, job=job)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -120,7 +124,7 @@ class TestCheckpointOwnership:
             lambda self, rng: applied.append(rng) or original(self, rng))
 
         source = SceneSession("cube", WIDTH, HEIGHT)
-        manager = CheckpointManager(every=1)
+        manager = CheckpointManager(every=1, topology=MACHINE)
         wrapped = manager.wrap_source(source.frame)
         wrapped(0)
         manager.on_frame_done(0, tick=500)
@@ -139,7 +143,7 @@ class TestAtomicSnapshotWrites:
     torn snapshot at ``path`` — the previous complete one survives."""
 
     def _manager_with_one_snapshot(self, path):
-        manager = CheckpointManager(every=1, path=str(path))
+        manager = CheckpointManager(every=1, topology=MACHINE, path=str(path))
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -186,7 +190,8 @@ class TestPreemption:
         from repro.health import PreemptionRequested
 
         path = tmp_path / "snap.json"
-        manager = CheckpointManager(every=1, path=str(path),
+        manager = CheckpointManager(every=1, topology=MACHINE,
+                                    path=str(path),
                                     preempt_check=lambda done: done >= 1)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
@@ -204,7 +209,8 @@ class TestPreemption:
         assert issubclass(PreemptionRequested, SimulationError)
 
     def test_no_preempt_check_means_no_preemption(self, tmp_path):
-        manager = CheckpointManager(every=1, path=str(tmp_path / "s.json"))
+        manager = CheckpointManager(every=1, topology=MACHINE,
+                                    path=str(tmp_path / "s.json"))
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -312,7 +318,8 @@ class TestCheckpointClaimProvenance:
     contract, not a conflict."""
 
     def _snapshot(self, claim=None, job=None):
-        manager = CheckpointManager(every=1, job=job, claim=claim)
+        manager = CheckpointManager(every=1, topology=MACHINE, job=job,
+                                    claim=claim)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         source(0)
@@ -347,8 +354,8 @@ class TestCheckpointClaimProvenance:
         from repro.health import resume_run
 
         source = SceneSession("cube", WIDTH, HEIGHT)
-        manager = CheckpointManager(every=1, job="cafe0123",
-                                    claim="srv-dead-i1#4")
+        manager = CheckpointManager(every=1, topology=MACHINE,
+                                    job="cafe0123", claim="srv-dead-i1#4")
         wrapped = manager.wrap_source(source.frame)
         wrapped(0)
         manager.on_frame_done(0, tick=500)
@@ -370,7 +377,7 @@ class TestCheckpointRewind:
     """Rewinding a final-frame snapshot so a resume re-renders pixels."""
 
     def _snapshot(self, frames=3, tick=9_000, job="jk"):
-        manager = CheckpointManager(every=frames, job=job)
+        manager = CheckpointManager(every=frames, topology=MACHINE, job=job)
         source = manager.wrap_source(
             SceneSession("cube", WIDTH, HEIGHT).frame)
         for index in range(frames):

@@ -1,5 +1,7 @@
 """Checkpoint topology stamping: snapshots refuse mismatched hardware."""
 
+import json
+
 import pytest
 
 from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
@@ -7,23 +9,17 @@ from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
                                  scaled_gpu)
 from repro.harness.scenes import SceneSession
 from repro.health import (CheckpointTopologyError, HealthConfig, resume_run)
-from repro.soc.checkpoint import GraphicsCheckpoint
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.checkpoint import (CheckpointError, GraphicsCheckpoint,
+                                  _payload_crc)
+from repro.soc.soc import EmeraldSoC, tiny_run_config
 
 WIDTH, HEIGHT = 48, 36
 
 
 def _config(num_frames=2, **overrides):
-    return SoCRunConfig(
-        width=WIDTH, height=HEIGHT, num_frames=num_frames,
-        memory_config="BAS",
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40,
-        health=HealthConfig(checkpoint_every=1),
-        **overrides)
+    return tiny_run_config(num_frames=num_frames,
+                           health=HealthConfig(checkpoint_every=1),
+                           **overrides)
 
 
 def _checkpointed_run(config):
@@ -76,13 +72,13 @@ class TestTopologyStamp:
         assert error.snapshot_hash in str(error)
         assert error.config_hash in str(error)
 
-    def test_unstamped_snapshot_resumes_unchecked(self):
-        # Pre-topology snapshots (topology=None) keep working.
-        session, soc = _checkpointed_run(_config())
-        legacy = GraphicsCheckpoint(
-            trace_json=soc.checkpoints.last.trace_json,
-            tick=soc.checkpoints.last.tick,
-            frame_index=soc.checkpoints.last.frame_index)
-        _, results = resume_run(legacy, _config(), session.frame,
-                                session.framebuffer_address)
-        assert results.end_tick >= legacy.tick
+    def test_unstamped_snapshot_is_refused(self):
+        # Every writer stamps the machine; a snapshot without one (even
+        # with a consistent CRC) names no hardware to resume onto.
+        _, soc = _checkpointed_run(_config())
+        doc = json.loads(soc.checkpoints.last.to_json())
+        del doc["topology"]
+        doc["crc"] = _payload_crc(doc)
+        with pytest.raises(CheckpointError) as excinfo:
+            GraphicsCheckpoint.from_json(json.dumps(doc))
+        assert excinfo.value.field == "topology"

@@ -7,7 +7,7 @@ from repro.common.events import EventQueue
 from repro.common.ports import RequestPort
 from repro.health.interpose import WatchdogTap
 from repro.health.watchdog import Watchdog, WatchdogReport, WatchdogTimeout
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import MemRequest, SourceType
 
 
@@ -116,7 +116,7 @@ class TestStandaloneAttachment:
         """Standalone (no-NoC) runs track lifecycles with a WatchdogTap in
         front of the memory; a serviced request retires normally."""
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         wd = Watchdog(events, request_timeout=100_000, check_period=1000)
         tap = WatchdogTap(wd, name="memory.watchdog").connect(memory)
         done = []

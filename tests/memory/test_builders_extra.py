@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
 from repro.common.ports import RequestPort
-from repro.memory.builders import build_dash_memory, build_memory_by_name
+from repro.memory.builders import build_memory_by_name
 from repro.memory.dash import DashConfig, DashState
 from repro.memory.request import MemRequest, SourceType
 
@@ -30,7 +30,7 @@ class TestDashConfigPlumbing:
     def test_dash_shared_across_channels(self):
         """Both channels' schedulers share one DashState (global view)."""
         events = EventQueue()
-        system, state = build_dash_memory(events, DRAMConfig(channels=2))
+        system, state = build_memory_by_name("DCB", events, DRAMConfig(channels=2))
         assert system.channels[0].scheduler.state is state
         assert system.channels[1].scheduler.state is state
 
@@ -39,7 +39,7 @@ class TestDashUnregisteredIP:
     def test_unknown_ip_treated_as_nonurgent(self):
         """Traffic from an IP nobody registered must still be schedulable."""
         events = EventQueue()
-        system, state = build_dash_memory(events, DRAMConfig(channels=1))
+        system, state = build_memory_by_name("DCB", events, DRAMConfig(channels=1))
         done = []
         RequestPort("display.mem").connect(system).send(MemRequest(
             address=0, size=128, write=False, source=SourceType.DISPLAY,

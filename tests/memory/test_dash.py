@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
 from repro.common.ports import RequestPort
-from repro.memory.builders import build_dash_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.dash import DashConfig, DashScheduler, DashState, IPDeadlineState
 from repro.memory.request import MemRequest, SourceType
 from repro.memory.tcm import IntensityClassifier
@@ -87,9 +87,9 @@ class TestIPDeadlineState:
 def run_dash_system(reports=None, include_ip_bandwidth=False):
     """Queue CPU + GPU requests against a DASH memory system."""
     events = EventQueue()
-    system, state = build_dash_memory(
-        events, DRAMConfig(channels=1),
-        include_ip_bandwidth=include_ip_bandwidth,
+    system, state = build_memory_by_name(
+        "DTB" if include_ip_bandwidth else "DCB", events,
+        DRAMConfig(channels=1),
         dash_config=DashConfig(switching_unit=100, quantum=500))
     gpu_ip = state.register_ip(SourceType.GPU, period_ticks=100_000)
     if reports:
@@ -103,8 +103,8 @@ class TestDashScheduler:
     def _completion_order(self, state_progress, now=50_000):
         """Submit one GPU and one CPU request; report GPU progress first."""
         events = EventQueue()
-        system, state = build_dash_memory(
-            events, DRAMConfig(channels=1))
+        system, state = build_memory_by_name(
+            "DCB", events, DRAMConfig(channels=1))
         state.register_ip(SourceType.GPU, period_ticks=100_000)
         state.start_ip_period(SourceType.GPU, 0)
         events.run_until(now)

@@ -12,7 +12,7 @@ import pytest
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
 from repro.common.ports import RequestPort
-from repro.memory.builders import build_baseline_memory, build_dash_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import MemRequest, SourceType
 
 
@@ -31,7 +31,7 @@ class TestPriorityUnderLoad:
         """A CPU request arriving into 64 queued GPU requests completes
         far earlier under DASH than its arrival order implies."""
         events = EventQueue()
-        system, state = build_dash_memory(events, DRAMConfig(channels=1))
+        system, state = build_memory_by_name("DCB", events, DRAMConfig(channels=1))
         state.register_ip(SourceType.GPU, period_ticks=1_000_000)
         state.start_ip_period(SourceType.GPU, 0)
         state.report_ip_progress(SourceType.GPU, 1.0, 0)   # never urgent
@@ -49,7 +49,7 @@ class TestPriorityUnderLoad:
     def test_frfcfs_keeps_arrival_order_for_misses(self):
         """Under FR-FCFS the same CPU request waits behind the backlog."""
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=1))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         # All to distinct rows of one bank: no row hits to reorder.
         gpu_done = flood(system, 32, SourceType.GPU)
         row_stride = 16 * 8 * 128
@@ -67,7 +67,7 @@ class TestPriorityUnderLoad:
     def test_bounded_runahead_limits_committed_backlog(self):
         """New arrivals wait O(bursts), not O(queue), for a decision."""
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=1))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         flood(system, 64, SourceType.GPU)
         events.run_until(5)      # let the first wake commit its window
         channel = system.channels[0]

@@ -7,10 +7,8 @@ from repro.common.events import EventQueue
 from repro.common.ports import RequestPort
 from repro.memory.builders import (
     MEMORY_CONFIG_NAMES,
-    build_baseline_memory,
     build_memory_by_name,
 )
-from repro.memory.hmc import build_hmc_memory
 from repro.memory.request import MemRequest, SourceType
 from repro.memory.system import SourceTypeRouter, dram_cycle_ticks
 
@@ -41,7 +39,7 @@ class TestCycleTicks:
 class TestBaselineRouting:
     def test_channel_interleaving(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         submit_and_run(system, events,
                        [req(i * 128) for i in range(8)])
         ch0 = system.channels[0].stats.counter("requests").value
@@ -51,7 +49,7 @@ class TestBaselineRouting:
 
     def test_gpu_and_cpu_share_channels(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         submit_and_run(system, events, [
             req(0, SourceType.CPU), req(128, SourceType.GPU),
         ])
@@ -62,7 +60,7 @@ class TestBaselineRouting:
 class TestHMC:
     def test_source_partitioning(self):
         events = EventQueue()
-        system = build_hmc_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("HMC", events, DRAMConfig(channels=2))
         submit_and_run(system, events, [
             req(0, SourceType.CPU), req(128, SourceType.CPU),
             req(0, SourceType.GPU), req(128, SourceType.DISPLAY),
@@ -75,7 +73,7 @@ class TestHMC:
     def test_ip_channel_uses_bank_striping(self):
         """Sequential IP addresses on HMC spread across banks."""
         events = EventQueue()
-        system = build_hmc_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("HMC", events, DRAMConfig(channels=2))
         submit_and_run(system, events,
                        [req(i * 128, SourceType.DISPLAY) for i in range(8)])
         # All 8 land on the IP channel and open 8 different banks.
@@ -84,7 +82,7 @@ class TestHMC:
 
     def test_cpu_channel_keeps_page_striping(self):
         events = EventQueue()
-        system = build_hmc_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("HMC", events, DRAMConfig(channels=2))
         submit_and_run(system, events,
                        [req(i * 128, SourceType.CPU) for i in range(8)])
         cpu_channel = system.channels[0]
@@ -93,7 +91,7 @@ class TestHMC:
 
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):
-            build_hmc_memory(EventQueue(), DRAMConfig(channels=1))
+            build_memory_by_name("HMC", EventQueue(), DRAMConfig(channels=1))
 
     def test_router_validation(self):
         with pytest.raises(ValueError):
@@ -103,19 +101,19 @@ class TestHMC:
 class TestAggregateStats:
     def test_row_hit_rate(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=1))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         submit_and_run(system, events, [req(i * 128) for i in range(16)])
         assert system.row_hit_rate() == pytest.approx(15 / 16)
 
     def test_bytes_per_activation(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=1))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         submit_and_run(system, events, [req(i * 128) for i in range(16)])
         assert system.bytes_per_activation() == 16 * 128
 
     def test_total_bytes_by_source(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         submit_and_run(system, events, [
             req(0, SourceType.CPU), req(128, SourceType.GPU),
             req(256, SourceType.GPU),
@@ -125,13 +123,13 @@ class TestAggregateStats:
 
     def test_mean_latency(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=1))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         submit_and_run(system, events, [req(0, SourceType.GPU)])
         assert system.mean_latency(SourceType.GPU) > 0
 
     def test_bandwidth_series_merged_across_channels(self):
         events = EventQueue()
-        system = build_baseline_memory(events, DRAMConfig(channels=2))
+        system, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         submit_and_run(system, events, [req(i * 128) for i in range(4)])
         series = system.bandwidth_series(SourceType.CPU)
         assert sum(v for _, v in series) == 4 * 128

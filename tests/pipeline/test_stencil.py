@@ -8,7 +8,7 @@ from repro.common.events import EventQueue
 from repro.gl.context import GLContext
 from repro.gl.state import CullMode, DepthFunc, StencilOp
 from repro.gpu.gpu import EmeraldGPU
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.pipeline.renderer import ReferenceRenderer
 
 from tests.pipeline.helpers import FLAT_COLOR_FS, FLAT_VS, fullscreen_quad, \
@@ -125,7 +125,7 @@ class TestStencilOnGPU:
         frame = build_frame()
         reference, _ = ReferenceRenderer(SIZE, SIZE).render(frame)
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)),
                          SIZE, SIZE, memory=memory)
         gpu.run_frame(frame)
@@ -141,7 +141,7 @@ class TestStencilOnGPU:
         ctx.draw_mesh(fullscreen_quad())
         frame = ctx.end_frame()
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)),
                          SIZE, SIZE, memory=memory)
         gpu.run_frame(frame)

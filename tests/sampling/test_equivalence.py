@@ -120,12 +120,11 @@ class TestFunctionalSimContract:
         assert checkpoint.tick == 2 * config.gpu_frame_period_ticks
 
     def test_restore_refuses_foreign_topology(self):
-        from repro.common.config import DRAMConfig
         config = self.config()
         sim = FunctionalSim(config, self.frame_source(), render="none")
         sim.run(1)
         checkpoint = sim.checkpoint()
-        other = replace(config, dram=DRAMConfig(channels=1))
+        other = tiny_config(num_frames=3, memory_config="HMC")
         with pytest.raises(CheckpointTopologyError):
             FunctionalSim.from_checkpoint(checkpoint, other,
                                           self.frame_source())

@@ -10,11 +10,12 @@ from repro.health.faults import FaultConfig, FaultInjector
 from repro.sanitize import CheckpointMismatchViolation
 from repro.sanitize.roundtrip import trace_crc, verify_roundtrip
 from repro.soc.checkpoint import GraphicsCheckpoint
-from tests.health.full_system import HEIGHT, WIDTH
+from tests.health.full_system import HEIGHT, WIDTH, tiny_config
 
 
 def take_checkpoint(frames=1, rng=None):
-    manager = CheckpointManager(every=1)
+    manager = CheckpointManager(
+        every=1, topology=tiny_config().topology.topology_hash())
     source = manager.wrap_source(SceneSession("cube", WIDTH, HEIGHT).frame)
     for index in range(frames):
         source(index)
@@ -53,7 +54,7 @@ class TestVerifyRoundtrip:
 
         good = take_checkpoint()
         bad = Tampered(trace_json=good.trace_json, tick=good.tick,
-                       frame_index=good.frame_index)
+                       frame_index=good.frame_index, topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation) as excinfo:
             verify_roundtrip(bad, tick=7)
         assert excinfo.value.details["field"] == "frame_index"
@@ -71,7 +72,8 @@ class TestVerifyRoundtrip:
 
         good = take_checkpoint()
         bad = StaleCRC(trace_json=good.trace_json, tick=good.tick,
-                       frame_index=good.frame_index)
+                       frame_index=good.frame_index,
+                       topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation) as excinfo:
             verify_roundtrip(bad, tick=7)
         assert excinfo.value.details["field"] == "crc"
@@ -85,7 +87,8 @@ class TestVerifyRoundtrip:
 
         good = take_checkpoint()
         bad = Truncated(trace_json=good.trace_json, tick=good.tick,
-                        frame_index=good.frame_index)
+                        frame_index=good.frame_index,
+                        topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation,
                            match="validator"):
             verify_roundtrip(bad)

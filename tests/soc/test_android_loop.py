@@ -6,7 +6,7 @@ from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
 from repro.common.events import EventQueue
 from repro.gpu.gpu import EmeraldGPU
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory, build_dash_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
 from repro.soc.android import RenderLoop
 from repro.soc.cpu import CPUCore, CPUCoreConfig
@@ -16,10 +16,10 @@ def make_loop(num_frames=3, period=200_000, dash=False, cpu_work=20,
               cpu_fixed=0):
     events = EventQueue()
     if dash:
-        memory, dash_state = build_dash_memory(events, DRAMConfig(channels=2))
+        memory, dash_state = build_memory_by_name("DCB", events, DRAMConfig(channels=2))
         dash_state.register_ip(SourceType.GPU, period)
     else:
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         dash_state = None
     gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)), 64, 48,
                      memory=memory)

@@ -4,14 +4,14 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
 from repro.soc.cpu import CPUCluster, CPUCore, CPUCoreConfig
 
 
 def make_system():
     events = EventQueue()
-    memory = build_baseline_memory(events, DRAMConfig(channels=1))
+    memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
     return events, memory
 
 
@@ -56,8 +56,8 @@ class TestCPUCore:
         """Feedback: slower DRAM -> slower CPU job (the trace-based blind spot)."""
         def run_with(data_rate):
             events = EventQueue()
-            memory = build_baseline_memory(
-                events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
+            memory, _ = build_memory_by_name(
+                "BAS", events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
             core = CPUCore(events, 0, memory,
                            CPUCoreConfig(active=False), base_address=0)
             done = []

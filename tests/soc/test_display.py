@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
-from repro.memory.builders import build_baseline_memory, build_dash_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
 from repro.soc.display import DisplayController
 
@@ -13,12 +13,12 @@ def make_display(period=50_000, frame_bytes=64 * 64 * 4, data_rate=1333,
                  dash=False):
     events = EventQueue()
     if dash:
-        memory, state = build_dash_memory(
-            events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
+        memory, state = build_memory_by_name(
+            "DCB", events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
         state.register_ip(SourceType.DISPLAY, period)
     else:
-        memory = build_baseline_memory(
-            events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
+        memory, _ = build_memory_by_name(
+            "BAS", events, DRAMConfig(channels=1, data_rate_mbps=data_rate))
         state = None
     display = DisplayController(events, memory,
                                 framebuffer_address=0x1000_0000,

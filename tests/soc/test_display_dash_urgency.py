@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
-from repro.memory.builders import build_dash_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import SourceType
 from repro.soc.display import DisplayController
 from tests.fake_memory import send
@@ -12,8 +12,8 @@ from tests.fake_memory import send
 
 def starved_display(period=20_000, competing_gpu_requests=600):
     events = EventQueue()
-    memory, state = build_dash_memory(
-        events, DRAMConfig(channels=1, data_rate_mbps=400))
+    memory, state = build_memory_by_name(
+        "DCB", events, DRAMConfig(channels=1, data_rate_mbps=400))
     state.register_ip(SourceType.DISPLAY, period)
     state.register_ip(SourceType.GPU, period * 2)
     display = DisplayController(events, memory,

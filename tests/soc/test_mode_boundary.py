@@ -26,7 +26,7 @@ TOTAL = 3         # one detailed frame after the switch
 
 
 def preset_config(name, num_frames=TOTAL):
-    return replace(tiny_config(num_frames=num_frames), memory_config=name)
+    return tiny_config(num_frames=num_frames, memory_config=name)
 
 
 def session():
@@ -99,4 +99,5 @@ class TestModeField:
     def test_unknown_mode_rejected(self):
         from repro.soc.checkpoint import CheckpointError, capture
         with pytest.raises(CheckpointError):
-            capture([], tick=0, frame_index=1, mode="hybrid")
+            capture([], tick=0, frame_index=1, topology="0" * 16,
+                    mode="hybrid")

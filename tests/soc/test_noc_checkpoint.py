@@ -6,18 +6,22 @@ import pytest
 
 from repro.common.config import DRAMConfig
 from repro.common.events import EventQueue
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.memory.request import MemRequest, SourceType
-from repro.soc.checkpoint import (CheckpointError, GraphicsCheckpoint,
-                                  capture)
+from repro.soc.checkpoint import (CheckpointCorruptError, CheckpointError,
+                                  GraphicsCheckpoint, _payload_crc, capture)
 from repro.soc.noc import SystemNoC
+from repro.soc.soc import SoCRunConfig
 from tests.fake_memory import send
+
+#: Every snapshot names its machine; these name the default one.
+MACHINE = SoCRunConfig().topology.topology_hash()
 
 
 class TestSystemNoC:
     def test_adds_latency(self):
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=25)
         done = []
         send(noc, 0, source=SourceType.CPU, done=done.append)
@@ -30,7 +34,7 @@ class TestSystemNoC:
         """A GPU request reaches DRAM through the NoC's ingress port, the
         way the GPU L2's misses do."""
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         times = []
         send(noc, 0, done=lambda _: times.append(events.now))
@@ -40,7 +44,7 @@ class TestSystemNoC:
 
     def test_write_without_callback(self):
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         send(noc, 0, write=True)
         events.run()
@@ -50,7 +54,7 @@ class TestSystemNoC:
         """The callback receives the completed MemRequest, so latency and
         fault markers flow back to the issuer."""
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         noc = SystemNoC(events, memory, latency=5)
         seen = []
         send(noc, 0x400, done=seen.append)
@@ -64,13 +68,17 @@ class TestSystemNoC:
 
 
 def _valid_doc() -> dict:
-    doc = json.loads(capture([], tick=123, frame_index=2).to_json())
-    # Schema-validation tests below mutate one field at a time; drop the
-    # integrity CRC so the mutation reaches the validator under test
-    # instead of tripping the corruption check first (covered separately
-    # by TestCheckpointCorruption).
-    doc.pop("crc")
-    return doc
+    return json.loads(
+        capture([], tick=123, frame_index=2, topology=MACHINE).to_json())
+
+
+def _load(doc: dict) -> GraphicsCheckpoint:
+    """``from_json`` on a mutated snapshot.  Schema-validation tests
+    mutate one field at a time; restamping the CRC lets the mutation
+    reach the validator under test instead of tripping the corruption
+    check first (covered separately by TestCheckpointCorruption)."""
+    doc["crc"] = _payload_crc(doc)
+    return GraphicsCheckpoint.from_json(json.dumps(doc))
 
 
 class TestCheckpointValidation:
@@ -90,7 +98,7 @@ class TestCheckpointValidation:
         doc = _valid_doc()
         doc["version"] = 99
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == "version"
 
     @pytest.mark.parametrize("key", ["tick", "frame_index"])
@@ -98,7 +106,7 @@ class TestCheckpointValidation:
         doc = _valid_doc()
         del doc[key]
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == key
 
     @pytest.mark.parametrize("bad", ["12", 3.5, True, None])
@@ -106,14 +114,14 @@ class TestCheckpointValidation:
         doc = _valid_doc()
         doc["tick"] = bad
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == "tick"
 
     def test_negative_frame_index(self):
         doc = _valid_doc()
         doc["frame_index"] = -1
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == "frame_index"
         assert "frame_index" in str(excinfo.value)
 
@@ -121,14 +129,21 @@ class TestCheckpointValidation:
         doc = _valid_doc()
         del doc["trace"]
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == "trace"
+
+    def test_missing_topology(self):
+        doc = _valid_doc()
+        del doc["topology"]
+        with pytest.raises(CheckpointError) as excinfo:
+            _load(doc)
+        assert excinfo.value.field == "topology"
 
     def test_trace_frames_not_a_list(self):
         doc = _valid_doc()
         doc["trace"]["frames"] = {"oops": 1}
         with pytest.raises(CheckpointError) as excinfo:
-            GraphicsCheckpoint.from_json(json.dumps(doc))
+            _load(doc)
         assert excinfo.value.field == "trace.frames"
 
     def test_error_is_a_value_error(self):
@@ -142,8 +157,8 @@ class TestCheckpointCorruption:
     detail, before schema validation even runs."""
 
     def test_truncated_snapshot_is_corruption_not_schema(self):
-        from repro.soc.checkpoint import CheckpointCorruptError
-        text = capture([], tick=1, frame_index=1).to_json()
+        text = capture([], tick=1, frame_index=1,
+                       topology=MACHINE).to_json()
         with pytest.raises(CheckpointCorruptError) as excinfo:
             GraphicsCheckpoint.from_json(text[: len(text) // 2])
         assert excinfo.value.field == "$"
@@ -151,9 +166,8 @@ class TestCheckpointCorruption:
         assert excinfo.value.expected_crc is None    # no CRC readable
 
     def test_bit_rot_trips_the_crc_with_both_digests(self):
-        from repro.soc.checkpoint import (CheckpointCorruptError,
-                                          _payload_crc)
-        doc = json.loads(capture([], tick=123, frame_index=2).to_json())
+        doc = json.loads(capture([], tick=123, frame_index=2,
+                                 topology=MACHINE).to_json())
         doc["tick"] = 124                            # one flipped value
         with pytest.raises(CheckpointCorruptError) as excinfo:
             GraphicsCheckpoint.from_json(json.dumps(doc))
@@ -164,31 +178,33 @@ class TestCheckpointCorruption:
         assert f"0x{doc['crc']:08x}" in str(excinfo.value)
 
     def test_non_integer_crc_is_corruption(self):
-        from repro.soc.checkpoint import CheckpointCorruptError
-        doc = json.loads(capture([], tick=1, frame_index=1).to_json())
+        doc = json.loads(capture([], tick=1, frame_index=1,
+                                 topology=MACHINE).to_json())
         doc["crc"] = "abc"
         with pytest.raises(CheckpointCorruptError) as excinfo:
             GraphicsCheckpoint.from_json(json.dumps(doc))
         assert excinfo.value.field == "crc"
 
-    def test_pre_crc_snapshots_still_load(self):
-        """Snapshots written before the CRC existed have no field; they
-        skip the integrity check and rely on schema validation."""
-        doc = json.loads(capture([], tick=7, frame_index=1).to_json())
+    def test_snapshot_without_crc_is_refused(self):
+        """Every writer embeds the CRC, so a snapshot without one is
+        damaged: refused, never loaded unchecked."""
+        doc = json.loads(
+            capture([], tick=7, frame_index=1, topology=MACHINE).to_json())
         doc.pop("crc")
-        restored = GraphicsCheckpoint.from_json(json.dumps(doc))
-        assert restored.tick == 7
+        with pytest.raises(CheckpointCorruptError) as excinfo:
+            GraphicsCheckpoint.from_json(json.dumps(doc))
+        assert excinfo.value.field == "crc"
 
     def test_corruption_is_a_checkpoint_error(self):
         """Callers catching CheckpointError (the recovery path) also see
         corruption — the subclass only adds detail."""
-        from repro.soc.checkpoint import CheckpointCorruptError
         assert issubclass(CheckpointCorruptError, CheckpointError)
 
     def test_crc_is_format_independent(self):
         """Reformatting (indentation, key order) does not trip the CRC —
         it digests the canonical serialization."""
-        doc = json.loads(capture([], tick=9, frame_index=1).to_json())
+        doc = json.loads(capture([], tick=9, frame_index=1,
+                                 topology=MACHINE).to_json())
         reformatted = json.dumps(doc, indent=2, sort_keys=True)
         assert GraphicsCheckpoint.from_json(reformatted).tick == 9
 
@@ -198,7 +214,7 @@ class TestCheckpointRoundTrip:
         from repro.harness.scenes import SceneSession
         session = SceneSession("cube", 32, 24)
         original = capture([session.frame(0), session.frame(1)],
-                           tick=5_000, frame_index=2)
+                           tick=5_000, frame_index=2, topology=MACHINE)
         restored = GraphicsCheckpoint.from_json(original.to_json())
         assert restored.tick == original.tick
         assert restored.frame_index == original.frame_index
@@ -207,7 +223,8 @@ class TestCheckpointRoundTrip:
     def test_round_trip_replays_identical_draws(self):
         from repro.harness.scenes import SceneSession
         session = SceneSession("cube", 32, 24)
-        original = capture([session.frame(0)], tick=1, frame_index=1)
+        original = capture([session.frame(0)], tick=1, frame_index=1,
+                           topology=MACHINE)
         [frame] = GraphicsCheckpoint.from_json(
             original.to_json()).restore_frames()
         reference = session.frame(0)
@@ -220,7 +237,7 @@ class TestDisplayDashRegistration:
     def test_display_without_dash_runs(self):
         from repro.soc.display import DisplayController
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         display = DisplayController(events, memory,
                                     framebuffer_address=0,
                                     frame_bytes=16 * 16 * 4,

@@ -15,8 +15,6 @@
 """
 
 import zlib
-from dataclasses import replace
-
 import pytest
 
 from repro.common.config import DRAMConfig, GPUConfig
@@ -25,9 +23,10 @@ from repro.gpu.gpu import EmeraldGPU
 from repro.harness.case_study1 import CS1Config, make_cs1_soc
 from repro.harness.case_study2 import CS2Config, make_gpu
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory
+from repro.memory.builders import build_memory_by_name
 from repro.soc.soc import EmeraldSoC
-from tests.health.full_system import HEIGHT, WIDTH, build_soc, tiny_config
+from tests.health.full_system import (HEIGHT, WIDTH, build_soc, tiny_config,
+                                     with_link_budget)
 
 # Captured on the seed tree (commit 28c03a6) with build_soc(num_frames=2).
 GOLDEN = {
@@ -171,7 +170,7 @@ class TestDashGolden:
         quanta where DTB does not, yet both cells make the same 3,554
         picks in the same order.  ``DASH_PINS`` tells them apart."""
         session = SceneSession("cube", WIDTH, HEIGHT)
-        config = replace(tiny_config(num_frames=2), memory_config="DTB")
+        config = tiny_config(num_frames=2, memory_config="DTB")
         soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
         results = soc.run()
         assert {
@@ -233,7 +232,7 @@ class TestBenchPins:
         width, height = PIPELINE_SIZES[scale]
         session = SceneSession("teapot", width, height)
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         gpu = EmeraldGPU(events, GPUConfig(num_clusters=4), width, height,
                          memory=memory)
         stats = gpu.run_frame(session.frame(0))
@@ -248,9 +247,8 @@ class TestBenchPins:
 
 def _bounded_run(bytes_per_cycle):
     session = SceneSession("cube", WIDTH, HEIGHT)
-    config = tiny_config(num_frames=2)
-    config.noc_capacity = 32
-    config.noc_bytes_per_cycle = bytes_per_cycle
+    config = with_link_budget(tiny_config(num_frames=2), capacity=32,
+                              bytes_per_cycle=bytes_per_cycle)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
     return soc.run()
 

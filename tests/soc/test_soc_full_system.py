@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
+from repro.common.config import DRAMConfig, GPUConfig, SoCTopology, scaled_gpu
 from repro.harness.scenes import SceneSession
+from repro.memory.builders import memory_topology_by_name
 from repro.soc.checkpoint import GraphicsCheckpoint, capture
 from repro.soc.soc import EmeraldSoC, SoCRunConfig
+
+
+#: The machine the checkpoint tests stamp their snapshots with.
+MACHINE = SoCRunConfig().topology.topology_hash()
 
 
 def run_soc(memory_config="BAS", frames=2, width=64, height=48,
             data_rate=1333, **overrides):
     session = SceneSession("cube", width, height)
+    dram = DRAMConfig(channels=2, data_rate_mbps=data_rate)
     config = SoCRunConfig(
         width=width, height=height, num_frames=frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2, data_rate_mbps=data_rate),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+        topology=SoCTopology(
+            name=memory_config, gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+            memory=(memory_topology_by_name(memory_config, dram),)),
         gpu_frame_period_ticks=150_000,
         display_period_ticks=75_000,
         cpu_work_per_frame=60,
@@ -86,7 +92,8 @@ class TestCheckpoint:
     def test_roundtrip(self):
         session = SceneSession("cube", 32, 32)
         frames = [session.frame(i) for i in range(2)]
-        checkpoint = capture(frames, tick=12345, frame_index=2)
+        checkpoint = capture(frames, tick=12345, frame_index=2,
+                             topology=MACHINE)
         restored = GraphicsCheckpoint.from_json(checkpoint.to_json())
         assert restored.tick == 12345
         assert restored.frame_index == 2
@@ -98,7 +105,8 @@ class TestCheckpoint:
         from repro.pipeline.renderer import ReferenceRenderer
         session = SceneSession("cube", 32, 32)
         original = session.frame(0)
-        checkpoint = capture([original], tick=0, frame_index=1)
+        checkpoint = capture([original], tick=0, frame_index=1,
+                             topology=MACHINE)
         restored = GraphicsCheckpoint.from_json(
             checkpoint.to_json()).restore_frames()[0]
         fb_a, _ = ReferenceRenderer(32, 32).render(original)

@@ -1,12 +1,13 @@
-"""Declarative assembly: descriptor path vs legacy path, hetero boots.
+"""Declarative assembly: Table 6 presets vs written-out descriptors,
+hetero boots.
 
-The tentpole guarantee: a system assembled from an explicit
-:class:`SoCTopology` descriptor is *bit-identical* to the same system
-assembled from the legacy name-string knobs — same stats, same
-framebuffer CRC, same event count.  And a genuinely non-default topology
-(two GPU clusters, two NoC-separated memory stacks, an asymmetric
-big/little CPU cluster) boots, renders, and identifies itself with a
-distinct topology hash / fleet cache key.
+A Table 6 name is only a preset over :class:`SoCTopology`: the system
+assembled from it is *bit-identical* to the same machine written out
+field by field — same stats, same framebuffer CRC, same event count.
+And a genuinely non-default topology (two GPU clusters, two
+NoC-separated memory stacks, an asymmetric big/little CPU cluster)
+boots, renders, and identifies itself with a distinct topology hash /
+fleet cache key.
 """
 
 import zlib
@@ -17,8 +18,7 @@ from repro.common.config import (CPUClusterTopology, DRAMConfig, GPUConfig,
                                  MemoryTopology, NoCTopology, SoCTopology,
                                  scaled_gpu)
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import memory_topology_by_name
-from repro.soc.soc import EmeraldSoC, SoCRunConfig
+from repro.soc.soc import EmeraldSoC, tiny_run_config
 
 WIDTH, HEIGHT = 48, 36
 
@@ -30,25 +30,26 @@ def _run(config):
     return soc, results
 
 
-def _legacy_config(memory_config, num_frames=1):
-    return SoCRunConfig(
-        width=WIDTH, height=HEIGHT, num_frames=num_frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
-        gpu_frame_period_ticks=120_000,
-        display_period_ticks=60_000,
-        cpu_work_per_frame=40)
+#: The Table 6 presets under test, written out field by field.
+_WRITTEN_OUT = {
+    "BAS": MemoryTopology(name="BAS", dram=DRAMConfig(channels=2),
+                          scheduler="frfcfs", router="address"),
+    "HMC": MemoryTopology(name="HMC", dram=DRAMConfig(channels=2),
+                          scheduler="frfcfs", router="source"),
+}
+
+
+def _preset_config(memory_config, num_frames=1):
+    return tiny_run_config(memory_config, num_frames=num_frames)
 
 
 def _descriptor_config(memory_config, num_frames=1):
-    config = _legacy_config(memory_config, num_frames)
+    config = _preset_config(memory_config, num_frames)
     config.topology = SoCTopology(
         name=memory_config,
-        gpu=config.gpu,
+        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
         cpu=CPUClusterTopology(num_cores=4),
-        memory=(memory_topology_by_name(memory_config,
-                                        DRAMConfig(channels=2)),),
+        memory=(_WRITTEN_OUT[memory_config],),
         noc=NoCTopology(latency=12))
     return config
 
@@ -63,16 +64,16 @@ def _fingerprint(soc, results):
 
 
 class TestDescriptorBitIdentity:
-    @pytest.mark.parametrize("memory_config", ["BAS", "HMC"])
-    def test_descriptor_matches_legacy(self, memory_config):
-        legacy = _fingerprint(*_run(_legacy_config(memory_config)))
+    @pytest.mark.parametrize("memory_config", sorted(_WRITTEN_OUT))
+    def test_descriptor_matches_preset(self, memory_config):
+        preset = _fingerprint(*_run(_preset_config(memory_config)))
         declared = _fingerprint(*_run(_descriptor_config(memory_config)))
-        assert declared == legacy
+        assert declared == preset
 
     def test_derived_and_explicit_topologies_hash_equal(self):
-        legacy = _legacy_config("BAS")
+        derived = _preset_config("BAS")
         explicit = _descriptor_config("BAS")
-        assert (legacy.resolve_topology().topology_hash()
+        assert (derived.topology.topology_hash()
                 == explicit.topology.topology_hash())
 
     def test_results_name_follows_descriptor(self):
@@ -99,9 +100,8 @@ def _hetero_topology():
 
 
 def _hetero_config(num_frames=1):
-    config = _legacy_config("BAS", num_frames)
-    config.topology = _hetero_topology()
-    return config
+    return tiny_run_config(num_frames=num_frames,
+                           topology=_hetero_topology())
 
 
 class TestHeterogeneousTopology:

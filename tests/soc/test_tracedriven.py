@@ -6,7 +6,7 @@ from repro.common.config import (DRAMConfig, GPUConfig, MemoryTopology,
                                  NoCTopology, SoCTopology, scaled_gpu)
 from repro.common.events import EventQueue
 from repro.harness.scenes import SceneSession
-from repro.memory.builders import build_baseline_memory, build_memory_by_name
+from repro.memory.builders import build_memory_by_name, memory_topology_by_name
 from repro.memory.request import SourceType
 from repro.soc.soc import EmeraldSoC, SoCRunConfig
 from repro.soc.tracedriven import (
@@ -18,13 +18,16 @@ from repro.soc.tracedriven import (
 )
 
 
-def run_recorded_soc(memory_config="BAS", frames=2, topology=None):
+#: Two scaled GPU clusters behind the BAS organization.
+BAS_TOPOLOGY = SoCTopology(name="BAS",
+                           gpu=scaled_gpu(GPUConfig(num_clusters=2)),
+                           memory=(memory_topology_by_name("BAS"),))
+
+
+def run_recorded_soc(frames=2, topology=BAS_TOPOLOGY):
     session = SceneSession("cube", 64, 48)
     config = SoCRunConfig(
         width=64, height=48, num_frames=frames,
-        memory_config=memory_config,
-        dram=DRAMConfig(channels=2),
-        gpu=scaled_gpu(GPUConfig(num_clusters=2)),
         gpu_frame_period_ticks=150_000, display_period_ticks=75_000,
         cpu_work_per_frame=40, topology=topology)
     soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
@@ -87,7 +90,7 @@ RECORDED_GOLDEN = (
 
 class TestRecordedGolden:
     def test_one_frame_recording_reproduces_its_golden(self):
-        soc, results, trace = run_recorded_soc("BAS", frames=1)
+        soc, results, trace = run_recorded_soc(frames=1)
         assert (len(trace), trace.digest(), soc.events.events_fired,
                 results.end_tick) == RECORDED_GOLDEN
 
@@ -96,7 +99,7 @@ class TestReplay:
     def test_replay_reproduces_traffic_volume(self):
         _, _, trace = run_recorded_soc()
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=2))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
         replay = TraceReplayer(trace).replay(events, memory)
         assert replay.total_bytes["gpu"] == trace.bytes_by_source()["gpu"]
         assert replay.mean_latency["cpu"] > 0
@@ -104,7 +107,7 @@ class TestReplay:
 
     def test_replay_under_alternative_config(self):
         """The GemDroid workflow: record once, evaluate HMC by replay."""
-        _, _, trace = run_recorded_soc("BAS")
+        _, _, trace = run_recorded_soc()
         events = EventQueue()
         memory, _ = build_memory_by_name("HMC", events,
                                          DRAMConfig(channels=2))
@@ -114,7 +117,7 @@ class TestReplay:
 
     def test_empty_trace_rejected(self):
         events = EventQueue()
-        memory = build_baseline_memory(events, DRAMConfig(channels=1))
+        memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=1))
         with pytest.raises(ValueError):
             TraceReplayer(MemoryTrace()).replay(events, memory)
 
@@ -122,12 +125,12 @@ class TestReplay:
         """Replay end time tracks the recorded schedule, not the memory
         system: slower DRAM barely stretches the replay (no feedback) —
         whereas the execution-driven run visibly slows down."""
-        _, _, trace = run_recorded_soc("BAS")
+        _, _, trace = run_recorded_soc()
 
         def replay_with(rate):
             events = EventQueue()
-            memory = build_baseline_memory(
-                events, DRAMConfig(channels=2, data_rate_mbps=rate))
+            memory, _ = build_memory_by_name(
+                "BAS", events, DRAMConfig(channels=2, data_rate_mbps=rate))
             return TraceReplayer(trace).replay(events, memory)
 
         fast = replay_with(1333)
@@ -139,7 +142,7 @@ class TestReplay:
         assert slow.end_tick < fast.end_tick * 1.8
 
     def test_dash_replay_with_synthetic_progress(self):
-        _, _, trace = run_recorded_soc("BAS")
+        _, _, trace = run_recorded_soc()
         events = EventQueue()
         memory, dash_state = build_memory_by_name(
             "DTB", events, DRAMConfig(channels=2))
@@ -155,17 +158,17 @@ class TestDeterminism:
     """Capture and replay are deterministic; corrupt traces die typed."""
 
     def test_two_captures_of_the_same_run_digest_identically(self):
-        _, _, first = run_recorded_soc("BAS")
-        _, _, second = run_recorded_soc("BAS")
+        _, _, first = run_recorded_soc()
+        _, _, second = run_recorded_soc()
         assert first.digest() == second.digest()
         assert first.to_json() == second.to_json()
 
     def test_two_replays_of_one_trace_are_identical(self):
-        _, _, trace = run_recorded_soc("BAS")
+        _, _, trace = run_recorded_soc()
 
         def replay_once():
             events = EventQueue()
-            memory = build_baseline_memory(events, DRAMConfig(channels=2))
+            memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
             return TraceReplayer(trace).replay(events, memory)
 
         first = replay_once()
@@ -176,7 +179,7 @@ class TestDeterminism:
         assert first.row_hit_rate == second.row_hit_rate
 
     def test_serialization_round_trip_preserves_the_digest(self):
-        _, _, trace = run_recorded_soc("BAS")
+        _, _, trace = run_recorded_soc()
         restored = MemoryTrace.from_json(trace.to_json())
         assert restored.digest() == trace.digest()
         assert restored.entries == trace.entries
@@ -184,7 +187,7 @@ class TestDeterminism:
 
 class TestCorruptTraces:
     def trace_json(self):
-        _, _, trace = run_recorded_soc("BAS", frames=1)
+        _, _, trace = run_recorded_soc(frames=1)
         return trace.to_json()
 
     def test_truncated_file_rejected(self):

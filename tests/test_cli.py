@@ -193,6 +193,17 @@ class TestFleetCLI:
         jobs.write_text('{"name": "a"}')       # not a list
         assert main(["fleet", "--jobs", str(jobs)]) == 2
 
+    def test_unknown_memory_config_exits_2_before_any_worker(self, capsys,
+                                                             tmp_path):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text('[{"name": "x", "memory_config": "XYZ"}]')
+        work = tmp_path / "work"
+        assert main(["fleet", "sweep", "--jobs", str(jobs),
+                     "--workdir", str(work)]) == 2
+        out = capsys.readouterr().out
+        assert "bad fleet invocation: unknown memory_config 'XYZ'" in out
+        assert not work.exists()            # no server, so no worker ran
+
     def test_job_name_reused_for_different_spec_exits_2(self, capsys,
                                                          tmp_path):
         jobs = tmp_path / "jobs.json"

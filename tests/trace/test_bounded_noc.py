@@ -8,16 +8,16 @@ import pytest
 from repro.harness.scenes import SceneSession
 from repro.soc.soc import EmeraldSoC
 from repro.trace import TraceConfig, validate_trace
-from tests.health.full_system import HEIGHT, WIDTH, tiny_config
+from tests.health.full_system import (HEIGHT, WIDTH, tiny_config,
+                                     with_link_budget)
 
 pytestmark = [pytest.mark.slow, pytest.mark.full_system]
 
 
 def _bounded_soc(traced):
     session = SceneSession("cube", WIDTH, HEIGHT)
-    config = tiny_config(num_frames=2)
-    config.noc_capacity = 32
-    config.noc_bytes_per_cycle = 4.0
+    config = with_link_budget(tiny_config(num_frames=2),
+                              capacity=32, bytes_per_cycle=4.0)
     if traced:
         config.trace = TraceConfig()
     return EmeraldSoC(config, session.frame, session.framebuffer_address)
