@@ -249,7 +249,7 @@ def _cmd_ffwd(args) -> int:
     ``--verify`` runs the four-check functional-vs-detailed equivalence
     suite and turns it into the exit code — the CI ffwd smoke job's
     gate.  ``--sample`` runs the periodic-sampling mode instead and
-    reports extrapolated metrics with standard-error bars.  Plain
+    reports extrapolated metrics with Student-t error bars.  Plain
     ``--ffwd K`` fast-forwards K frames and runs the rest detailed.  A
     frame count, ffwd count or sampling spec the run cannot honour exits
     2 with one line.

@@ -86,8 +86,8 @@ class CheckpointManager:
         self._frames: list[Frame] = []
 
     def seed(self, frames: list[Frame]) -> None:
-        """Pre-load frames replayed from a restored checkpoint so snapshots
-        taken after a resume still cover the whole run."""
+        """Pre-load the frames a checkpoint restored so snapshots taken
+        after a resume still cover the whole run."""
         self._frames = list(frames)
 
     def wrap_source(self, frame_source: Callable[[int], Frame]
@@ -104,7 +104,7 @@ class CheckpointManager:
             return
         rng = (self.injector.rng_state()
                if self.injector is not None else None)
-        self.last = capture(list(self._frames), tick=tick,
+        self.last = capture(self._frames, tick=tick,
                             frame_index=frame_index + 1, rng=rng,
                             job=self.job, topology=self.topology,
                             mode="detailed", claim=self.claim)
@@ -136,9 +136,11 @@ def resume_soc(checkpoint: GraphicsCheckpoint, run_config,
                framebuffer_address: int):
     """Build the SoC that resumes ``checkpoint``, not yet run.
 
-    Rebuilds GL-side state by draw-call replay (which also validates the
-    trace), then constructs a fresh SoC that re-enters simulated time at
-    the snapshot tick and the render loop at the snapshot frame index.
+    Restores the snapshot's frames — a draw-call replay (which also
+    validates the trace) for a snapshot read back from text, the held
+    frames for one captured in this process — then constructs a fresh
+    SoC that re-enters simulated time at the snapshot tick and the
+    render loop at the snapshot frame index.
     A snapshot stamped with a topology hash is checked against the
     topology ``run_config`` would assemble *before* any state is rebuilt;
     a mismatch raises :class:`CheckpointTopologyError`.

@@ -10,7 +10,7 @@ Three layers compose the replay-driven speedup story:
   mode-switch contract the CI gates on);
 * :mod:`repro.sampling.sampler` + :mod:`windows` + :mod:`stats` —
   periodic sampling: alternate functional/detailed windows and
-  extrapolate FPS / DRAM / energy with standard-error bars.
+  extrapolate FPS / DRAM / energy with Student-t error bars.
 """
 
 from repro.sampling.ffwd import (FastForwardResult, fast_forward, fb_crc,

@@ -11,7 +11,9 @@ into the same draw-call trace, and emits the same
 frame boundary.  **No event queue exists here at all** — the class never
 constructs one, schedules nothing, and models no SIMT/DRAM/NoC/display
 behavior; per-frame cost is frame generation (plus optional reference
-rendering), which is what buys the sampled-mode speedup.
+rendering), which is what buys the sampled-mode speedup.  Its snapshots
+hold the frames themselves (:func:`~repro.soc.checkpoint.capture`), so a
+handoff within the process encodes no trace.
 
 Checkpoint ticks are *nominal*: frame ``k``'s boundary is stamped at
 ``k * gpu_frame_period_ticks`` — where an on-pace detailed run would be.
@@ -39,9 +41,8 @@ from repro.soc.checkpoint import GraphicsCheckpoint, capture
 # What the functional engine renders: "none" advances GL state only (the
 # cheapest fast-forward), "boundary" renders the last frame before each
 # checkpoint (gives a framebuffer CRC to cross-check against the detailed
-# engine), "all" renders every frame (full functional framebuffer
-# history, the slowest).
-RENDER_POLICIES = ("none", "boundary", "all")
+# engine).
+RENDER_POLICIES = ("none", "boundary")
 
 
 class FunctionalSimError(ValueError):
@@ -77,7 +78,6 @@ class FunctionalSim:
         self.frames: list[Frame] = []
         self.next_frame = 0
         self.fb: Optional[Framebuffer] = None
-        self.frames_rendered = 0
 
     @classmethod
     def from_checkpoint(cls, checkpoint: GraphicsCheckpoint, run_config,
@@ -114,10 +114,8 @@ class FunctionalSim:
         for index in range(self.next_frame, until_frame):
             frame = self.frame_source(index)
             self.frames.append(frame)
-            if self.render == "all" or (self.render == "boundary"
-                                        and index == until_frame - 1):
+            if self.render == "boundary" and index == until_frame - 1:
                 self.fb, _ = self._renderer.render(frame)
-                self.frames_rendered += 1
         self.next_frame = until_frame
         return self
 
@@ -135,7 +133,7 @@ class FunctionalSim:
             raise FunctionalSimError(
                 "nothing executed yet — a checkpoint at frame 0 would "
                 "restore an empty run")
-        return capture(list(self.frames), tick=self.nominal_tick(),
+        return capture(self.frames, tick=self.nominal_tick(),
                        frame_index=self.next_frame, job=job,
                        topology=self.topology.topology_hash(),
                        mode="functional")

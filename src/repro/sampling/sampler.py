@@ -7,12 +7,13 @@ advance architectural state with zero timing events
 the full timing model resumed from the previous window's checkpoint, and
 every window hands the next one a :class:`GraphicsCheckpoint` — the same
 snapshot format in both directions, which is what the mode-boundary test
-suite pins.
+suite pins.  The handoff stays in memory: a snapshot holds the frames it
+was captured from, so no boundary encodes or replays a trace.
 
 Each detailed window contributes one :class:`WindowSample` (per-frame
 means of GPU time, total time, DRAM bytes, energy, measured after the
 window's warmup frames), and :func:`~repro.sampling.stats.extrapolate`
-turns the samples into whole-run estimates with standard-error bars.
+turns the samples into whole-run estimates with Student-t error bars.
 Detailed windows start microarchitecturally cold (the switch contract,
 DESIGN.md §13) — the per-window warmup exists to keep that transient out
 of the samples.
@@ -42,7 +43,6 @@ class SampledRunResult:
     schedule: WindowSchedule
     samples: list[WindowSample]
     extrapolated: ExtrapolatedRun
-    checkpoint: Optional[GraphicsCheckpoint]   # after the last window
     final_detailed_fb_crc: Optional[int]       # last detailed window's fb
     final_detailed_frame: Optional[int]        # index that fb belongs to
     frames_functional: int = 0
@@ -155,15 +155,14 @@ def measure_window(run_config, window: Window, session,
 
 
 def run_sampled(run_config, session_factory: Callable[[], object],
-                schedule: WindowSchedule, job: Optional[str] = None,
-                render: str = "none") -> SampledRunResult:
+                schedule: WindowSchedule, job: Optional[str] = None
+                ) -> SampledRunResult:
     """Execute one workload under a sampling schedule and extrapolate.
 
-    ``render`` is the functional windows' render policy ("none" is the
-    fast default; "boundary" renders each switch frame for CRC
-    cross-checks).  The caller's ``run_config.health`` is *not* used
-    inside detailed windows — sampling owns the window checkpointing —
-    but its ``frame_hook`` (fleet heartbeats) is preserved.
+    Functional windows render nothing.  The caller's ``run_config.health``
+    is *not* used inside detailed windows — sampling owns the window
+    checkpointing — but its ``frame_hook`` (fleet heartbeats) is
+    preserved.
     """
     if schedule.total_frames != run_config.num_frames:
         raise ValueError(
@@ -182,20 +181,20 @@ def run_sampled(run_config, session_factory: Callable[[], object],
     final_fb_frame: Optional[int] = None
     windows = schedule.windows()
     for window in windows:
-        # The last window's boundary snapshot has no consumer (nothing
-        # runs after it) and is the most expensive capture of the run —
-        # its trace covers every frame — so it is skipped.
+        # The last window's boundary snapshot is skipped: nothing runs
+        # after it to resume from it.
         is_last = window is windows[-1]
         if window.kind == "functional":
             start = time.perf_counter()
             session = session_factory()
             if checkpoint is None:
-                sim = FunctionalSim(run_config, session.frame, render=render)
+                sim = FunctionalSim(run_config, session.frame, render="none")
             else:
                 sim = FunctionalSim.from_checkpoint(
-                    checkpoint, run_config, session.frame, render=render)
+                    checkpoint, run_config, session.frame, render="none")
             sim.run(window.end)
-            checkpoint = sim.checkpoint(job=job) if not is_last else None
+            if not is_last:
+                checkpoint = sim.checkpoint(job=job)
             frames_functional += window.frames
             wall_functional += time.perf_counter() - start
             continue
@@ -210,9 +209,7 @@ def run_sampled(run_config, session_factory: Callable[[], object],
                 checkpoint_job=job))
         soc, results, sample = measure_window(
             window_config, window, session_factory(), checkpoint)
-        if is_last:
-            checkpoint = None
-        else:
+        if not is_last:
             checkpoint = soc.checkpoints.last
             if checkpoint is None or checkpoint.frame_index != window.end:
                 raise RuntimeError(
@@ -234,7 +231,7 @@ def run_sampled(run_config, session_factory: Callable[[], object],
         samples=samples)
     return SampledRunResult(
         schedule=schedule, samples=samples, extrapolated=extrapolated,
-        checkpoint=checkpoint, final_detailed_fb_crc=final_fb_crc,
+        final_detailed_fb_crc=final_fb_crc,
         final_detailed_frame=final_fb_frame,
         frames_functional=frames_functional,
         frames_detailed=frames_detailed,

@@ -12,7 +12,10 @@ Math, for window means :math:`x_1..x_n`:
 * estimate: :math:`\\bar{x} = \\sum x_i / n`
 * sample std dev: :math:`s = \\sqrt{\\sum (x_i-\\bar{x})^2 / (n-1)}`
 * standard error: :math:`SE = s / \\sqrt{n}`
-* 95% CI: :math:`\\bar{x} \\pm 1.96 \\cdot SE`
+* 95% CI: :math:`\\bar{x} \\pm t_{0.975,\\,n-1} \\cdot SE`, the Student-t
+  quantile with :math:`n-1` degrees of freedom (:data:`T975`).  A sampled
+  run has 2 or 3 windows, where the normal 1.96 would understate the
+  interval 6.5x or 2.2x.
 
 Degenerate inputs are **typed errors, not NaNs**: zero detailed windows
 means there is nothing to extrapolate from, and a single window has no
@@ -28,6 +31,21 @@ from dataclasses import dataclass, field
 
 # Metrics every sample carries (per-frame means over the window).
 SAMPLE_METRICS = ("gpu_time", "total_time", "dram_bytes", "energy_uj")
+
+#: Two-sided 95% Student-t quantiles t(0.975, df), by degrees of freedom.
+T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
+        7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 15: 2.131, 20: 2.086,
+        30: 2.042, 60: 2.000, 120: 1.980}
+
+
+def t975(df: int) -> float:
+    """t(0.975, df) from :data:`T975`.  A df between or beyond its rows
+    takes the next smaller tabulated df, whose quantile is larger: the
+    interval errs wide (conservative)."""
+    if df < 1:
+        raise ValueError(f"a t quantile needs at least 1 degree of "
+                         f"freedom, got {df}")
+    return T975[max(tabulated for tabulated in T975 if tabulated <= df)]
 
 
 class ExtrapolationError(ValueError):
@@ -68,7 +86,8 @@ class WindowSample:
 
 @dataclass(frozen=True)
 class SampledEstimate:
-    """One extrapolated metric: mean over windows, with its error bar."""
+    """One extrapolated metric: mean over windows, with its error bar
+    (a Student-t 95% interval over ``windows - 1`` degrees of freedom)."""
 
     metric: str
     mean: float
@@ -78,7 +97,7 @@ class SampledEstimate:
 
     @property
     def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.stderr
+        half = t975(self.windows - 1) * self.stderr
         return (self.mean - half, self.mean + half)
 
     @property
@@ -115,7 +134,7 @@ def require_windows(count: int) -> None:
 def extrapolate(samples: list[WindowSample],
                 metrics: tuple[str, ...] = SAMPLE_METRICS
                 ) -> dict[str, SampledEstimate]:
-    """Window means -> per-metric estimates with standard-error bars.
+    """Window means -> per-metric estimates with Student-t error bars.
 
     Requires at least two measured windows (see :func:`require_windows`).
     """

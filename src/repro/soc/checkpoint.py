@@ -5,6 +5,10 @@ by recording all draw calls and replaying them through the functional model
 at restore.  Here a checkpoint bundles the recorded draw-call trace (the
 same JSON format as :mod:`repro.gl.trace`), the simulated time, and the
 app-side frame counter; restore rebuilds the GL-side state by replay.
+A snapshot handed to the next run in the same process (the sampler's
+window boundaries) skips both halves: it holds the frames it was
+captured from, encodes its trace only when something reads it, and
+restores those frames without a replay.
 
 Checkpoints are the crash-recovery substrate of the health subsystem
 (:mod:`repro.health.recovery`), so :meth:`GraphicsCheckpoint.from_json`
@@ -17,8 +21,8 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from repro.gl.context import Frame
 from repro.gl.trace import TraceRecorder, replay
@@ -97,9 +101,18 @@ def _payload_crc(doc: dict) -> int:
         json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
 
 
-@dataclass
+@dataclass(init=False)
 class GraphicsCheckpoint:
     """A serializable snapshot of graphics + loop state.
+
+    A snapshot is built either from frames (:func:`capture`) or from text
+    (:meth:`from_json`, ``GraphicsCheckpoint(trace_json=...)``).  One
+    built from frames holds them, encodes :attr:`trace_json` on first
+    read and caches it, and restores the held frames without a replay;
+    one built from text replays its trace at restore.  Both encode the
+    same bytes (capture -> replay -> re-capture is a fixed point), so
+    ``==``, :meth:`to_json` and a resume do not depend on which one a
+    consumer was handed.
 
     ``rng`` (optional) carries the fault injector's serialized RNG stream
     states (:meth:`repro.health.faults.FaultInjector.rng_state`) so a
@@ -134,6 +147,8 @@ class GraphicsCheckpoint:
     claim that produced it.  Absent (None) outside server-claimed jobs.
     """
 
+    # A field, so ``==``, ``repr`` and ``dataclasses.replace`` see the
+    # encoded trace; the property of the same name below serves it.
     trace_json: str
     tick: int
     frame_index: int
@@ -142,6 +157,35 @@ class GraphicsCheckpoint:
     job: Optional[str] = None
     mode: Optional[str] = None
     claim: Optional[str] = None
+
+    def __init__(self, trace_json: Optional[str], tick: int,
+                 frame_index: int, topology: str,
+                 rng: Optional[dict] = None, job: Optional[str] = None,
+                 mode: Optional[str] = None, claim: Optional[str] = None,
+                 *, frames: Optional[Sequence[Frame]] = None) -> None:
+        if (trace_json is None) == (frames is None):
+            raise TypeError("a checkpoint is built from exactly one of "
+                            "trace_json or frames")
+        self._trace_json = trace_json
+        self._frames = None if frames is None else tuple(frames)
+        self.tick = tick
+        self.frame_index = frame_index
+        self.topology = topology
+        self.rng = rng
+        self.job = job
+        self.mode = mode
+        self.claim = claim
+
+    @property
+    def trace_json(self) -> str:
+        """The draw-call trace, encoded from the held frames on first
+        read (then cached) for a snapshot built from frames."""
+        if self._trace_json is None:
+            recorder = TraceRecorder()
+            for frame in self._frames:
+                recorder.record_frame(frame)
+            self._trace_json = recorder.to_json()
+        return self._trace_json
 
     def to_json(self) -> str:
         doc = {
@@ -234,8 +278,12 @@ class GraphicsCheckpoint:
                    topology=topology, mode=mode, claim=claim)
 
     def restore_frames(self) -> list[Frame]:
-        """Replay the recorded draw calls through a fresh GL context."""
-        return replay(self.trace_json)
+        """A new list of the frames this snapshot restores: the held
+        frames of one built from frames, else a replay of the recorded
+        draw calls through a fresh GL context."""
+        if self._frames is not None:
+            return list(self._frames)
+        return replay(self._trace_json)
 
     def require_topology(self, run_config) -> None:
         """Refuse to restore onto the topology ``run_config`` assembles
@@ -264,6 +312,9 @@ class GraphicsCheckpoint:
         re-rendered frames are therefore not comparable to the original
         run's — only the architectural state (and the payload derived
         from it) is.
+
+        The copy is built from text, so restoring it replays: the only
+        snapshots rewound are ones read back from disk.
         """
         if count <= 0:
             raise ValueError(f"rewind count must be positive, got {count}")
@@ -275,9 +326,8 @@ class GraphicsCheckpoint:
                 f"{len(frames)} recorded frame(s) at frame_index "
                 f"{self.frame_index}")
         trace["frames"] = frames[:-count]
-        from dataclasses import replace as _replace
-        return _replace(self, trace_json=json.dumps(trace),
-                        frame_index=self.frame_index - count)
+        return replace(self, trace_json=json.dumps(trace),
+                       frame_index=self.frame_index - count)
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -299,15 +349,22 @@ def capture(frames: list[Frame], tick: int, frame_index: int,
             job: Optional[str] = None,
             mode: Optional[str] = None,
             claim: Optional[str] = None) -> GraphicsCheckpoint:
-    """Record rendered frames into a checkpoint of the machine whose
-    topology hash is ``topology``."""
+    """Snapshot rendered frames on the machine whose topology hash is
+    ``topology``.
+
+    The snapshot keeps ``tuple(frames)`` and encodes their trace only
+    when :attr:`GraphicsCheckpoint.trace_json` is first read, possibly
+    long after this call.  That is exact because a frame's encoding does
+    not change once :meth:`repro.gl.context.GLContext.end_frame` has
+    built it: ``GLState`` is frozen, scenes build fresh uniform arrays
+    per frame, texture and vertex data are only read, and
+    :func:`repro.gl.trace.replay` sets clear fields only on frames it
+    just built.  Code that mutates a built frame breaks this.
+    """
     if mode is not None and mode not in CHECKPOINT_MODES:
         raise CheckpointError(
             f"expected one of {sorted(CHECKPOINT_MODES)}, got {mode!r}",
             field="mode")
-    recorder = TraceRecorder()
-    for frame in frames:
-        recorder.record_frame(frame)
-    return GraphicsCheckpoint(trace_json=recorder.to_json(), tick=tick,
-                              frame_index=frame_index, rng=rng, job=job,
-                              topology=topology, mode=mode, claim=claim)
+    return GraphicsCheckpoint(None, tick, frame_index, topology, rng=rng,
+                              job=job, mode=mode, claim=claim,
+                              frames=frames)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.sampling.stats import (SAMPLE_METRICS, ExtrapolatedRun,
                                   ExtrapolationError, SampledEstimate,
-                                  WindowSample, extrapolate)
+                                  WindowSample, extrapolate, t975)
 
 
 def sample(start, gpu=0.0, total=0.0, dram=0.0, energy=0.0):
@@ -31,15 +31,25 @@ class TestExtrapolate:
         assert est.stderr == pytest.approx(2.0 / math.sqrt(3.0))
         assert est.windows == 3
 
-    def test_ci95_is_mean_plus_minus_1_96_stderr(self):
+    def test_ci95_is_mean_plus_minus_t_stderr(self):
         samples = [sample(0, total=10.0), sample(8, total=14.0)]
         est = extrapolate(samples)["total_time"]
-        # mean 12, std sqrt((4+4)/1) = 2*sqrt(2), stderr std/sqrt(2) = 2.
+        # mean 12, std sqrt((4+4)/1) = 2*sqrt(2), stderr std/sqrt(2) = 2;
+        # 2 windows -> 1 degree of freedom, t(0.975, 1) = 12.706.
         assert est.mean == pytest.approx(12.0)
         assert est.stderr == pytest.approx(2.0)
         low, high = est.ci95
-        assert low == pytest.approx(12.0 - 1.96 * 2.0)
-        assert high == pytest.approx(12.0 + 1.96 * 2.0)
+        assert low == pytest.approx(12.0 - 12.706 * 2.0)
+        assert high == pytest.approx(12.0 + 12.706 * 2.0)
+
+    def test_three_window_ci95_uses_t_with_two_degrees_of_freedom(self):
+        # gpu_time observations 2, 4, 6: mean 4, stderr 2/sqrt(3);
+        # t(0.975, 2) = 4.303.
+        samples = [sample(0, gpu=2.0), sample(8, gpu=4.0), sample(16, gpu=6.0)]
+        low, high = extrapolate(samples)["gpu_time"].ci95
+        half = 4.303 * 2.0 / math.sqrt(3.0)
+        assert low == pytest.approx(4.0 - half)
+        assert high == pytest.approx(4.0 + half)
 
     def test_identical_windows_have_zero_error_bar(self):
         samples = [sample(0, dram=512.0), sample(8, dram=512.0)]
@@ -98,6 +108,24 @@ class TestExtrapolatedRun:
         assert est["ci95"] == [pytest.approx(20.0), pytest.approx(20.0)]
 
 
+class TestT975:
+    @pytest.mark.parametrize("df,quantile", [
+        (1, 12.706), (2, 4.303), (3, 3.182), (10, 2.228), (120, 1.980)])
+    def test_tabulated_quantiles(self, df, quantile):
+        assert t975(df) == quantile
+
+    @pytest.mark.parametrize("df,quantile", [
+        (11, 2.228), (14, 2.228), (59, 2.042), (1000, 1.980)])
+    def test_untabulated_df_takes_the_next_smaller_row(self, df, quantile):
+        # The smaller df's quantile is the larger one: the interval errs
+        # wide, never narrow.
+        assert t975(df) == quantile
+
+    def test_zero_degrees_of_freedom_rejected(self):
+        with pytest.raises(ValueError):
+            t975(0)
+
+
 class TestSampledEstimate:
     def test_relative_stderr_guards_zero_mean(self):
         est = SampledEstimate(metric="gpu_time", mean=0.0, std=1.0,
@@ -105,11 +133,13 @@ class TestSampledEstimate:
         assert est.relative_stderr == 0.0
 
     def test_as_dict_shape(self):
+        # 4 windows -> 3 degrees of freedom, t(0.975, 3) = 3.182.
         est = SampledEstimate(metric="gpu_time", mean=10.0, std=2.0,
                               stderr=1.0, windows=4)
         doc = est.as_dict()
         assert doc == {
             "metric": "gpu_time", "mean": 10.0, "std": 2.0, "stderr": 1.0,
-            "ci95": [pytest.approx(10.0 - 1.96), pytest.approx(10.0 + 1.96)],
+            "ci95": [pytest.approx(10.0 - 3.182),
+                     pytest.approx(10.0 + 3.182)],
             "windows": 4,
         }
