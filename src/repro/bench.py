@@ -89,8 +89,8 @@ def run_ffwd(scale: str = "default") -> dict:
        excluded), so the ground-truth per-frame metrics come from the
        reduction the sampler applies to its own windows — asymmetric
        definitions would report definition error as extrapolation error;
-    2. **sampled** — functional/detailed alternation under the scale's
-       schedule, extrapolated with error bars;
+    2. **sampled** — the scale's sampling schedule (functional pass,
+       then the detailed windows), extrapolated with error bars;
     3. **fast-forward** — half the frames functional, rest detailed; its
        final framebuffer must be CRC-identical to the full-detail run's
        (the mode-switch exactness check, same contract CI's

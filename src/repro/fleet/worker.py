@@ -192,11 +192,10 @@ def _metrics(soc, results) -> dict:
     }
 
 
-def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict,
-                     job_key: str) -> dict:
-    """The sampled-job attempt: alternate windows, extrapolate, publish.
+def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict) -> dict:
+    """The sampled-job attempt: run the windows, extrapolate, publish.
 
-    Sampled runs own their window checkpointing in memory (no
+    Sampled runs keep their window snapshots in memory (no
     ``checkpoint.json``, no crash-resume — a retried attempt restarts
     from scratch; the run is a fraction of a full-detail one, so the
     resume machinery would cost more than it saves).  Heartbeats and the
@@ -218,7 +217,7 @@ def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict,
         return SceneSession(spec.model, spec.width, spec.height)
 
     try:
-        sampled = run_sampled(config, factory, schedule, job=job_key)
+        sampled = run_sampled(config, factory, schedule)
     except SanitizerViolation as violation:
         return _write_result(jobdir, {
             **base, "outcome": "violation", "detail": str(violation),
@@ -313,7 +312,7 @@ def run_job(spec: JobSpec, jobdir: str,
     config = _run_config(spec, jobdir, frame_hook, preempt_check,
                          job_key=job_key, claim=_read_claim(jobdir))
     if spec.sample is not None:
-        return _run_sampled_job(spec, jobdir, config, base, job_key)
+        return _run_sampled_job(spec, jobdir, config, base)
     try:
         if spec.ffwd and resumed_from < spec.ffwd:
             # Fast-forward jobs skip the warm-up frames functionally

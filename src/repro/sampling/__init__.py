@@ -9,8 +9,9 @@ Three layers compose the replay-driven speedup story:
   to detailed timing (plus :func:`verify_equivalence`, the executable
   mode-switch contract the CI gates on);
 * :mod:`repro.sampling.sampler` + :mod:`windows` + :mod:`stats` —
-  periodic sampling: alternate functional/detailed windows and
-  extrapolate FPS / DRAM / energy with Student-t error bars.
+  periodic sampling: one functional pass snapshots every detailed
+  window's start, each detailed window runs alone from its snapshot, and
+  the samples extrapolate FPS / DRAM / energy with Student-t error bars.
 """
 
 from repro.sampling.ffwd import (FastForwardResult, fast_forward, fb_crc,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.health import HealthConfig
 from repro.health.recovery import resume_run
@@ -74,7 +74,7 @@ class FastForwardResult:
     results: object                    # SoCResults for the detailed frames
     frames_functional: int
     frames_detailed: int
-    functional_fb_crc: Optional[int]   # switch-frame render (policy-dependent)
+    functional_fb_crc: int             # the switch frame's functional render
     final_fb_crc: int                  # after the last detailed frame
     wall_functional: float
     wall_detailed: float
@@ -88,15 +88,15 @@ class FastForwardResult:
 
 
 def fast_forward(run_config, session_factory: Callable[[], object],
-                 ffwd_frames: int, job: Optional[str] = None,
-                 render: str = "boundary",
-                 max_events: Optional[int] = None) -> FastForwardResult:
+                 ffwd_frames: int) -> FastForwardResult:
     """Run ``ffwd_frames`` functionally, then the rest in detailed timing.
 
     ``session_factory`` builds a fresh scene session (``.frame`` +
     ``.framebuffer_address``) per phase — the same fresh-session
     semantics crash-recovery resume has, so frame content stays a pure
-    function of the frame index on both sides of the switch.
+    function of the frame index on both sides of the switch.  The
+    functional phase renders the switch frame, which gives the
+    boundary framebuffer CRC the mode-switch contract checks.
     """
     if not 0 < ffwd_frames < run_config.num_frames:
         raise FunctionalSimError(
@@ -104,22 +104,21 @@ def fast_forward(run_config, session_factory: Callable[[], object],
             f"0 < ffwd < {run_config.num_frames}, got {ffwd_frames}")
     start = time.perf_counter()
     session = session_factory()
-    sim = FunctionalSim(run_config, session.frame, render=render)
+    sim = FunctionalSim(run_config, session.frame, render="boundary")
     sim.run(ffwd_frames)
-    checkpoint = sim.checkpoint(job=job)
+    checkpoint = sim.checkpoint()
     wall_functional = time.perf_counter() - start
 
     start = time.perf_counter()
     session = session_factory()
     soc, results = resume_run(checkpoint, run_config, session.frame,
-                              session.framebuffer_address,
-                              max_events=max_events)
+                              session.framebuffer_address)
     wall_detailed = time.perf_counter() - start
     return FastForwardResult(
         checkpoint=checkpoint, soc=soc, results=results,
         frames_functional=ffwd_frames,
         frames_detailed=len(results.frames),
-        functional_fb_crc=sim.fb_crc() if sim.fb is not None else None,
+        functional_fb_crc=sim.fb_crc(),
         final_fb_crc=fb_crc(soc),
         wall_functional=wall_functional, wall_detailed=wall_detailed)
 
@@ -135,8 +134,7 @@ def verify_equivalence(run_config, session_factory: Callable[[], object],
     """
     base = replace(run_config, health=None, frame_hook=None)
 
-    ffwd = fast_forward(base, session_factory, ffwd_frames,
-                        render="boundary")
+    ffwd = fast_forward(base, session_factory, ffwd_frames)
 
     # Control 1: uninterrupted full-detail run (final-framebuffer golden).
     start = time.perf_counter()

@@ -79,23 +79,6 @@ class FunctionalSim:
         self.next_frame = 0
         self.fb: Optional[Framebuffer] = None
 
-    @classmethod
-    def from_checkpoint(cls, checkpoint: GraphicsCheckpoint, run_config,
-                        frame_source: Callable[[int], Frame],
-                        render: str = "boundary") -> "FunctionalSim":
-        """Continue functionally from a snapshot either engine wrote.
-
-        Same topology guard as detailed resume
-        (:meth:`GraphicsCheckpoint.require_topology`): a snapshot stamped
-        with a different topology hash is refused before any state is
-        rebuilt.
-        """
-        checkpoint.require_topology(run_config)
-        sim = cls(run_config, frame_source, render=render)
-        sim.frames = checkpoint.restore_frames()
-        sim.next_frame = checkpoint.frame_index
-        return sim
-
     def nominal_tick(self, frame_index: Optional[int] = None) -> int:
         """Where an on-pace detailed run's clock sits at a frame boundary."""
         index = self.next_frame if frame_index is None else frame_index

@@ -1,14 +1,18 @@
-"""Periodic-sampling driver: alternate functional and detailed windows.
+"""Periodic-sampling driver: one functional pass, then independent windows.
 
 :func:`run_sampled` executes one workload under a
-:class:`~repro.sampling.windows.WindowSchedule`: functional windows
-advance architectural state with zero timing events
-(:class:`~repro.sampling.functional.FunctionalSim`), detailed windows run
-the full timing model resumed from the previous window's checkpoint, and
-every window hands the next one a :class:`GraphicsCheckpoint` — the same
-snapshot format in both directions, which is what the mode-boundary test
-suite pins.  The handoff stays in memory: a snapshot holds the frames it
-was captured from, so no boundary encodes or replays a trace.
+:class:`~repro.sampling.windows.WindowSchedule` in two steps.  One
+:class:`~repro.sampling.functional.FunctionalSim` pass advances
+architectural state with zero timing events from frame 0 to the last
+detailed window's start and snapshots every detailed window's start
+boundary; then each detailed window runs the full timing model alone,
+resumed from its own snapshot.  No window hands anything to the next, so
+the windows could run in any order: a detailed phase entered from a
+functional snapshot is bit-identical to one entered from a detailed
+snapshot at the same boundary (check 4 of
+:func:`~repro.sampling.ffwd.verify_equivalence`).  The snapshots stay in
+memory: each holds the frames it was captured from, so none encodes or
+replays a trace.
 
 Each detailed window contributes one :class:`WindowSample` (per-frame
 means of GPU time, total time, DRAM bytes, energy, measured after the
@@ -21,6 +25,7 @@ of the samples.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -43,13 +48,24 @@ class SampledRunResult:
     schedule: WindowSchedule
     samples: list[WindowSample]
     extrapolated: ExtrapolatedRun
-    final_detailed_fb_crc: Optional[int]       # last detailed window's fb
-    final_detailed_frame: Optional[int]        # index that fb belongs to
-    frames_functional: int = 0
-    frames_detailed: int = 0
+    final_detailed_fb_crc: int                 # last detailed window's fb
     wall_functional: float = 0.0
     wall_detailed: float = 0.0
     window_results: list = field(default_factory=list)   # per-window SoCResults
+
+    @property
+    def frames_functional(self) -> int:
+        return self.schedule.functional_frames()
+
+    @property
+    def frames_detailed(self) -> int:
+        return self.schedule.detailed_frames()
+
+    @property
+    def final_detailed_frame(self) -> int:
+        """The frame ``final_detailed_fb_crc`` belongs to."""
+        return [w for w in self.schedule.windows()
+                if w.kind == "detailed"][-1].end - 1
 
     @property
     def wall_total(self) -> float:
@@ -155,14 +171,14 @@ def measure_window(run_config, window: Window, session,
 
 
 def run_sampled(run_config, session_factory: Callable[[], object],
-                schedule: WindowSchedule, job: Optional[str] = None
-                ) -> SampledRunResult:
+                schedule: WindowSchedule) -> SampledRunResult:
     """Execute one workload under a sampling schedule and extrapolate.
 
-    Functional windows render nothing.  The caller's ``run_config.health``
-    is *not* used inside detailed windows — sampling owns the window
-    checkpointing — but its ``frame_hook`` (fleet heartbeats) is
-    preserved.
+    The functional pass renders nothing and stops at the last detailed
+    window's start: nothing reads a frame after it.  Detailed windows
+    take no snapshots, so the caller's ``run_config.health`` is *not*
+    used inside them (they run with the default :class:`HealthConfig`),
+    but its ``frame_hook`` (fleet heartbeats) is preserved.
     """
     if schedule.total_frames != run_config.num_frames:
         raise ValueError(
@@ -170,60 +186,39 @@ def run_sampled(run_config, session_factory: Callable[[], object],
             f"config has {run_config.num_frames}")
     # Refused before the first window runs, not after the last.
     require_windows(schedule.measured_windows())
-    checkpoint: Optional[GraphicsCheckpoint] = None
+    detailed = [w for w in schedule.windows() if w.kind == "detailed"]
+
+    start = time.perf_counter()
+    sim = FunctionalSim(run_config, session_factory().frame, render="none")
+    checkpoints: list[Optional[GraphicsCheckpoint]] = []
+    for window in detailed:
+        sim.run(window.start)
+        # A window at frame 0 starts from reset: there is nothing to
+        # snapshot (and FunctionalSim refuses to).
+        checkpoints.append(sim.checkpoint() if window.start else None)
+    wall_functional = time.perf_counter() - start
+
     samples: list[WindowSample] = []
     window_results: list = []
-    frames_functional = 0
-    frames_detailed = 0
-    wall_functional = 0.0
     wall_detailed = 0.0
-    final_fb_crc: Optional[int] = None
-    final_fb_frame: Optional[int] = None
-    windows = schedule.windows()
-    for window in windows:
-        # The last window's boundary snapshot is skipped: nothing runs
-        # after it to resume from it.
-        is_last = window is windows[-1]
-        if window.kind == "functional":
-            start = time.perf_counter()
-            session = session_factory()
-            if checkpoint is None:
-                sim = FunctionalSim(run_config, session.frame, render="none")
-            else:
-                sim = FunctionalSim.from_checkpoint(
-                    checkpoint, run_config, session.frame, render="none")
-            sim.run(window.end)
-            if not is_last:
-                checkpoint = sim.checkpoint(job=job)
-            frames_functional += window.frames
-            wall_functional += time.perf_counter() - start
-            continue
-        # Detailed window: full timing model from the previous boundary,
-        # with a snapshot landing exactly at the window end
-        # (on_frame_done snapshots when (index+1) % every == 0).
+    for window, checkpoint in zip(detailed, checkpoints):
         start = time.perf_counter()
-        window_config = replace(
-            run_config, num_frames=window.end,
-            health=HealthConfig(
-                checkpoint_every=0 if is_last else window.end,
-                checkpoint_job=job))
+        # HealthConfig(), not None: None switches the event loop's error
+        # policy from wrap to propagate.
+        window_config = replace(run_config, num_frames=window.end,
+                                health=HealthConfig())
         soc, results, sample = measure_window(
             window_config, window, session_factory(), checkpoint)
-        if not is_last:
-            checkpoint = soc.checkpoints.last
-            if checkpoint is None or checkpoint.frame_index != window.end:
-                raise RuntimeError(
-                    f"detailed window [{window.start}, {window.end}) ended "
-                    f"without a boundary snapshot (got "
-                    f"{checkpoint and checkpoint.frame_index})")
         if sample is not None:
             samples.append(sample)
         window_results.append(results)
         final_fb_crc = fb_crc(soc)
-        final_fb_frame = window.end - 1
-        frames_detailed += window.frames
+        # An EmeraldSoC sits in reference cycles, so dropping it frees
+        # nothing until the collector runs: collect now, or it stays
+        # alive beside the next window's SoC.
+        del soc
+        gc.collect()
         wall_detailed += time.perf_counter() - start
-        del soc   # not alive beside the next window's: ~5 MB peak RSS
     estimates = extrapolate(samples)
     extrapolated = ExtrapolatedRun(
         estimates=estimates, total_frames=schedule.total_frames,
@@ -232,8 +227,5 @@ def run_sampled(run_config, session_factory: Callable[[], object],
     return SampledRunResult(
         schedule=schedule, samples=samples, extrapolated=extrapolated,
         final_detailed_fb_crc=final_fb_crc,
-        final_detailed_frame=final_fb_frame,
-        frames_functional=frames_functional,
-        frames_detailed=frames_detailed,
         wall_functional=wall_functional, wall_detailed=wall_detailed,
         window_results=window_results)

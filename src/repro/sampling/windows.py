@@ -1,6 +1,6 @@
 """Periodic sampling schedules (gem5-SimPoint style).
 
-A :class:`WindowSchedule` partitions a run's frame range into alternating
+A :class:`WindowSchedule` partitions a run's frame range into
 *functional* windows (replayed with zero timing events) and *detailed*
 windows (full timing model): every ``period`` frames, ``detail`` of them
 run detailed, starting at frame ``offset``.  The first ``warmup`` frames
@@ -52,7 +52,7 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowSchedule:
-    """Alternating functional/detailed frame windows over one run.
+    """Functional and detailed frame windows over one run.
 
     Every ``period`` frames, the ``detail`` frames starting at
     ``offset + k * period`` run in full timing; everything else runs
@@ -92,10 +92,11 @@ class WindowSchedule:
 
         Invariants (pinned by tests/sampling/test_windows.py): windows
         tile ``[0, total_frames)`` exactly — sorted, non-overlapping, no
-        gaps — and modes alternate (no two adjacent windows share a
-        kind).  A detailed window truncated by the end of the run keeps
-        its warmup prefix, so a truncation below ``warmup`` frames
-        yields a window with zero measured frames.
+        gaps — and modes alternate when ``detail < period`` (``detail ==
+        period`` packs back-to-back detailed windows, one per cycle).  A
+        detailed window truncated by the end of the run keeps its warmup
+        prefix, so a truncation below ``warmup`` frames yields a window
+        with zero measured frames.
         """
         out: list[Window] = []
         position = 0

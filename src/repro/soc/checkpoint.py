@@ -134,8 +134,9 @@ class GraphicsCheckpoint:
     snapshot: ``"detailed"`` (the full timing model) or ``"functional"``
     (the zero-event replay mode, :mod:`repro.sampling.functional`).  It is
     provenance only — the snapshot payload is the *architectural* state
-    both engines agree on, so either mode restores a snapshot the other
-    wrote (the fast-forward contract, DESIGN.md §13).
+    both engines agree on, so the detailed engine resumes a functional
+    snapshot exactly as it resumes one of its own (the fast-forward
+    contract, DESIGN.md §13).
 
     ``claim`` (optional) names the *supervisor incarnation* that owned
     the attempt which wrote the snapshot — the fleet server stamps its
@@ -288,7 +289,7 @@ class GraphicsCheckpoint:
     def require_topology(self, run_config) -> None:
         """Refuse to restore onto the topology ``run_config`` assembles
         unless it is the one this snapshot was taken on (the one guard
-        every resume path, detailed or functional, runs first)."""
+        every resume path runs first)."""
         config_hash = run_config.topology.topology_hash()
         if self.topology != config_hash:
             raise CheckpointTopologyError(

@@ -15,7 +15,6 @@ from repro.health.recovery import resume_run
 from repro.sampling.ffwd import (fast_forward, switch_fingerprint,
                                  verify_equivalence)
 from repro.sampling.functional import FunctionalSim, FunctionalSimError
-from repro.soc.checkpoint import CheckpointTopologyError
 
 from tests.health.full_system import HEIGHT, WIDTH, tiny_config
 
@@ -118,13 +117,3 @@ class TestFunctionalSimContract:
         assert checkpoint.mode == "functional"
         assert checkpoint.frame_index == 2
         assert checkpoint.tick == 2 * config.gpu_frame_period_ticks
-
-    def test_restore_refuses_foreign_topology(self):
-        config = self.config()
-        sim = FunctionalSim(config, self.frame_source(), render="none")
-        sim.run(1)
-        checkpoint = sim.checkpoint()
-        other = tiny_config(num_frames=3, memory_config="HMC")
-        with pytest.raises(CheckpointTopologyError):
-            FunctionalSim.from_checkpoint(checkpoint, other,
-                                          self.frame_source())

@@ -78,9 +78,12 @@ class TestSampledHandoff:
 
     def test_sanitized_micro_run_round_trips_every_snapshot(self,
                                                             monkeypatch):
-        # The armed sanitizer sends each detailed-window snapshot through
+        # The armed sanitizer sends every snapshot a SoC takes through
         # verify_roundtrip (to_json, from_json, replay); mode "raise"
-        # would abort the run on the first mismatch.
+        # would abort the run on the first mismatch.  Detailed windows
+        # take no snapshot: each starts from one the functional pass
+        # took, so nothing reaches the round trip, yet every window
+        # still runs armed.
         verified = []
         original = soc_module.verify_roundtrip
 
@@ -93,11 +96,12 @@ class TestSampledHandoff:
         sampled = run_sampled(
             replace(run_config, sanitize=SanitizeConfig()), factory,
             schedule)
-        # 3:4:2 over 8 frames: detailed [0, 3) and [4, 7), each followed
-        # by a functional window that resumes from its snapshot.
-        assert verified == [3, 7]
-        assert all(result.sanitizer_violations == 0
-                   for result in sampled.window_results)
+        # 3:4:2 over 8 frames: detailed [0, 3) and [4, 7).
+        assert verified == []
+        assert len(sampled.window_results) == 2
+        for result in sampled.window_results:
+            assert result.sanitizer_checks > 0
+            assert result.sanitizer_violations == 0
 
 
 class TestCapturedAndTextTwinAgree:
