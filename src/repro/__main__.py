@@ -1174,7 +1174,10 @@ def main(argv=None) -> int:
                    help="pending-job bound; beyond it submissions shed")
     p.add_argument("--max-attempts", type=int, default=3)
     p.add_argument("--heartbeat-timeout", type=float, default=60.0)
-    p.add_argument("--poll-interval", type=float, default=0.05)
+    p.add_argument("--poll-interval", type=float, default=0.05,
+                   help="seconds between a running attempt's heartbeat, "
+                        "deadline and drain checks (an attempt ends when "
+                        "its worker exits, whatever this is)")
     p.add_argument("--spool-poll", type=float, default=0.1,
                    help="seconds between file-drop spool scans")
     p.add_argument("--segment-records", type=int, default=256,

@@ -352,7 +352,10 @@ class FleetConfig:
     max_attempts: int = 3            # crash/hang retries per job
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     heartbeat_timeout: float = 60.0  # wall seconds without a beat = hung
-    poll_interval: float = 0.05      # server monitor cadence (seconds)
+    # Seconds between a running attempt's heartbeat, deadline and drain
+    # checks.  Nothing else waits on it: an attempt ends when its worker
+    # exits, and the server wakes on every job state change.
+    poll_interval: float = 0.05
     preempt_after: Optional[float] = None   # wall deadline per attempt
     budget_events: int = DEFAULT_BUDGET_EVENTS
     cache_dir: Optional[str] = None  # None: <workdir>/cache

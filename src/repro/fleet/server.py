@@ -14,7 +14,13 @@ after ``kill -9``:
   :class:`~repro.sanitize.violations.JournalConsistencyViolation` on a
   ``claim`` after ``done``, so the no-rework guarantee is checkable from
   the journal alone);
-* each attempt is one worker process (:mod:`~repro.fleet.worker`).  A
+* each attempt is one worker process (:mod:`~repro.fleet.worker`), and
+  it ends when that process exits: the supervisor waits on the
+  process's sentinel through the event loop, and checks heartbeat
+  staleness, the per-attempt deadline and a drain or abort every
+  ``poll_interval`` meanwhile.  The serve loop and idle slots sleep
+  until a job state changes (submission, requeue, attempt end, terminal
+  outcome, drain, abort), so no job waits out a poll.  A
   worker that dies without a result, or whose heartbeats go stale, is
   retried with capped exponential backoff and resumes from its last
   checkpoint; typed deterministic failures (``violation`` /
@@ -465,13 +471,10 @@ class FleetServer:
         while not self._draining:
             job = self._pick()
             if job is None:
+                # Check, clear and wait with no yield in between, so no
+                # wake is lost: every change a slot waits for sets it.
                 self._wake.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._wake.wait(),
-                        timeout=self.config.fleet.poll_interval)
-                except asyncio.TimeoutError:
-                    pass
+                await self._wake.wait()
                 continue
             await self._drive(job)
 
@@ -529,6 +532,7 @@ class FleetServer:
         finally:
             job.running = False
             self._running -= 1
+            self._wake.set()                 # a drain may be waiting on it
             if watchdog is not None:
                 watchdog.cancel()
             _clear(os.path.join(jobdir, CLAIM_FILE))
@@ -639,23 +643,41 @@ class FleetServer:
         stale_age = 0.0
         loop = asyncio.get_running_loop()
         started = loop.time()
-        while process.is_alive():
-            await asyncio.sleep(fleet.poll_interval)
-            monitor.poll()
-            if self._aborting:
-                process.kill()               # second signal: stop now
-                break
-            over_deadline = (fleet.preempt_after is not None
-                             and loop.time() - started > fleet.preempt_after)
-            if (self._draining or over_deadline) and not preempt_flagged:
-                with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
-                    flag.write("preempt requested by the server\n")
-                preempt_flagged = True
-            if monitor.stale():
-                process.kill()               # SIGKILL; heartbeats ceased
-                hung = True
-                stale_age = monitor.age()
-                break
+        # The attempt ends when the worker exits: its sentinel turns
+        # readable.  The checks below run every poll_interval meanwhile.
+        exited = loop.create_future()
+
+        def on_exit() -> None:
+            loop.remove_reader(process.sentinel)
+            exited.set_result(None)
+
+        loop.add_reader(process.sentinel, on_exit)
+        try:
+            while True:
+                done, _ = await asyncio.wait((exited,),
+                                             timeout=fleet.poll_interval)
+                if done:
+                    break
+                monitor.poll()
+                if self._aborting:
+                    process.kill()           # second signal: stop now
+                    break
+                over_deadline = (
+                    fleet.preempt_after is not None
+                    and loop.time() - started > fleet.preempt_after)
+                if (self._draining or over_deadline) \
+                        and not preempt_flagged:
+                    with open(os.path.join(jobdir, PREEMPT_FLAG),
+                              "w") as flag:
+                        flag.write("preempt requested by the server\n")
+                    preempt_flagged = True
+                if monitor.stale():
+                    process.kill()           # SIGKILL; heartbeats ceased
+                    hung = True
+                    stale_age = monitor.age()
+                    break
+        finally:
+            loop.remove_reader(process.sentinel)
         process.join()                       # dead or just killed: quick
         exitcode_desc = _exitcode_desc(process.exitcode)
         process.close()
@@ -682,7 +704,7 @@ class FleetServer:
             if hung else
             f"worker exited {exitcode_desc} without a result "
             f"(resume point: frame {resumed_from})",
-            last_heartbeat=monitor.last)
+            last_heartbeat=monitor.poll())
         bundle = self._write_attempt_bundle(record, jobdir, failure)
         return JobAttempt(outcome=kind, detail=str(failure),
                           resumed_from=resumed_from,
@@ -1019,13 +1041,16 @@ class FleetServer:
                  for _ in range(self.config.fleet.workers)]
         try:
             while True:
-                await asyncio.sleep(self.config.fleet.poll_interval)
                 if self.config.expect is not None \
                         and self._terminal >= self.config.expect \
                         and not self._draining:
                     self.request_drain()
                 if self._draining and self._running == 0:
                     break
+                # Woken by a terminal job, an attempt's end, a drain or
+                # an abort: each sets _wake.
+                self._wake.clear()
+                await self._wake.wait()
         finally:
             spool_task.cancel()
             for timer in list(self._timers):

@@ -70,13 +70,17 @@ def trace_digest(trace_json: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _decode(trace_json: str) -> dict:
-    """Parse + structurally validate a trace document (typed errors)."""
-    try:
-        doc = json.loads(trace_json)
-    except json.JSONDecodeError as exc:
-        raise TraceDecodeError(
-            f"truncated or not JSON ({exc})") from exc
+def _decode(trace: str | dict) -> dict:
+    """Parse (when given text) + structurally validate a trace document
+    (typed errors)."""
+    if isinstance(trace, str):
+        try:
+            doc = json.loads(trace)
+        except json.JSONDecodeError as exc:
+            raise TraceDecodeError(
+                f"truncated or not JSON ({exc})") from exc
+    else:
+        doc = trace
     if not isinstance(doc, dict):
         raise TraceDecodeError(
             f"expected an object, got {type(doc).__name__}")
@@ -212,7 +216,8 @@ class TraceRecorder:
     def record_frame(self, frame: Frame) -> None:
         self._frames.append(frame)
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
+        """The trace document :meth:`to_json` encodes."""
         buffers = _InternTable()
         textures = _InternTable()
         frames = [
@@ -227,13 +232,15 @@ class TraceRecorder:
             }
             for f in self._frames
         ]
-        doc = {
+        return {
             "version": TRACE_VERSION,
             "buffers": buffers.entries,
             "textures": textures.entries,
             "frames": frames,
         }
-        return json.dumps(doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc())
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
@@ -260,13 +267,15 @@ class RegionOfInterest:
         return self.last_draw is None or index <= self.last_draw
 
 
-def replay(trace_json: str, roi: Optional[RegionOfInterest] = None) -> list[Frame]:
+def replay(trace: str | dict,
+           roi: Optional[RegionOfInterest] = None) -> list[Frame]:
     """Reconstruct frames from a JSON trace through a fresh GLContext.
 
-    A truncated, corrupt, or structurally invalid document raises
-    :class:`TraceDecodeError` before any state is rebuilt.
+    ``trace`` is the JSON text or the document it parses to (which is
+    only read).  A truncated, corrupt, or structurally invalid document
+    raises :class:`TraceDecodeError` before any state is rebuilt.
     """
-    doc = _decode(trace_json)
+    doc = _decode(trace)
     buffer_table = doc["buffers"]
     texture_table = doc["textures"]
 

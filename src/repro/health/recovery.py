@@ -48,7 +48,9 @@ class CheckpointManager:
     Wire it up with :meth:`wrap_source` (observes every frame the loop
     renders) and :meth:`on_frame_done` (the render loop's per-frame hook).
     ``path`` (when given) receives the latest snapshot as JSON after every
-    checkpoint — the on-disk state a crashed process recovers from.
+    checkpoint — the on-disk state a crashed process recovers from — and
+    :attr:`written` keeps that text, which the sanitizer's round trip
+    checks instead of encoding the snapshot again.
     """
 
     def __init__(self, every: int, topology: str,
@@ -82,6 +84,7 @@ class CheckpointManager:
         # downstream fault pattern as an uninterrupted run.
         self.injector = injector
         self.last: Optional[GraphicsCheckpoint] = None
+        self.written: Optional[str] = None   # ``last`` as written to path
         self.checkpoints_taken = 0
         self._frames: list[Frame] = []
 
@@ -116,9 +119,10 @@ class CheckpointManager:
             # picks it up.  The name is per process: a fleet worker
             # orphaned by a killed server may still be writing beside
             # its successor.
+            self.written = self.last.to_json()
             tmp = f"{self.path}.tmp-{os.getpid()}"
             with open(tmp, "w") as handle:
-                handle.write(self.last.to_json())
+                handle.write(self.written)
             os.replace(tmp, self.path)
         if (self.preempt_check is not None
                 and self.preempt_check(frame_index + 1)):

@@ -1,11 +1,19 @@
 """Checkpoint round-trip verification.
 
 A checkpoint is only worth taking if it can actually resurrect the run,
-so the sanitizer exercises every snapshot the moment it is taken:
-serialize to JSON, parse it back through the strict validator, replay the
-restored draw-call trace into a shadow GL context, and diff the shadow
-against a replay of the original — scalar state (tick, frame index, RNG
-streams), frame/draw counts, and a CRC over the canonical trace encoding.
+so the sanitizer exercises every snapshot the moment it is taken: it
+parses the text written for it (its checkpoint file; the snapshot is
+encoded here only when nothing was written) through the strict
+validator, replays the restored draw-call trace once into a shadow GL
+context, and diffs the shadow against the frames in hand — scalar state
+(tick, frame index, RNG streams), frame/draw counts, and a CRC over the
+canonical trace encoding.  A snapshot holding its frames already holds
+that encoding (:attr:`GraphicsCheckpoint.trace_json` is their recorder
+output), so only the shadow is re-recorded; any other snapshot is
+replayed and re-recorded too.  Because the frames in hand are not
+replayed, a replay that loses state fails the CRC check instead of
+cancelling out on both sides (capture -> replay -> re-capture is a fixed
+point, so an honest replay matches).
 Any divergence raises :class:`~repro.sanitize.violations.
 CheckpointMismatchViolation` naming the first field that differs, at the
 moment the corrupt snapshot is produced rather than hours later when a
@@ -15,10 +23,21 @@ crashed run tries to resume from it.
 from __future__ import annotations
 
 import zlib
+from typing import Iterable, Optional
 
-from repro.gl.trace import TraceRecorder
+from repro.gl.context import Frame
+from repro.gl.trace import TraceRecorder, replay
 from repro.soc.checkpoint import CheckpointError, GraphicsCheckpoint
 from repro.sanitize.violations import CheckpointMismatchViolation
+
+
+def frames_crc(frames: Iterable[Frame]) -> int:
+    """CRC32 over the canonical encoding of ``frames``: the trace a
+    :class:`TraceRecorder` writes for them."""
+    recorder = TraceRecorder()
+    for frame in frames:
+        recorder.record_frame(frame)
+    return zlib.crc32(recorder.to_json().encode())
 
 
 def trace_crc(trace_json: str) -> int:
@@ -28,21 +47,18 @@ def trace_crc(trace_json: str) -> int:
     and defaults, so two traces describing the same draw calls CRC equal
     even if their JSON strings differ cosmetically.
     """
-    from repro.gl.trace import replay
-
-    recorder = TraceRecorder()
-    for frame in replay(trace_json):
-        recorder.record_frame(frame)
-    return zlib.crc32(recorder.to_json().encode())
+    return frames_crc(replay(trace_json))
 
 
-def verify_roundtrip(checkpoint: GraphicsCheckpoint,
-                     tick: int = 0) -> dict:
-    """Round-trip ``checkpoint`` through serialize/restore/shadow-replay.
+def verify_roundtrip(checkpoint: GraphicsCheckpoint, tick: int = 0,
+                     written: Optional[str] = None) -> dict:
+    """Round-trip ``checkpoint`` through restore and shadow replay.
 
-    Returns a summary dict (``frames``, ``draws``, ``crc``) on success;
-    raises :class:`CheckpointMismatchViolation` on any divergence.
-    ``tick`` stamps the violation with the simulation time of the check.
+    ``written`` is the text written for ``checkpoint`` (the manager's
+    checkpoint file); None encodes it here.  Returns a summary dict
+    (``frames``, ``draws``, ``crc``) on success; raises
+    :class:`CheckpointMismatchViolation` on any divergence.  ``tick``
+    stamps the violation with the simulation time of the check.
     """
 
     def fail(message: str, **details) -> None:
@@ -51,8 +67,8 @@ def verify_roundtrip(checkpoint: GraphicsCheckpoint,
             details={"frame_index": checkpoint.frame_index, **details})
 
     try:
-        encoded = checkpoint.to_json()
-        restored = GraphicsCheckpoint.from_json(encoded)
+        restored = GraphicsCheckpoint.from_json(
+            checkpoint.to_json() if written is None else written)
     except CheckpointError as exc:
         fail(f"snapshot does not survive its own validator: {exc}",
              field=exc.field)
@@ -73,8 +89,9 @@ def verify_roundtrip(checkpoint: GraphicsCheckpoint,
              f"({len(original)} -> {len(shadow)})", field="trace.frames",
              original=len(original), restored=len(shadow))
 
-    crc_original = trace_crc(checkpoint.trace_json)
-    crc_shadow = trace_crc(restored.trace_json)
+    crc_original = (zlib.crc32(checkpoint.trace_json.encode())
+                    if checkpoint.holds_frames else frames_crc(original))
+    crc_shadow = frames_crc(shadow)
     if crc_original != crc_shadow:
         fail(f"trace CRC mismatch after round trip "
              f"(0x{crc_original:08x} -> 0x{crc_shadow:08x})",

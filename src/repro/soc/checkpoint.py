@@ -8,7 +8,10 @@ app-side frame counter; restore rebuilds the GL-side state by replay.
 A snapshot handed to the next run in the same process (the sampler's
 window boundaries) skips both halves: it holds the frames it was
 captured from, encodes its trace only when something reads it, and
-restores those frames without a replay.
+restores those frames without a replay.  Writing a snapshot parses its
+trace zero times, and reading one back (:meth:`GraphicsCheckpoint.
+from_json`, then :meth:`~GraphicsCheckpoint.restore_frames`) parses it
+once.
 
 Checkpoints are the crash-recovery substrate of the health subsystem
 (:mod:`repro.health.recovery`), so :meth:`GraphicsCheckpoint.from_json`
@@ -105,14 +108,15 @@ def _payload_crc(doc: dict) -> int:
 class GraphicsCheckpoint:
     """A serializable snapshot of graphics + loop state.
 
-    A snapshot is built either from frames (:func:`capture`) or from text
-    (:meth:`from_json`, ``GraphicsCheckpoint(trace_json=...)``).  One
-    built from frames holds them, encodes :attr:`trace_json` on first
-    read and caches it, and restores the held frames without a replay;
-    one built from text replays its trace at restore.  Both encode the
-    same bytes (capture -> replay -> re-capture is a fixed point), so
-    ``==``, :meth:`to_json` and a resume do not depend on which one a
-    consumer was handed.
+    A snapshot is built from frames (:func:`capture`), from text
+    (``GraphicsCheckpoint(trace_json=...)``) or from a parsed trace
+    document (:meth:`from_json`, :meth:`rewind`).  One built from frames
+    holds them (:attr:`holds_frames`), encodes :attr:`trace_json` on
+    first read and caches it, and restores the held frames without a
+    replay; any other replays its trace at restore.  All encode the same
+    bytes (capture -> replay -> re-capture is a fixed point), so ``==``,
+    :meth:`to_json` and a resume do not depend on which one a consumer
+    was handed.
 
     ``rng`` (optional) carries the fault injector's serialized RNG stream
     states (:meth:`repro.health.faults.FaultInjector.rng_state`) so a
@@ -163,12 +167,15 @@ class GraphicsCheckpoint:
                  frame_index: int, topology: str,
                  rng: Optional[dict] = None, job: Optional[str] = None,
                  mode: Optional[str] = None, claim: Optional[str] = None,
-                 *, frames: Optional[Sequence[Frame]] = None) -> None:
-        if (trace_json is None) == (frames is None):
+                 *, frames: Optional[Sequence[Frame]] = None,
+                 trace: Optional[dict] = None) -> None:
+        if sum(source is not None
+               for source in (trace_json, frames, trace)) != 1:
             raise TypeError("a checkpoint is built from exactly one of "
-                            "trace_json or frames")
+                            "trace_json, frames or trace")
         self._trace_json = trace_json
         self._frames = None if frames is None else tuple(frames)
+        self._trace = trace
         self.tick = tick
         self.frame_index = frame_index
         self.topology = topology
@@ -179,33 +186,56 @@ class GraphicsCheckpoint:
 
     @property
     def trace_json(self) -> str:
-        """The draw-call trace, encoded from the held frames on first
-        read (then cached) for a snapshot built from frames."""
+        """The draw-call trace, encoded on first read (then cached) for
+        a snapshot built from frames or from a parsed document."""
         if self._trace_json is None:
+            self._trace_json = json.dumps(self._trace_doc())
+        return self._trace_json
+
+    @property
+    def holds_frames(self) -> bool:
+        """Whether this snapshot holds the frames it was captured from:
+        then :attr:`trace_json` is their recorder output and
+        :meth:`restore_frames` hands them out without a replay."""
+        return self._frames is not None
+
+    def _trace_doc(self) -> dict:
+        """The trace document, which callers must not mutate: recorded
+        from the held frames, the parsed document held, or (only for a
+        snapshot built from text) parsed from the text."""
+        if self._frames is not None:
             recorder = TraceRecorder()
             for frame in self._frames:
                 recorder.record_frame(frame)
-            self._trace_json = recorder.to_json()
-        return self._trace_json
+            return recorder.to_doc()
+        if self._trace is not None:
+            return self._trace
+        return json.loads(self._trace_json)
 
     def to_json(self) -> str:
-        doc = {
+        trace = self._trace_doc()
+        if self._trace_json is None:
+            self._trace_json = json.dumps(trace)
+        head = {
             "version": CHECKPOINT_VERSION,
             "tick": self.tick,
             "frame_index": self.frame_index,
-            "trace": json.loads(self.trace_json),
         }
+        tail = {}
         if self.rng is not None:
-            doc["rng"] = self.rng
+            tail["rng"] = self.rng
         if self.job is not None:
-            doc["job"] = self.job
-        doc["topology"] = self.topology
+            tail["job"] = self.job
+        tail["topology"] = self.topology
         if self.mode is not None:
-            doc["mode"] = self.mode
+            tail["mode"] = self.mode
         if self.claim is not None:
-            doc["claim"] = self.claim
-        doc["crc"] = _payload_crc(doc)
-        return json.dumps(doc)
+            tail["claim"] = self.claim
+        tail["crc"] = _payload_crc({**head, "trace": trace, **tail})
+        # json.dumps({**head, "trace": trace, **tail}), with the trace's
+        # cached encoding spliced in instead of encoding it a second time.
+        return (f'{json.dumps(head)[:-1]}, "trace": {self.trace_json}, '
+                f'{json.dumps(tail)[1:]}')
 
     @classmethod
     def from_json(cls, text: str) -> "GraphicsCheckpoint":
@@ -274,9 +304,9 @@ class GraphicsCheckpoint:
             raise CheckpointError(
                 f"expected a string, got {type(claim).__name__}",
                 field="claim")
-        return cls(trace_json=json.dumps(trace), tick=tick,
-                   frame_index=frame_index, rng=rng, job=job,
-                   topology=topology, mode=mode, claim=claim)
+        return cls(None, tick=tick, frame_index=frame_index, rng=rng,
+                   job=job, topology=topology, mode=mode, claim=claim,
+                   trace=trace)
 
     def restore_frames(self) -> list[Frame]:
         """A new list of the frames this snapshot restores: the held
@@ -284,7 +314,8 @@ class GraphicsCheckpoint:
         draw calls through a fresh GL context."""
         if self._frames is not None:
             return list(self._frames)
-        return replay(self._trace_json)
+        return replay(self._trace_json if self._trace is None
+                      else self._trace)
 
     def require_topology(self, run_config) -> None:
         """Refuse to restore onto the topology ``run_config`` assembles
@@ -314,20 +345,20 @@ class GraphicsCheckpoint:
         run's — only the architectural state (and the payload derived
         from it) is.
 
-        The copy is built from text, so restoring it replays: the only
-        snapshots rewound are ones read back from disk.
+        The copy is built from a trace document, so restoring it
+        replays: the only snapshots rewound are ones read back from disk.
         """
         if count <= 0:
             raise ValueError(f"rewind count must be positive, got {count}")
-        trace = json.loads(self.trace_json)
+        trace = self._trace_doc()
         frames = trace.get("frames", [])
         if count > self.frame_index or count > len(frames):
             raise ValueError(
                 f"cannot rewind {count} frame(s): snapshot holds "
                 f"{len(frames)} recorded frame(s) at frame_index "
                 f"{self.frame_index}")
-        trace["frames"] = frames[:-count]
-        return replace(self, trace_json=json.dumps(trace),
+        return replace(self, trace_json=None,
+                       trace={**trace, "frames": frames[:-count]},
                        frame_index=self.frame_index - count)
 
 

@@ -313,7 +313,8 @@ class EmeraldSoC:
             return
         self._verified_checkpoints = self.checkpoints.checkpoints_taken
         try:
-            verify_roundtrip(self.checkpoints.last, tick=self.events.now)
+            verify_roundtrip(self.checkpoints.last, tick=self.events.now,
+                             written=self.checkpoints.written)
         except CheckpointMismatchViolation as violation:
             self.sanitizer.report(violation)    # re-raises in "raise" mode
 

@@ -427,6 +427,19 @@ class TestFleetEndToEnd:
         assert doc["exit_code"] == EXIT_DRAINED
         assert doc["jobs"][0]["spec"]["name"] == "one"
 
+    def test_job_latency_does_not_wait_out_the_monitor_cadence(
+            self, tmp_path):
+        """The supervisor wakes when the worker exits and the server
+        drains when the job turns terminal: a 30 s monitor cadence
+        costs a finished job nothing."""
+        started = time.monotonic()
+        report = run_sweep(
+            [tiny_spec("quick", width=16, height=12, frames=2)],
+            FleetConfig(workers=1, poll_interval=30.0),
+            workdir=str(tmp_path))
+        assert report.counts() == {"ok": 1}
+        assert time.monotonic() - started < 10.0
+
 
 class TestMonotonicProgressClock:
     """Staleness keys on the monotonic progress counter under a mocked

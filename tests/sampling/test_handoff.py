@@ -13,6 +13,7 @@ import pytest
 
 import repro.gl.trace as gl_trace
 import repro.health.recovery as recovery
+import repro.sanitize.roundtrip as roundtrip_module
 import repro.soc.checkpoint as checkpoint_module
 import repro.soc.soc as soc_module
 from repro.bench import _ffwd_operating_point
@@ -42,7 +43,11 @@ def micro_point():
 
 
 def count_encodes_and_replays(monkeypatch) -> dict:
-    """Count every trace encode and replay, wherever ``replay`` is bound."""
+    """Count every trace encode and replay, wherever ``replay`` is bound.
+
+    Every encode builds its document through ``TraceRecorder.to_doc``
+    (``TraceRecorder.to_json`` and ``GraphicsCheckpoint.to_json`` alike).
+    """
     counts = {"encode": 0, "replay": 0}
 
     def counting(key, original):
@@ -51,10 +56,10 @@ def count_encodes_and_replays(monkeypatch) -> dict:
             return original(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(gl_trace.TraceRecorder, "to_json",
-                        counting("encode", gl_trace.TraceRecorder.to_json))
+    monkeypatch.setattr(gl_trace.TraceRecorder, "to_doc",
+                        counting("encode", gl_trace.TraceRecorder.to_doc))
     replay = counting("replay", gl_trace.replay)
-    for module in (gl_trace, checkpoint_module):
+    for module in (gl_trace, checkpoint_module, roundtrip_module):
         monkeypatch.setattr(module, "replay", replay)
     return counts
 
@@ -79,7 +84,7 @@ class TestSampledHandoff:
     def test_sanitized_micro_run_round_trips_every_snapshot(self,
                                                             monkeypatch):
         # The armed sanitizer sends every snapshot a SoC takes through
-        # verify_roundtrip (to_json, from_json, replay); mode "raise"
+        # verify_roundtrip (from_json, replay); mode "raise"
         # would abort the run on the first mismatch.  Detailed windows
         # take no snapshot: each starts from one the functional pass
         # took, so nothing reaches the round trip, yet every window
@@ -87,9 +92,9 @@ class TestSampledHandoff:
         verified = []
         original = soc_module.verify_roundtrip
 
-        def recording(checkpoint, tick=0):
+        def recording(checkpoint, **kwargs):
             verified.append(checkpoint.frame_index)
-            return original(checkpoint, tick=tick)
+            return original(checkpoint, **kwargs)
 
         monkeypatch.setattr(soc_module, "verify_roundtrip", recording)
         run_config, factory, schedule = micro_point()
