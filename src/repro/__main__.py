@@ -766,6 +766,7 @@ def _cmd_fleet_submit(args) -> int:
     import os
 
     from repro.fleet.server import SOCKET_NAME, SPOOL_DIR
+    from repro.health.recovery import publish_text
 
     try:
         with open(args.specfile) as handle:
@@ -813,9 +814,7 @@ def _cmd_fleet_submit(args) -> int:
         name = spec.get("name", f"job{index}") if isinstance(spec, dict) \
             else f"job{index}"
         drop = os.path.join(spool, f"{name}.json")
-        with open(drop + ".tmp", "w") as handle:
-            json.dump(item, handle, indent=2)
-        os.replace(drop + ".tmp", drop)
+        publish_text(drop, json.dumps(item, indent=2))
         print(f"  {name}: spooled -> {drop}")
     return 1 if failures else 0
 

@@ -29,23 +29,27 @@ import os
 import time
 from typing import Optional
 
+from repro.health.recovery import publish_text
+
 
 def write_heartbeat(path: str, *, frame: int, tick: int, beats: int,
-                    progress: Optional[int] = None) -> None:
+                    progress: Optional[int] = None,
+                    resumed_from: int = 0) -> None:
     """Atomically publish one heartbeat (write-then-rename).
 
     ``progress`` is the monotonic attempt-progress counter the staleness
     verdict keys on; it defaults to ``beats`` (which the worker's frame
-    hook increments every call).  ``time`` is wall-clock provenance for
-    humans reading a triage bundle — the monitor never consults it.
+    hook increments every call).  ``resumed_from`` is the frame the
+    attempt started at, so the server learns a dead attempt's resume
+    point without parsing its snapshot.  ``time`` is wall-clock
+    provenance for humans reading a triage bundle — the monitor never
+    consults it.
     """
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump({"frame": frame, "tick": tick, "beats": beats,
-                   "progress": beats if progress is None else progress,
-                   "time": time.time(),
-                   "pid": os.getpid()}, handle)
-    os.replace(tmp, path)
+    publish_text(path, json.dumps({
+        "frame": frame, "tick": tick, "beats": beats,
+        "progress": beats if progress is None else progress,
+        "resumed_from": resumed_from,
+        "time": time.time(), "pid": os.getpid()}))
 
 
 def read_heartbeat(path: str) -> Optional[dict]:

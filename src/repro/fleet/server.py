@@ -14,19 +14,23 @@ after ``kill -9``:
   :class:`~repro.sanitize.violations.JournalConsistencyViolation` on a
   ``claim`` after ``done``, so the no-rework guarantee is checkable from
   the journal alone);
-* each attempt is one worker process (:mod:`~repro.fleet.worker`), and
-  it ends when that process exits: the supervisor waits on the
-  process's sentinel through the event loop, and checks heartbeat
-  staleness, the per-attempt deadline and a drain or abort every
-  ``poll_interval`` meanwhile.  The serve loop and idle slots sleep
+* each attempt is one worker process (:mod:`~repro.fleet.worker`)
+  whose inputs are its spawn arguments (the spec, the claim token and
+  the attempt's injected fault control), and it ends when that process
+  exits: the supervisor waits on the process's sentinel through the
+  event loop, and checks heartbeat staleness, the per-attempt deadline
+  and a drain or abort every ``poll_interval`` meanwhile.  Every stop
+  request (drain, ``preempt_after``, deadline, cancel) goes through
+  :func:`_request_stop`.  The serve loop and idle slots sleep
   until a job state changes (submission, requeue, attempt end, terminal
   outcome, drain, abort), so no job waits out a poll.  A
   worker that dies without a result, or whose heartbeats go stale, is
   retried with capped exponential backoff and resumes from its last
-  checkpoint; typed deterministic failures (``violation`` /
-  ``detected`` / ``error``) are terminal on the first attempt;
-  cooperative preemption at a checkpoint boundary costs no attempt
-  (capped at :data:`MAX_PREEMPTIONS`);
+  checkpoint (its last heartbeat names the frame it resumed from, so
+  starting an attempt parses no snapshot); typed deterministic failures
+  (``violation`` / ``detected`` / ``error``) are terminal on the first
+  attempt; cooperative preemption at a checkpoint boundary costs no
+  attempt (capped at :data:`MAX_PREEMPTIONS`);
 * the result cache (content-addressed on config hash, seed and code
   version) is consulted on every claim, so finished work is served
   without a worker;
@@ -85,9 +89,10 @@ from repro.fleet.job import (RETRYABLE, FleetConfig, FleetReport,
 from repro.fleet.journal import (JobJournal, JournalReplay, ReplayedJob,
                                  replaces)
 from repro.fleet.manifest import build_manifest, cache_key, payload_bytes
-from repro.fleet.worker import (CHECKPOINT_FILE, CLAIM_FILE, CONTROL_FILE,
-                                HEARTBEAT_FILE, PREEMPT_FLAG, RESULT_FILE,
-                                TRIAGE_DIR, worker_entry)
+from repro.fleet.worker import (CHECKPOINT_FILE, HEARTBEAT_FILE,
+                                PREEMPT_FLAG, RESULT_FILE, TRIAGE_DIR,
+                                worker_entry)
+from repro.health.recovery import publish_text
 from repro.sanitize.violations import JournalConsistencyViolation
 
 SERVER_STATUS_SCHEMA = "repro-fleet-server-status/1"
@@ -249,6 +254,18 @@ def _clear(path: str) -> None:
         pass
 
 
+def _request_stop(jobdir: str, reason: str) -> None:
+    """Ask the attempt running in ``jobdir`` to stop at its next
+    checkpoint boundary: the worker's preempt check looks for the flag.
+    A failed write leaves the attempt running; it never ends the caller.
+    """
+    try:
+        with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
+            flag.write(reason + "\n")
+    except OSError:
+        pass
+
+
 def _exitcode_desc(code) -> str:
     if code is None:
         return "with unknown status"
@@ -261,7 +278,8 @@ def _exitcode_desc(code) -> str:
 
 
 def _load_checkpoint(jobdir: str):
-    """The job's on-disk checkpoint, or None if absent or unreadable."""
+    """The job's on-disk checkpoint for a triage bundle, or None if
+    absent or unreadable."""
     from repro.health import load_checkpoint
     from repro.soc.checkpoint import CheckpointError
     try:
@@ -512,10 +530,6 @@ class FleetServer:
                             + len(record.attempts) + record.preemptions + 1)
         jobdir = self._jobdir(job)
         os.makedirs(jobdir, exist_ok=True)
-        tmp = os.path.join(jobdir, CLAIM_FILE + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(claim + "\n")
-        os.replace(tmp, os.path.join(jobdir, CLAIM_FILE))
         self._owner_share[job.owner] = \
             self._owner_share.get(job.owner, 0) + 1
         watchdog = None
@@ -528,14 +542,13 @@ class FleetServer:
         job.running = True
         self._running += 1
         try:
-            attempt = await self._run_attempt(job, jobdir)
+            attempt = await self._run_attempt(job, jobdir, claim)
         finally:
             job.running = False
             self._running -= 1
             self._wake.set()                 # a drain may be waiting on it
             if watchdog is not None:
                 watchdog.cancel()
-            _clear(os.path.join(jobdir, CLAIM_FILE))
         record.attempts.append(attempt)
         self.journal.append("attempt-end", name=job.name,
                             outcome=attempt.outcome, detail=attempt.detail,
@@ -600,39 +613,38 @@ class FleetServer:
     async def _deadline_watchdog(self, job: _ServerJob,
                                  jobdir: str) -> None:
         await asyncio.sleep(max(0.0, job.deadline_at - time.monotonic()))
-        try:
-            with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as flag:
-                flag.write(f"deadline cancel: {job.deadline:.1f}s "
-                           f"budget exhausted\n")
-        except OSError:
-            pass
+        _request_stop(jobdir, f"deadline cancel: {job.deadline:.1f}s "
+                              f"budget exhausted")
 
     # -- one worker process -------------------------------------------------
 
-    async def _run_attempt(self, job: _ServerJob,
-                           jobdir: str) -> JobAttempt:
+    async def _run_attempt(self, job: _ServerJob, jobdir: str,
+                           claim: str) -> JobAttempt:
         record, fleet = job.record, self.config.fleet
-        self._arm_controls(record, jobdir)
         if not job.prior_claims and not record.attempts \
                 and record.preemptions == 0:
-            # First attempt: a checkpoint or heartbeat left behind in a
-            # reused job directory belongs to a different job — resuming
-            # it would publish a wrong payload under this job's cache
-            # key.  A journal-recovered job that was claimed before
-            # keeps its checkpoint: that is what a restart resumes from.
+            # First attempt: a checkpoint left behind in a reused job
+            # directory belongs to a different job — resuming it would
+            # publish a wrong payload under this job's cache key.  A
+            # journal-recovered job that was claimed before keeps its
+            # checkpoint: that is what a restart resumes from.
             _clear(os.path.join(jobdir, CHECKPOINT_FILE))
-            _clear(os.path.join(jobdir, HEARTBEAT_FILE))
+        # Every beat read from here on is this attempt's.
+        _clear(os.path.join(jobdir, HEARTBEAT_FILE))
         _clear(os.path.join(jobdir, RESULT_FILE))
         _clear(os.path.join(jobdir, PREEMPT_FLAG))
 
         backoff_delay = record.next_backoff
         record.next_backoff = 0.0
-        checkpoint = _load_checkpoint(jobdir)
-        resumed_from = checkpoint.frame_index if checkpoint is not None else 0
+        # One injected fault per attempt, preempted ones included.
+        controls = fleet.inject.get(record.spec.name, [])
+        index = len(record.attempts) + record.preemptions
+        control = controls[index] if index < len(controls) else None
 
         process = self._ctx.Process(
             target=worker_entry,
-            args=(record.spec.to_dict(), jobdir, fleet.budget_events),
+            args=(record.spec.to_dict(), jobdir, fleet.budget_events,
+                  claim, control),
             daemon=True)
         process.start()
         self.executed += 1
@@ -667,9 +679,7 @@ class FleetServer:
                     and loop.time() - started > fleet.preempt_after)
                 if (self._draining or over_deadline) \
                         and not preempt_flagged:
-                    with open(os.path.join(jobdir, PREEMPT_FLAG),
-                              "w") as flag:
-                        flag.write("preempt requested by the server\n")
+                    _request_stop(jobdir, "preempt requested by the server")
                     preempt_flagged = True
                 if monitor.stale():
                     process.kill()           # SIGKILL; heartbeats ceased
@@ -696,6 +706,9 @@ class FleetServer:
                 payload_doc=result.get("payload"))
 
         # No result: the process died (or we killed it for hanging).
+        # Its beats name the frame it resumed from; 0 if it never beat.
+        beat = monitor.poll()
+        resumed_from = beat.get("resumed_from", 0) if beat else 0
         kind = "hung" if hung else "crashed"
         failure = FleetWorkerFailure(
             kind,
@@ -704,22 +717,11 @@ class FleetServer:
             if hung else
             f"worker exited {exitcode_desc} without a result "
             f"(resume point: frame {resumed_from})",
-            last_heartbeat=monitor.poll())
+            last_heartbeat=beat)
         bundle = self._write_attempt_bundle(record, jobdir, failure)
         return JobAttempt(outcome=kind, detail=str(failure),
                           resumed_from=resumed_from,
                           backoff_delay=backoff_delay, bundle=bundle)
-
-    def _arm_controls(self, record: JobRecord, jobdir: str) -> None:
-        """Install (or retire) this attempt's injected-fault control."""
-        controls = self.config.fleet.inject.get(record.spec.name, [])
-        index = len(record.attempts) + record.preemptions
-        path = os.path.join(jobdir, CONTROL_FILE)
-        if index < len(controls) and controls[index]:
-            with open(path, "w") as handle:
-                json.dump(controls[index], handle)
-        else:
-            _clear(path)
 
     def _write_attempt_bundle(self, record: JobRecord, jobdir: str,
                               failure: FleetWorkerFailure) -> Optional[str]:
@@ -860,12 +862,9 @@ class FleetServer:
 
     @staticmethod
     def _write_json(path: str, doc: dict) -> None:
-        tmp = path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
+            publish_text(path,
+                         json.dumps(doc, indent=2, sort_keys=True) + "\n")
         except OSError:
             pass
 
@@ -941,12 +940,7 @@ class FleetServer:
         if job.running:
             # Cooperative: the worker stops at the next checkpoint
             # boundary and the slot finalizes the cancellation.
-            try:
-                with open(os.path.join(self._jobdir(job), PREEMPT_FLAG),
-                          "w") as flag:
-                    flag.write("cancel requested by operator\n")
-            except OSError:
-                pass
+            _request_stop(self._jobdir(job), "cancel requested by operator")
             return {"ok": True, "name": name, "state": "preempting"}
         if job in self._ready:
             self._ready.remove(job)

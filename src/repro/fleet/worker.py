@@ -8,19 +8,24 @@ either an atomic ``result.json`` naming a typed outcome, or nothing at
 all** (the process was killed) — never a bare traceback, never a torn
 result the server could misread.
 
-Per-attempt flow:
+Per-attempt flow.  An attempt is one call: the server's ``claim`` token
+and the attempt's injected fault ``control`` are arguments, and the job
+directory holds only what the two processes hand each other (snapshot,
+heartbeats, the server's ``PREEMPT`` stop request, the result):
 
 1. If ``checkpoint.json`` exists (a previous attempt crashed or was
    preempted), validate and load it; a
    :class:`~repro.soc.checkpoint.CheckpointCorruptError` quarantines the
    snapshot and falls back to a from-scratch run.
-2. Run the tiny full-system workload with the watchdog armed, per-frame
-   checkpoints written atomically, the sanitizer armed (triage bundles
-   under ``triage/``), and a frame hook that heartbeats and honors the
-   fault-injection controls CI / tests use (self-SIGKILL, deliberate
-   hang).
-3. Map the ending to the attempt taxonomy (:mod:`repro.fleet.job`) and
-   publish ``result.json`` write-then-rename.
+2. Run the sampled, fast-forwarded or detailed body: the tiny
+   full-system workload with the watchdog armed, per-frame checkpoints
+   stamped with the claim and written atomically, the sanitizer armed
+   (triage bundles under ``triage/``), and a frame hook that heartbeats
+   (each beat names the attempt's resume point) and honors the fault
+   controls CI / tests inject (self-SIGKILL, deliberate hang).
+3. Map the ending to the attempt taxonomy (:mod:`repro.fleet.job`)
+   through one exception ladder and publish ``result.json``
+   write-then-rename.
 
 Determinism: the result payload is derived from the final framebuffer
 (bit-identical across crash/resume, pinned by the recovery tests), so a
@@ -37,54 +42,24 @@ import time
 from dataclasses import replace
 from typing import Optional
 
+from repro.common.events import SimulationError
+from repro.fleet.heartbeat import write_heartbeat
 from repro.fleet.job import DEFAULT_BUDGET_EVENTS, JobSpec
 from repro.fleet.manifest import cache_key, result_payload
 from repro.health import (FaultConfig, HealthConfig, PreemptionRequested,
                           RetryConfig, load_checkpoint)
+from repro.health.recovery import publish_text
+from repro.sampling.ffwd import fb_crc
+from repro.sampling.stats import ExtrapolationError
+from repro.sanitize.violations import SanitizerViolation
 from repro.soc.checkpoint import CheckpointError
 
 #: Job-directory file names (the worker/server wire protocol).
 RESULT_FILE = "result.json"
 CHECKPOINT_FILE = "checkpoint.json"
 HEARTBEAT_FILE = "heartbeat.json"
-CONTROL_FILE = "control.json"
 PREEMPT_FLAG = "PREEMPT"
-CLAIM_FILE = "CLAIM"
 TRIAGE_DIR = "triage"
-
-
-def _read_control(jobdir: str) -> dict:
-    """Test/CI fault-injection controls (absent in production runs).
-
-    ``kill_at_frame`` — SIGKILL ourselves after that frame completes (a
-    real, uncatchable worker crash); ``hang_at_frame`` — stop beating and
-    sleep (a hung worker for the heartbeat monitor to catch);
-    ``hang_after_result`` — publish the result, then stop beating (the
-    publish-vs-staleness race: the server must accept the result).
-    """
-    try:
-        with open(os.path.join(jobdir, CONTROL_FILE)) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    return doc if isinstance(doc, dict) else {}
-
-
-def _read_claim(jobdir: str) -> Optional[str]:
-    """The server's claim token for this attempt, if one was issued.
-
-    The fleet server writes ``CLAIM`` (one line: server incarnation +
-    attempt sequence) before spawning the worker; the token is stamped
-    into every snapshot as provenance (:class:`GraphicsCheckpoint.claim`).
-    A worker run in-process by :func:`run_job` has none and the field
-    stays None.
-    """
-    try:
-        with open(os.path.join(jobdir, CLAIM_FILE)) as handle:
-            token = handle.readline().strip()
-    except OSError:
-        return None
-    return token or None
 
 
 def _load_resume_checkpoint(jobdir: str, expected_job: Optional[str]):
@@ -118,11 +93,6 @@ def _load_resume_checkpoint(jobdir: str, expected_job: Optional[str]):
                       f"match this job ({expected_job!r}); "
                       f"rerunning from scratch")
     return checkpoint, None
-
-
-def _fb_crc(soc) -> int:
-    import zlib
-    return zlib.crc32(soc.gpu.fb.color.tobytes())
 
 
 def _sanitize_config(jobdir: str, spec: JobSpec):
@@ -192,8 +162,50 @@ def _metrics(soc, results) -> dict:
     }
 
 
-def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict) -> dict:
-    """The sampled-job attempt: run the windows, extrapolate, publish.
+def _run_detailed(spec: JobSpec, jobdir: str, config, checkpoint,
+                  job_key: str, budget_events: int) -> dict:
+    """The detailed (or fast-forwarded) body: resume or start the run
+    and reduce it to the ok result's fields."""
+    from repro.harness.scenes import SceneSession
+    from repro.health.recovery import resume_run
+    from repro.soc.soc import EmeraldSoC
+
+    session = SceneSession(spec.model, spec.width, spec.height)
+    if spec.ffwd and (checkpoint is None
+                      or checkpoint.frame_index < spec.ffwd):
+        # Fast-forward jobs skip the warm-up frames functionally (zero
+        # timing events) and enter detailed timing from the snapshot —
+        # unless an on-disk checkpoint already sits past the switch
+        # point, in which case the normal resume wins.
+        from repro.sampling.functional import FunctionalSim
+        sim = FunctionalSim(config, session.frame, render="none")
+        sim.run(spec.ffwd)
+        checkpoint = sim.checkpoint(job=job_key)
+        session = SceneSession(spec.model, spec.width, spec.height)
+    if checkpoint is not None:
+        soc, results = resume_run(checkpoint, config, session.frame,
+                                  session.framebuffer_address,
+                                  max_events=budget_events)
+    else:
+        soc = EmeraldSoC(config, session.frame, session.framebuffer_address)
+        results = soc.run(max_events=budget_events)
+    metrics = _metrics(soc, results) if spec.collect_metrics else None
+    if spec.collect_metrics:
+        # A full stats dump (with the topology block) rides along for
+        # DSE post-mortems; not part of the cached payload.
+        from repro.harness.report import write_stats_json
+        write_stats_json(soc.stat_groups(),
+                         os.path.join(jobdir, "stats.json"),
+                         topology=soc.topology)
+    return {"payload": result_payload(spec, fb_crc(soc), metrics=metrics),
+            "end_tick": results.end_tick,
+            "checkpoints": results.checkpoints_taken,
+            "noc_retries": results.noc_retries}
+
+
+def _run_sampled(spec: JobSpec, config) -> dict:
+    """The sampled body: run the windows, extrapolate, and reduce the run
+    to the ok result's fields.
 
     Sampled runs keep their window snapshots in memory (no
     ``checkpoint.json``, no crash-resume — a retried attempt restarts
@@ -204,89 +216,52 @@ def _run_sampled_job(spec: JobSpec, jobdir: str, config, base: dict) -> dict:
     estimates, the schedule, the last detailed framebuffer CRC — never
     wall-clock times (those go in the result doc outside the payload).
     """
-    from repro.common.events import SimulationError
     from repro.harness.scenes import SceneSession
     from repro.sampling.sampler import run_sampled
-    from repro.sampling.stats import ExtrapolationError
     from repro.sampling.windows import parse_sample_spec
-    from repro.sanitize.violations import SanitizerViolation
-
-    schedule = parse_sample_spec(spec.sample, spec.frames)
 
     def factory():
         return SceneSession(spec.model, spec.width, spec.height)
 
-    try:
-        sampled = run_sampled(config, factory, schedule)
-    except SanitizerViolation as violation:
-        return _write_result(jobdir, {
-            **base, "outcome": "violation", "detail": str(violation),
-            "bundle": violation.bundle_path})
-    except (SimulationError, ExtrapolationError) as error:
-        return _write_result(jobdir, {
-            **base, "outcome": "detected",
-            "detail": f"{type(error).__name__}: {error}"})
-    except Exception as exc:                    # loud-death contract
-        return _write_result(jobdir, {
-            **base, "outcome": "error",
-            "detail": f"{type(exc).__name__}: {exc}"})
+    sampled = run_sampled(config, factory,
+                          parse_sample_spec(spec.sample, spec.frames))
     doc = sampled.as_dict()
     for volatile in ("wall_functional", "wall_detailed", "wall_total"):
         doc.pop(volatile, None)
-    payload = result_payload(spec, sampled.final_detailed_fb_crc,
-                             metrics={"sampled": doc})
-    return _write_result(jobdir, {
-        **base, "outcome": "ok", "detail": "",
-        "payload": payload,
-        "wall_functional": sampled.wall_functional,
-        "wall_detailed": sampled.wall_detailed,
-        "frames_functional": sampled.frames_functional,
-        "frames_detailed": sampled.frames_detailed})
+    return {"payload": result_payload(spec, sampled.final_detailed_fb_crc,
+                                      metrics={"sampled": doc}),
+            "wall_functional": sampled.wall_functional,
+            "wall_detailed": sampled.wall_detailed,
+            "frames_functional": sampled.frames_functional,
+            "frames_detailed": sampled.frames_detailed}
 
 
 def _write_result(jobdir: str, doc: dict) -> dict:
     """Publish the attempt's verdict atomically."""
-    path = os.path.join(jobdir, RESULT_FILE)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    publish_text(os.path.join(jobdir, RESULT_FILE),
+                 json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 
 def run_job(spec: JobSpec, jobdir: str,
-            budget_events: int = DEFAULT_BUDGET_EVENTS) -> dict:
-    """Run one attempt; always returns (and persists) a typed outcome."""
-    from repro.harness.scenes import SceneSession
-    from repro.health.recovery import resume_run
-    from repro.sanitize.violations import SanitizerViolation
-    from repro.soc.soc import EmeraldSoC
-    from repro.common.events import SimulationError
+            budget_events: int = DEFAULT_BUDGET_EVENTS, *,
+            claim: Optional[str] = None,
+            control: Optional[dict] = None) -> dict:
+    """Run one attempt; always returns (and persists) a typed outcome.
 
+    ``claim`` is the server's token for this attempt, stamped into every
+    snapshot as provenance (:attr:`GraphicsCheckpoint.claim`); a job run
+    in-process without one leaves the field None.  ``control`` is the
+    fault the server injects into this attempt (tests and CI; None in
+    production runs): ``kill_at_frame`` — SIGKILL ourselves after that
+    frame completes (a real, uncatchable worker crash);
+    ``hang_at_frame`` — stop beating and sleep (a hung worker for the
+    heartbeat monitor to catch); ``hang_after_result`` — publish the
+    result, then stop beating (the publish-vs-staleness race: the server
+    must accept the result).
+    """
+    control = control or {}
     os.makedirs(jobdir, exist_ok=True)
-    control = _read_control(jobdir)
-    heartbeat_path = os.path.join(jobdir, HEARTBEAT_FILE)
-    preempt_flag = os.path.join(jobdir, PREEMPT_FLAG)
-    beats = 0
-
-    def frame_hook(frame_index: int, tick: int) -> None:
-        nonlocal beats
-        beats += 1
-        from repro.fleet.heartbeat import write_heartbeat
-        write_heartbeat(heartbeat_path, frame=frame_index, tick=tick,
-                        beats=beats)
-        if control.get("kill_at_frame") == frame_index:
-            os.kill(os.getpid(), signal.SIGKILL)
-        if control.get("hang_at_frame") == frame_index:
-            time.sleep(3600)                    # a hang, for the monitor
-
-    def preempt_check(frames_done: int) -> bool:
-        # Never "preempt" a run whose final frame just finished — the
-        # loop is about to end normally and the result is in hand.
-        return (frames_done < spec.frames
-                and os.path.exists(preempt_flag))
-
     job_key = cache_key(spec)
     checkpoint, fallback = _load_resume_checkpoint(jobdir, job_key)
     if checkpoint is not None and checkpoint.frame_index >= spec.frames:
@@ -305,33 +280,36 @@ def run_job(spec: JobSpec, jobdir: str,
     base = {"name": spec.name, "resumed_from": resumed_from,
             "fallback": fallback}
 
-    session = SceneSession(spec.model, spec.width, spec.height)
-    from repro.fleet.heartbeat import write_heartbeat
-    write_heartbeat(heartbeat_path, frame=-1, tick=0, beats=0)
+    heartbeat_path = os.path.join(jobdir, HEARTBEAT_FILE)
+    preempt_flag = os.path.join(jobdir, PREEMPT_FLAG)
+    beats = 0
 
+    def frame_hook(frame_index: int, tick: int) -> None:
+        nonlocal beats
+        beats += 1
+        write_heartbeat(heartbeat_path, frame=frame_index, tick=tick,
+                        beats=beats, resumed_from=resumed_from)
+        if control.get("kill_at_frame") == frame_index:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if control.get("hang_at_frame") == frame_index:
+            time.sleep(3600)                    # a hang, for the monitor
+
+    def preempt_check(frames_done: int) -> bool:
+        # Never "preempt" a run whose final frame just finished — the
+        # loop is about to end normally and the result is in hand.
+        return (frames_done < spec.frames
+                and os.path.exists(preempt_flag))
+
+    write_heartbeat(heartbeat_path, frame=-1, tick=0, beats=0,
+                    resumed_from=resumed_from)
     config = _run_config(spec, jobdir, frame_hook, preempt_check,
-                         job_key=job_key, claim=_read_claim(jobdir))
-    if spec.sample is not None:
-        return _run_sampled_job(spec, jobdir, config, base)
+                         job_key=job_key, claim=claim)
     try:
-        if spec.ffwd and resumed_from < spec.ffwd:
-            # Fast-forward jobs skip the warm-up frames functionally
-            # (zero timing events) and enter detailed timing from the
-            # snapshot — unless an on-disk checkpoint already sits past
-            # the switch point, in which case the normal resume wins.
-            from repro.sampling.functional import FunctionalSim
-            sim = FunctionalSim(config, session.frame, render="none")
-            sim.run(spec.ffwd)
-            checkpoint = sim.checkpoint(job=job_key)
-            session = SceneSession(spec.model, spec.width, spec.height)
-        if checkpoint is not None:
-            soc, results = resume_run(checkpoint, config, session.frame,
-                                      session.framebuffer_address,
-                                      max_events=budget_events)
+        if spec.sample is not None:
+            fields = _run_sampled(spec, config)
         else:
-            soc = EmeraldSoC(config, session.frame,
-                             session.framebuffer_address)
-            results = soc.run(max_events=budget_events)
+            fields = _run_detailed(spec, jobdir, config, checkpoint,
+                                   job_key, budget_events)
     except PreemptionRequested as preempted:
         return _write_result(jobdir, {
             **base, "outcome": "preempted",
@@ -341,7 +319,7 @@ def run_job(spec: JobSpec, jobdir: str,
         return _write_result(jobdir, {
             **base, "outcome": "violation", "detail": str(violation),
             "bundle": violation.bundle_path})
-    except SimulationError as error:
+    except (SimulationError, ExtrapolationError) as error:
         return _write_result(jobdir, {
             **base, "outcome": "detected",
             "detail": f"{type(error).__name__}: {error}"})
@@ -349,33 +327,22 @@ def run_job(spec: JobSpec, jobdir: str,
         return _write_result(jobdir, {          # typed, never a traceback
             **base, "outcome": "error",
             "detail": f"{type(exc).__name__}: {exc}"})
-
-    metrics = _metrics(soc, results) if spec.collect_metrics else None
-    payload = result_payload(spec, _fb_crc(soc), metrics=metrics)
-    if spec.collect_metrics:
-        # A full stats dump (with the topology block) rides along for
-        # DSE post-mortems; not part of the cached payload.
-        from repro.harness.report import write_stats_json
-        write_stats_json(soc.stat_groups(),
-                         os.path.join(jobdir, "stats.json"),
-                         topology=soc.topology)
-    doc = _write_result(jobdir, {
-        **base, "outcome": "ok", "detail": "",
-        "payload": payload,
-        "end_tick": results.end_tick,
-        "checkpoints": results.checkpoints_taken,
-        "noc_retries": results.noc_retries})
+    doc = _write_result(jobdir, {**base, "outcome": "ok", "detail": "",
+                                 **fields})
     if control.get("hang_after_result"):
         time.sleep(3600)                        # result published, then hang
     return doc
 
 
 def worker_entry(spec_dict: dict, jobdir: str,
-                 budget_events: int = DEFAULT_BUDGET_EVENTS) -> None:
+                 budget_events: int = DEFAULT_BUDGET_EVENTS,
+                 claim: Optional[str] = None,
+                 control: Optional[dict] = None) -> None:
     """Process target: nothing escapes — a result file or death only."""
     try:
         spec = JobSpec.from_dict(spec_dict)
-        run_job(spec, jobdir, budget_events=budget_events)
+        run_job(spec, jobdir, budget_events=budget_events, claim=claim,
+                control=control)
     except BaseException as exc:    # pragma: no cover - last-ditch guard
         try:
             _write_result(jobdir, {

@@ -113,20 +113,29 @@ class CheckpointManager:
                             mode="detailed", claim=self.claim)
         self.checkpoints_taken += 1
         if self.path is not None:
-            # Write-then-rename: a process SIGKILL'd mid-serialize leaves
-            # a stale ``.tmp`` behind, never a truncated snapshot — the
-            # previous complete snapshot at ``path`` survives and resume
-            # picks it up.  The name is per process: a fleet worker
-            # orphaned by a killed server may still be writing beside
-            # its successor.
+            # A process SIGKILL'd mid-write leaves the previous complete
+            # snapshot at ``path`` for resume to pick up.
             self.written = self.last.to_json()
-            tmp = f"{self.path}.tmp-{os.getpid()}"
-            with open(tmp, "w") as handle:
-                handle.write(self.written)
-            os.replace(tmp, self.path)
+            publish_text(self.path, self.written)
         if (self.preempt_check is not None
                 and self.preempt_check(frame_index + 1)):
             raise PreemptionRequested(frame_index + 1, tick)
+
+
+def publish_text(path: str, text: str) -> None:
+    """Publish ``text`` at ``path`` write-then-rename.
+
+    A process killed mid-write leaves a stale temp file behind, never a
+    truncated ``path``: a reader sees the previous complete version or
+    the new one.  The temp name is per process, so two processes
+    publishing one path (a fleet worker orphaned by a killed server
+    beside its successor, two ``fleet submit`` runs dropping one spec
+    name) never rename each other's half-written file into place.
+    """
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> GraphicsCheckpoint:

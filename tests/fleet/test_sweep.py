@@ -43,9 +43,10 @@ class TestBackoffPolicy:
 class TestHeartbeat:
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / "hb.json")
-        write_heartbeat(path, frame=3, tick=9000, beats=4)
+        write_heartbeat(path, frame=3, tick=9000, beats=4, resumed_from=2)
         doc = read_heartbeat(path)
         assert doc["frame"] == 3 and doc["beats"] == 4
+        assert doc["resumed_from"] == 2
         assert doc["pid"] == os.getpid()
 
     def test_torn_write_reads_as_absent(self, tmp_path):
@@ -221,6 +222,72 @@ class TestFleetEndToEnd:
         with open(bumpy_entry, "rb") as handle:
             bumpy_bytes = handle.read()
         assert clean_bytes == bumpy_bytes      # bit-identical, post-crash
+
+    def test_each_retry_resumes_from_the_last_attempts_snapshot(
+            self, tmp_path):
+        """Killed after frame 1, then after frame 2: each attempt starts
+        where the one before it last snapshotted, and a crashed
+        attempt's detail names the frame it had resumed from."""
+        config = FleetConfig(
+            workers=1, max_attempts=3, backoff=FAST_BACKOFF,
+            cache_dir=str(tmp_path / "cache"),
+            inject={"cube-s3": [{"kill_at_frame": 1},
+                                {"kill_at_frame": 2}]})
+        [record] = run_sweep([tiny_spec("cube-s3", seed=3, frames=3)],
+                             config, workdir=str(tmp_path / "work")).records
+        assert [a.outcome for a in record.attempts] \
+            == ["crashed", "crashed", "ok"]
+        assert [a.resumed_from for a in record.attempts] == [0, 1, 2]
+        assert "(resume point: frame 0)" in record.attempts[0].detail
+        assert "(resume point: frame 1)" in record.attempts[1].detail
+
+    def test_journaled_claims_reach_the_snapshots(self, tmp_path):
+        """Every snapshot carries the claim of the attempt that wrote it:
+        the job's snapshot the resuming attempt's (the job's last
+        journaled claim), the crash bundle's the killed attempt's."""
+        from repro.health import load_checkpoint
+        workdir = str(tmp_path / "work")
+        config = FleetConfig(workers=1, backoff=FAST_BACKOFF,
+                             cache_dir=str(tmp_path / "cache"),
+                             inject={"cube-s1": [{"kill_at_frame": 1}]})
+        [record] = run_sweep([tiny_spec("cube-s1", seed=1)], config,
+                             workdir=workdir).records
+        assert [a.outcome for a in record.attempts] == ["crashed", "ok"]
+        claims = [entry["data"]["claim"] for entry in
+                  replay_journal(os.path.join(workdir, JOURNAL_DIR)).records
+                  if entry["type"] == "claim"
+                  and entry["data"]["name"] == "cube-s1"]
+        assert len(claims) == 2 and claims[0] != claims[1]
+        snapshot = load_checkpoint(
+            os.path.join(workdir, "jobs", "cube-s1", "checkpoint.json"))
+        assert snapshot.claim == claims[-1]
+        bundled = load_checkpoint(
+            os.path.join(record.attempts[0].bundle, "checkpoint.json"))
+        assert bundled.claim == claims[0]
+
+    def test_server_parses_a_snapshot_only_for_the_crash_bundle(
+            self, tmp_path, monkeypatch):
+        """Starting an attempt parses no snapshot in the server process:
+        the retry's resume point comes from the killed attempt's last
+        heartbeat, and only the crash bundle loads the snapshot.  Forked
+        workers count their own parses in their own memory."""
+        from repro.soc.checkpoint import GraphicsCheckpoint
+        parses = []
+        from_json = GraphicsCheckpoint.from_json.__func__
+
+        def counted(cls, text):
+            parses.append(len(text))
+            return from_json(cls, text)
+        monkeypatch.setattr(GraphicsCheckpoint, "from_json",
+                            classmethod(counted))
+        config = FleetConfig(workers=1, backoff=FAST_BACKOFF,
+                             cache_dir=str(tmp_path / "cache"),
+                             inject={"cube-s1": [{"kill_at_frame": 1}]})
+        [record] = run_sweep([tiny_spec("cube-s1", seed=1)], config,
+                             workdir=str(tmp_path / "work")).records
+        assert [a.outcome for a in record.attempts] == ["crashed", "ok"]
+        assert record.attempts[1].resumed_from == 1
+        assert len(parses) == 1, parses
 
     def test_retries_exhausted_is_failed_not_lost(self, tmp_path):
         config = FleetConfig(

@@ -182,6 +182,36 @@ class TestAtomicSnapshotWrites:
         (tmp_path / "snap.json.tmp").write_text('{"version": 1, "tick"')
         assert load_checkpoint(str(path)).frame_index == 1
 
+    def test_interleaved_publishes_of_one_path_both_land(self, tmp_path,
+                                                         monkeypatch):
+        """Two processes publish one path, the second entirely inside the
+        first's rename: neither renames the other's temp file, so both
+        renames succeed and the later one's text stays."""
+        import os as os_module
+
+        from repro.health.recovery import publish_text
+
+        path = str(tmp_path / "doc.json")
+        getpid, replace = os_module.getpid, os_module.replace
+        nested = []
+
+        def interleaved(src, dst):
+            if not nested:
+                nested.append(src)
+                monkeypatch.setattr("repro.health.recovery.os.getpid",
+                                    lambda: getpid() + 1)
+                publish_text(path, "second\n")
+                monkeypatch.setattr("repro.health.recovery.os.getpid",
+                                    getpid)
+            replace(src, dst)
+        monkeypatch.setattr("repro.health.recovery.os.replace", interleaved)
+        publish_text(path, "first\n")
+
+        assert nested
+        with open(path) as handle:
+            assert handle.read() == "first\n"
+        assert os_module.listdir(tmp_path) == ["doc.json"]
+
 
 class TestPreemption:
     def test_preempt_check_consulted_after_snapshot_lands(self, tmp_path):
