@@ -42,17 +42,27 @@ import time
 from dataclasses import replace
 from typing import Optional
 
+from repro.common.config import SoCTopology
 from repro.common.events import SimulationError
 from repro.fleet.heartbeat import write_heartbeat
 from repro.fleet.job import DEFAULT_BUDGET_EVENTS, JobSpec
 from repro.fleet.manifest import cache_key, result_payload
+from repro.gpu.energy import soc_energy
+from repro.harness.report import write_stats_json
+from repro.harness.scenes import SceneSession
 from repro.health import (FaultConfig, HealthConfig, PreemptionRequested,
                           RetryConfig, load_checkpoint)
-from repro.health.recovery import publish_text
+from repro.health.recovery import publish_text, resume_run
+from repro.memory.request import SourceType
 from repro.sampling.ffwd import fb_crc
+from repro.sampling.functional import FunctionalSim
+from repro.sampling.sampler import run_sampled
 from repro.sampling.stats import ExtrapolationError
+from repro.sampling.windows import parse_sample_spec
+from repro.sanitize.chaos import CHAOS_SANITIZE
 from repro.sanitize.violations import SanitizerViolation
 from repro.soc.checkpoint import CheckpointError
+from repro.soc.soc import EmeraldSoC, tiny_run_config
 
 #: Job-directory file names (the worker/server wire protocol).
 RESULT_FILE = "result.json"
@@ -96,7 +106,6 @@ def _load_resume_checkpoint(jobdir: str, expected_job: Optional[str]):
 
 
 def _sanitize_config(jobdir: str, spec: JobSpec):
-    from repro.sanitize.chaos import CHAOS_SANITIZE
     return replace(
         CHAOS_SANITIZE,
         bundle_dir=os.path.join(jobdir, TRIAGE_DIR),
@@ -106,9 +115,6 @@ def _sanitize_config(jobdir: str, spec: JobSpec):
 def _run_config(spec: JobSpec, jobdir: str, frame_hook, preempt_check,
                 job_key: Optional[str] = None,
                 claim: Optional[str] = None):
-    from repro.common.config import SoCTopology
-    from repro.soc.soc import tiny_run_config
-
     faults = None
     if spec.faults:
         faults = FaultConfig(seed=spec.seed, **spec.faults)
@@ -142,9 +148,6 @@ def _metrics(soc, results) -> dict:
     dispatches; runs with kill/preempt controls should not request
     metrics (the frame-time means cover resumed frames only).
     """
-    from repro.gpu.energy import soc_energy
-    from repro.memory.request import SourceType
-
     end_tick = max(1, results.end_tick)
     mean_total = results.mean_total_time
     total_bytes = soc.memory.total_bytes()
@@ -166,10 +169,6 @@ def _run_detailed(spec: JobSpec, jobdir: str, config, checkpoint,
                   job_key: str, budget_events: int) -> dict:
     """The detailed (or fast-forwarded) body: resume or start the run
     and reduce it to the ok result's fields."""
-    from repro.harness.scenes import SceneSession
-    from repro.health.recovery import resume_run
-    from repro.soc.soc import EmeraldSoC
-
     session = SceneSession(spec.model, spec.width, spec.height)
     if spec.ffwd and (checkpoint is None
                       or checkpoint.frame_index < spec.ffwd):
@@ -177,7 +176,6 @@ def _run_detailed(spec: JobSpec, jobdir: str, config, checkpoint,
         # timing events) and enter detailed timing from the snapshot —
         # unless an on-disk checkpoint already sits past the switch
         # point, in which case the normal resume wins.
-        from repro.sampling.functional import FunctionalSim
         sim = FunctionalSim(config, session.frame, render="none")
         sim.run(spec.ffwd)
         checkpoint = sim.checkpoint(job=job_key)
@@ -193,7 +191,6 @@ def _run_detailed(spec: JobSpec, jobdir: str, config, checkpoint,
     if spec.collect_metrics:
         # A full stats dump (with the topology block) rides along for
         # DSE post-mortems; not part of the cached payload.
-        from repro.harness.report import write_stats_json
         write_stats_json(soc.stat_groups(),
                          os.path.join(jobdir, "stats.json"),
                          topology=soc.topology)
@@ -216,10 +213,6 @@ def _run_sampled(spec: JobSpec, config) -> dict:
     estimates, the schedule, the last detailed framebuffer CRC — never
     wall-clock times (those go in the result doc outside the payload).
     """
-    from repro.harness.scenes import SceneSession
-    from repro.sampling.sampler import run_sampled
-    from repro.sampling.windows import parse_sample_spec
-
     def factory():
         return SceneSession(spec.model, spec.width, spec.height)
 

@@ -48,6 +48,7 @@ class TraceDecodeError(ValueError):
 
     def __init__(self, message: str, detail: str = "$") -> None:
         super().__init__(f"trace {detail}: {message}")
+        self.message = message
         self.detail = detail
 
 

@@ -51,7 +51,6 @@ class CS1Config:
     width: int = 128
     height: int = 96
     num_frames: int = 5                  # 1 warmup + 4 profiled (Table 6)
-    warmup_frames: int = 1
     texture_size: int = 128
     gpu_frame_period_ticks: int = 220_000
     display_period_ticks: int = 110_000

@@ -149,13 +149,13 @@ def resume_soc(checkpoint: GraphicsCheckpoint, run_config,
                framebuffer_address: int):
     """Build the SoC that resumes ``checkpoint``, not yet run.
 
-    Restores the snapshot's frames — a draw-call replay (which also
-    validates the trace) for a snapshot read back from text, the held
-    frames for one captured in this process — then constructs a fresh
-    SoC that re-enters simulated time at the snapshot tick and the
+    Restores the frames the snapshot holds (for one read back from a
+    file, the ones :meth:`GraphicsCheckpoint.from_json` rebuilt by
+    replaying its trace, so nothing replays here), then constructs a
+    fresh SoC that re-enters simulated time at the snapshot tick and the
     render loop at the snapshot frame index.
     A snapshot stamped with a topology hash is checked against the
-    topology ``run_config`` would assemble *before* any state is rebuilt;
+    topology ``run_config`` would assemble *before* the SoC is built;
     a mismatch raises :class:`CheckpointTopologyError`.
     """
     from repro.soc.soc import EmeraldSoC   # late import: soc imports health

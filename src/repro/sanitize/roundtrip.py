@@ -2,18 +2,17 @@
 
 A checkpoint is only worth taking if it can actually resurrect the run,
 so the sanitizer exercises every snapshot the moment it is taken: it
-parses the text written for it (its checkpoint file; the snapshot is
-encoded here only when nothing was written) through the strict
-validator, replays the restored draw-call trace once into a shadow GL
-context, and diffs the shadow against the frames in hand — scalar state
-(tick, frame index, RNG streams), frame/draw counts, and a CRC over the
-canonical trace encoding.  A snapshot holding its frames already holds
-that encoding (:attr:`GraphicsCheckpoint.trace_json` is their recorder
-output), so only the shadow is re-recorded; any other snapshot is
-replayed and re-recorded too.  Because the frames in hand are not
-replayed, a replay that loses state fails the CRC check instead of
-cancelling out on both sides (capture -> replay -> re-capture is a fixed
-point, so an honest replay matches).
+reads the text written for it (its checkpoint file; the snapshot is
+encoded here only when nothing was written) back through the strict
+validator, which replays the trace once into a shadow GL context, and
+diffs the shadow against the frames in hand — scalar state (tick, frame
+index, RNG streams), frame/draw counts, and a CRC over the canonical
+trace encoding.  The snapshot's own encoding is the trace it already
+holds (:attr:`GraphicsCheckpoint.trace_json`), so only the shadow is
+re-recorded.  Because the frames in hand are not replayed, a replay that
+loses state fails the CRC check instead of cancelling out on both sides
+(capture -> replay -> re-capture is a fixed point, so an honest replay
+matches).
 Any divergence raises :class:`~repro.sanitize.violations.
 CheckpointMismatchViolation` naming the first field that differs, at the
 moment the corrupt snapshot is produced rather than hours later when a
@@ -26,7 +25,7 @@ import zlib
 from typing import Iterable, Optional
 
 from repro.gl.context import Frame
-from repro.gl.trace import TraceRecorder, replay
+from repro.gl.trace import TraceRecorder
 from repro.soc.checkpoint import CheckpointError, GraphicsCheckpoint
 from repro.sanitize.violations import CheckpointMismatchViolation
 
@@ -38,16 +37,6 @@ def frames_crc(frames: Iterable[Frame]) -> int:
     for frame in frames:
         recorder.record_frame(frame)
     return zlib.crc32(recorder.to_json().encode())
-
-
-def trace_crc(trace_json: str) -> int:
-    """CRC32 over a trace's canonical re-encoding.
-
-    Re-recording through :class:`TraceRecorder` canonicalizes field order
-    and defaults, so two traces describing the same draw calls CRC equal
-    even if their JSON strings differ cosmetically.
-    """
-    return frames_crc(replay(trace_json))
 
 
 def verify_roundtrip(checkpoint: GraphicsCheckpoint, tick: int = 0,
@@ -79,18 +68,14 @@ def verify_roundtrip(checkpoint: GraphicsCheckpoint, tick: int = 0,
             fail(f"{field} changed across the round trip "
                  f"({ours!r} -> {theirs!r})", field=field)
 
-    try:
-        shadow = restored.restore_frames()
-    except Exception as exc:
-        fail(f"restored trace fails replay: {exc}", field="trace")
-    original = checkpoint.restore_frames()
+    shadow = restored.frames
+    original = checkpoint.frames
     if len(shadow) != len(original):
         fail(f"frame count changed across the round trip "
              f"({len(original)} -> {len(shadow)})", field="trace.frames",
              original=len(original), restored=len(shadow))
 
-    crc_original = (zlib.crc32(checkpoint.trace_json.encode())
-                    if checkpoint.holds_frames else frames_crc(original))
+    crc_original = zlib.crc32(checkpoint.trace_json.encode())
     crc_shadow = frames_crc(shadow)
     if crc_original != crc_shadow:
         fail(f"trace CRC mismatch after round trip "

@@ -68,7 +68,6 @@ class SanitizeConfig:
     # starve; sweeps also trigger when this many ticks pass since the last
     # one (riding whatever event does fire — still zero scheduled events).
     check_every_ticks: int = 20_000
-    verify_checkpoints: bool = True     # round-trip every snapshot taken
     mode: str = "raise"                 # raise | record
     # Triage bundle emission (used by the SoC harness / chaos runner).
     bundle_dir: Optional[str] = None

@@ -2,33 +2,32 @@
 
 Booting a full system is expensive; Emerald checkpoints the graphics state
 by recording all draw calls and replaying them through the functional model
-at restore.  Here a checkpoint bundles the recorded draw-call trace (the
-same JSON format as :mod:`repro.gl.trace`), the simulated time, and the
-app-side frame counter; restore rebuilds the GL-side state by replay.
-A snapshot handed to the next run in the same process (the sampler's
-window boundaries) skips both halves: it holds the frames it was
-captured from, encodes its trace only when something reads it, and
-restores those frames without a replay.  Writing a snapshot parses its
-trace zero times, and reading one back (:meth:`GraphicsCheckpoint.
-from_json`, then :meth:`~GraphicsCheckpoint.restore_frames`) parses it
-once.
+at restore.  Here a checkpoint holds the rendered frames, the simulated
+time and the app-side frame counter; its file form carries the frames
+as a recorded draw-call trace (the same JSON format as
+:mod:`repro.gl.trace`).  Frames are the only in-memory form: a snapshot
+encodes its trace only when something reads it, restoring hands out the
+frames it holds, and reading a file back (:meth:`GraphicsCheckpoint.
+from_json`) parses it once and replays its trace once, rebuilding the
+frames through the functional GL model.  Writing a snapshot parses its
+trace zero times.
 
 Checkpoints are the crash-recovery substrate of the health subsystem
 (:mod:`repro.health.recovery`), so :meth:`GraphicsCheckpoint.from_json`
-validates its input strictly: a truncated or corrupted snapshot raises
-:class:`CheckpointError` naming the offending field instead of resuming a
-run from garbage.
+validates its input strictly: a truncated or corrupted snapshot, one
+whose trace does not replay included, raises :class:`CheckpointError`
+naming the offending field instead of resuming a run from garbage.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.gl.context import Frame
-from repro.gl.trace import TraceRecorder, replay
+from repro.gl.trace import TraceDecodeError, TraceRecorder, replay
 
 
 class CheckpointError(ValueError):
@@ -104,19 +103,20 @@ def _payload_crc(doc: dict) -> int:
         json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
 
 
-@dataclass(init=False)
+@dataclass(eq=False)
 class GraphicsCheckpoint:
     """A serializable snapshot of graphics + loop state.
 
-    A snapshot is built from frames (:func:`capture`), from text
-    (``GraphicsCheckpoint(trace_json=...)``) or from a parsed trace
-    document (:meth:`from_json`, :meth:`rewind`).  One built from frames
-    holds them (:attr:`holds_frames`), encodes :attr:`trace_json` on
-    first read and caches it, and restores the held frames without a
-    replay; any other replays its trace at restore.  All encode the same
-    bytes (capture -> replay -> re-capture is a fixed point), so ``==``,
-    :meth:`to_json` and a resume do not depend on which one a consumer
-    was handed.
+    A snapshot holds ``frames``: the ones it was captured from
+    (:func:`capture`) or, for one read back from a file
+    (:meth:`from_json`), the ones replaying its trace rebuilt.  It
+    encodes :attr:`trace_json` on first read and caches it, and
+    :meth:`restore_frames` hands out the held frames without a replay.
+    Capture -> replay -> re-capture is a fixed point, so a snapshot read
+    back encodes the bytes it was read from, and ``==`` (the encoded
+    trace and every other field), :meth:`to_json` and a resume do not
+    depend on whether a consumer was handed the captured snapshot or
+    its read-back twin.
 
     ``rng`` (optional) carries the fault injector's serialized RNG stream
     states (:meth:`repro.health.faults.FaultInjector.rng_state`) so a
@@ -152,9 +152,8 @@ class GraphicsCheckpoint:
     claim that produced it.  Absent (None) outside server-claimed jobs.
     """
 
-    # A field, so ``==``, ``repr`` and ``dataclasses.replace`` see the
-    # encoded trace; the property of the same name below serves it.
-    trace_json: str
+    # Kept as a tuple; compared through their encoding (``__eq__``).
+    frames: Sequence[Frame] = field(repr=False)
     tick: int
     frame_index: int
     topology: str
@@ -163,54 +162,35 @@ class GraphicsCheckpoint:
     mode: Optional[str] = None
     claim: Optional[str] = None
 
-    def __init__(self, trace_json: Optional[str], tick: int,
-                 frame_index: int, topology: str,
-                 rng: Optional[dict] = None, job: Optional[str] = None,
-                 mode: Optional[str] = None, claim: Optional[str] = None,
-                 *, frames: Optional[Sequence[Frame]] = None,
-                 trace: Optional[dict] = None) -> None:
-        if sum(source is not None
-               for source in (trace_json, frames, trace)) != 1:
-            raise TypeError("a checkpoint is built from exactly one of "
-                            "trace_json, frames or trace")
-        self._trace_json = trace_json
-        self._frames = None if frames is None else tuple(frames)
-        self._trace = trace
-        self.tick = tick
-        self.frame_index = frame_index
-        self.topology = topology
-        self.rng = rng
-        self.job = job
-        self.mode = mode
-        self.claim = claim
+    def __post_init__(self) -> None:
+        if self.mode is not None and self.mode not in CHECKPOINT_MODES:
+            raise CheckpointError(
+                f"expected one of {sorted(CHECKPOINT_MODES)}, "
+                f"got {self.mode!r}", field="mode")
+        self.frames = tuple(self.frames)
+        self._trace_json: Optional[str] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("tick", "frame_index", "topology", "rng",
+                                "job", "mode", "claim", "trace_json"))
 
     @property
     def trace_json(self) -> str:
-        """The draw-call trace, encoded on first read (then cached) for
-        a snapshot built from frames or from a parsed document."""
+        """The draw-call trace of the held frames, encoded on first read
+        (then cached)."""
         if self._trace_json is None:
             self._trace_json = json.dumps(self._trace_doc())
         return self._trace_json
 
-    @property
-    def holds_frames(self) -> bool:
-        """Whether this snapshot holds the frames it was captured from:
-        then :attr:`trace_json` is their recorder output and
-        :meth:`restore_frames` hands them out without a replay."""
-        return self._frames is not None
-
     def _trace_doc(self) -> dict:
-        """The trace document, which callers must not mutate: recorded
-        from the held frames, the parsed document held, or (only for a
-        snapshot built from text) parsed from the text."""
-        if self._frames is not None:
-            recorder = TraceRecorder()
-            for frame in self._frames:
-                recorder.record_frame(frame)
-            return recorder.to_doc()
-        if self._trace is not None:
-            return self._trace
-        return json.loads(self._trace_json)
+        """The trace document the held frames record to."""
+        recorder = TraceRecorder()
+        for frame in self.frames:
+            recorder.record_frame(frame)
+        return recorder.to_doc()
 
     def to_json(self) -> str:
         trace = self._trace_doc()
@@ -275,8 +255,7 @@ class GraphicsCheckpoint:
             raise CheckpointError(
                 f"expected an object, got {type(trace).__name__}",
                 field="trace")
-        frames = trace.get("frames")
-        if not isinstance(frames, list):
+        if not isinstance(trace.get("frames"), list):
             raise CheckpointError(
                 "missing or not a list", field="trace.frames")
         rng = doc.get("rng")
@@ -294,28 +273,24 @@ class GraphicsCheckpoint:
             raise CheckpointError(
                 f"expected a string, got {type(topology).__name__}",
                 field="topology")
-        mode = doc.get("mode")
-        if mode is not None and mode not in CHECKPOINT_MODES:
-            raise CheckpointError(
-                f"expected one of {sorted(CHECKPOINT_MODES)}, got {mode!r}",
-                field="mode")
         claim = doc.get("claim")
         if claim is not None and not isinstance(claim, str):
             raise CheckpointError(
                 f"expected a string, got {type(claim).__name__}",
                 field="claim")
-        return cls(None, tick=tick, frame_index=frame_index, rng=rng,
-                   job=job, topology=topology, mode=mode, claim=claim,
-                   trace=trace)
+        try:
+            frames = replay(trace)
+        except TraceDecodeError as exc:
+            raise CheckpointError(
+                exc.message, field="trace" if exc.detail == "$"
+                else f"trace.{exc.detail}") from exc
+        return cls(frames, tick=tick, frame_index=frame_index, rng=rng,
+                   job=job, topology=topology, mode=doc.get("mode"),
+                   claim=claim)
 
     def restore_frames(self) -> list[Frame]:
-        """A new list of the frames this snapshot restores: the held
-        frames of one built from frames, else a replay of the recorded
-        draw calls through a fresh GL context."""
-        if self._frames is not None:
-            return list(self._frames)
-        return replay(self._trace_json if self._trace is None
-                      else self._trace)
+        """A new list of the held frames."""
+        return list(self.frames)
 
     def require_topology(self, run_config) -> None:
         """Refuse to restore onto the topology ``run_config`` assembles
@@ -327,7 +302,8 @@ class GraphicsCheckpoint:
                 snapshot_hash=self.topology, config_hash=config_hash)
 
     def rewind(self, count: int) -> "GraphicsCheckpoint":
-        """A copy with the last ``count`` frames dropped from the trace.
+        """A copy without the last ``count`` frames, ``frame_index``
+        backed up by ``count``.
 
         A snapshot whose ``frame_index`` already covers a run's *final*
         frame cannot be resumed as-is: the render loop would have zero
@@ -345,20 +321,17 @@ class GraphicsCheckpoint:
         run's — only the architectural state (and the payload derived
         from it) is.
 
-        The copy is built from a trace document, so restoring it
-        replays: the only snapshots rewound are ones read back from disk.
+        Rewinding slices the held frames, so neither it nor restoring
+        the copy parses, encodes or replays a trace.
         """
         if count <= 0:
             raise ValueError(f"rewind count must be positive, got {count}")
-        trace = self._trace_doc()
-        frames = trace.get("frames", [])
-        if count > self.frame_index or count > len(frames):
+        if count > self.frame_index or count > len(self.frames):
             raise ValueError(
                 f"cannot rewind {count} frame(s): snapshot holds "
-                f"{len(frames)} recorded frame(s) at frame_index "
+                f"{len(self.frames)} recorded frame(s) at frame_index "
                 f"{self.frame_index}")
-        return replace(self, trace_json=None,
-                       trace={**trace, "frames": frames[:-count]},
+        return replace(self, frames=self.frames[:-count],
                        frame_index=self.frame_index - count)
 
 
@@ -393,10 +366,5 @@ def capture(frames: list[Frame], tick: int, frame_index: int,
     :func:`repro.gl.trace.replay` sets clear fields only on frames it
     just built.  Code that mutates a built frame breaks this.
     """
-    if mode is not None and mode not in CHECKPOINT_MODES:
-        raise CheckpointError(
-            f"expected one of {sorted(CHECKPOINT_MODES)}, got {mode!r}",
-            field="mode")
-    return GraphicsCheckpoint(None, tick, frame_index, topology, rng=rng,
-                              job=job, mode=mode, claim=claim,
-                              frames=frames)
+    return GraphicsCheckpoint(frames, tick, frame_index, topology, rng=rng,
+                              job=job, mode=mode, claim=claim)

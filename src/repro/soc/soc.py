@@ -29,6 +29,11 @@ from repro.soc.display import DisplayController
 from repro.soc.noc import SystemNoC
 from repro.trace import CycleAttribution, TraceConfig, Tracer, summarize
 
+# DASH epoch scaling: Table 3's quantum (1M cycles) assumes wall-clock-
+# scale workloads; scaled runs need the classifier to re-cluster within
+# a frame.
+DASH_QUANTUM_TICKS = 50_000
+
 
 @dataclass
 class SoCRunConfig:
@@ -48,11 +53,6 @@ class SoCRunConfig:
     cpu_work_per_frame: int = 150
     cpu_fixed_ticks: int = 0
     seed: int = 7
-    # DASH epoch scaling: Table 3's quantum (1M cycles) assumes wall-clock-
-    # scale workloads; scaled runs need the classifier to re-cluster within
-    # a frame.
-    dash_quantum_ticks: int = 50_000
-    dash_switching_ticks: int = 500
     # Health subsystem (watchdog / fault injection / checkpointing); None
     # keeps the run bit-identical to a health-free build.
     health: Optional[HealthConfig] = None
@@ -213,13 +213,10 @@ class EmeraldSoC:
         self.memory_endpoints = []
         self.dash_state = None
         for index, endpoint in enumerate(self.topology.memory):
-            dash_config = DashConfig(
-                quantum=run_config.dash_quantum_ticks,
-                switching_unit=run_config.dash_switching_ticks)
             system, state = build_memory(
                 self.events, endpoint,
                 gpu_clock_ghz=self.topology.gpu.clock_ghz,
-                dash_config=dash_config)
+                dash_config=DashConfig(quantum=DASH_QUANTUM_TICKS))
             if state is not None:
                 self.dash_state = state
             self.memory_endpoints.append(system)
@@ -307,7 +304,6 @@ class EmeraldSoC:
     def _verify_new_checkpoint(self) -> None:
         """Round-trip every snapshot the moment it is taken (sanitizer)."""
         if (self.sanitizer is None
-                or not self.sanitizer.config.verify_checkpoints
                 or self.checkpoints.checkpoints_taken
                 <= self._verified_checkpoints):
             return

@@ -24,7 +24,6 @@ same memory-configuration change and prints where they disagree.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,21 +31,6 @@ from repro.common.events import EventQueue
 from repro.common.ports import PortTap, RequestPort
 from repro.memory.request import MemRequest, SourceType
 from repro.memory.system import MemorySystem
-
-MEMORY_TRACE_VERSION = 1
-
-
-class MemoryTraceError(ValueError):
-    """A memory-trace file failed decoding or validation.
-
-    ``detail`` names the offending location (dotted path), mirroring
-    :class:`repro.gl.trace.TraceDecodeError` — a truncated or corrupt
-    trace dies loudly and typed instead of replaying garbage traffic.
-    """
-
-    def __init__(self, message: str, detail: str = "$") -> None:
-        super().__init__(f"memory trace {detail}: {message}")
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -78,8 +62,6 @@ class MemoryTrace:
     def duration(self) -> int:
         return self.entries[-1].time - self.entries[0].time if self.entries else 0
 
-    # -- serialization -------------------------------------------------------
-
     def digest(self) -> str:
         """SHA-256 over the entry stream (the determinism fingerprint)."""
         hasher = hashlib.sha256()
@@ -89,60 +71,6 @@ class MemoryTrace:
                 f"{int(entry.write)},{entry.source.value},"
                 f"{entry.source_id};".encode())
         return hasher.hexdigest()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": MEMORY_TRACE_VERSION,
-            "entries": [
-                [e.time, e.address, e.size, int(e.write), e.source.value,
-                 e.source_id]
-                for e in self.entries
-            ],
-        })
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemoryTrace":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MemoryTraceError(
-                f"truncated or not JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise MemoryTraceError(
-                f"expected an object, got {type(doc).__name__}")
-        if doc.get("version") != MEMORY_TRACE_VERSION:
-            raise MemoryTraceError(
-                f"unsupported version {doc.get('version')!r}",
-                detail="version")
-        rows = doc.get("entries")
-        if not isinstance(rows, list):
-            raise MemoryTraceError("missing or not a list", detail="entries")
-        entries = []
-        for index, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 6:
-                raise MemoryTraceError(
-                    "expected [time, address, size, write, source, "
-                    "source_id]", detail=f"entries[{index}]")
-            time, address, size, write, source, source_id = row
-            try:
-                source = SourceType(source)
-            except ValueError:
-                raise MemoryTraceError(
-                    f"unknown source {source!r}",
-                    detail=f"entries[{index}].source") from None
-            entries.append(TraceEntry(
-                time=time, address=address, size=size, write=bool(write),
-                source=source, source_id=source_id))
-        return cls(entries=entries)
-
-    @classmethod
-    def load(cls, path: str) -> "MemoryTrace":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
 
 
 class MemoryTraceTap(PortTap):

@@ -89,6 +89,32 @@ class TestRunJob:
         assert os.path.exists(checkpoint + ".corrupt")     # evidence kept
         assert doc["payload"] == clean["payload"]
 
+    def test_unreplayable_checkpoint_falls_back_to_scratch(self, tmp_path):
+        """A snapshot whose CRC holds but whose trace cannot be replayed
+        (a draw names a buffer its table lacks) is refused when read: it
+        is quarantined like a torn one and the attempt reruns from tick
+        0, publishing the same framebuffer."""
+        from repro.soc.checkpoint import _payload_crc
+        jobdir = str(tmp_path)
+        spec = JobSpec(name="x", frames=2)
+        clean = run_job(spec, jobdir)
+
+        checkpoint = os.path.join(jobdir, CHECKPOINT_FILE)
+        with open(checkpoint) as handle:
+            snapshot = json.load(handle)
+        draw = snapshot["trace"]["frames"][0]["draw_calls"][0]
+        draw["indices"] = "missing"
+        snapshot["crc"] = _payload_crc(snapshot)
+        with open(checkpoint, "w") as handle:
+            json.dump(snapshot, handle)
+
+        doc = run_job(spec, jobdir)
+        assert doc["outcome"] == "ok", doc["detail"]
+        assert doc["resumed_from"] == 0
+        assert doc["fallback"].startswith("CheckpointError")
+        assert os.path.exists(checkpoint + ".corrupt")     # evidence kept
+        assert doc["payload"]["fb_crc"] == clean["payload"]["fb_crc"]
+
     def test_preempt_flag_stops_at_checkpoint_boundary(self, tmp_path):
         jobdir = str(tmp_path)
         with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as handle:

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from repro.gl.trace import replay
 from repro.harness.scenes import SceneSession
 from repro.health import CheckpointManager
 from repro.health.faults import FaultConfig, FaultInjector
 from repro.sanitize import CheckpointMismatchViolation
-from repro.sanitize.roundtrip import trace_crc, verify_roundtrip
+from repro.sanitize.roundtrip import frames_crc, verify_roundtrip
 from repro.soc.checkpoint import GraphicsCheckpoint
 from tests.health.full_system import HEIGHT, WIDTH, tiny_config
 
@@ -53,7 +54,7 @@ class TestVerifyRoundtrip:
                 return json.dumps(doc)
 
         good = take_checkpoint()
-        bad = Tampered(trace_json=good.trace_json, tick=good.tick,
+        bad = Tampered(good.restore_frames(), tick=good.tick,
                        frame_index=good.frame_index, topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation) as excinfo:
             verify_roundtrip(bad, tick=7)
@@ -71,7 +72,7 @@ class TestVerifyRoundtrip:
                 return json.dumps(doc)
 
         good = take_checkpoint()
-        bad = StaleCRC(trace_json=good.trace_json, tick=good.tick,
+        bad = StaleCRC(good.restore_frames(), tick=good.tick,
                        frame_index=good.frame_index,
                        topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation) as excinfo:
@@ -86,7 +87,7 @@ class TestVerifyRoundtrip:
                 return json.dumps(doc)
 
         good = take_checkpoint()
-        bad = Truncated(trace_json=good.trace_json, tick=good.tick,
+        bad = Truncated(good.restore_frames(), tick=good.tick,
                         frame_index=good.frame_index,
                         topology=good.topology)
         with pytest.raises(CheckpointMismatchViolation,
@@ -102,13 +103,14 @@ class TestVerifyRoundtrip:
 class TestTraceCRC:
     def test_crc_is_stable_across_reencoding(self):
         checkpoint = take_checkpoint(frames=2)
-        first = trace_crc(checkpoint.trace_json)
+        first = frames_crc(replay(checkpoint.trace_json))
         # Cosmetic JSON differences (indentation) must not change the CRC:
         # the CRC is over the canonical re-recording, not the raw bytes.
         pretty = json.dumps(json.loads(checkpoint.trace_json), indent=2)
-        assert trace_crc(pretty) == first
+        assert frames_crc(replay(pretty)) == first
 
     def test_different_traces_differ(self):
         one = take_checkpoint(frames=1)
         two = take_checkpoint(frames=2)
-        assert trace_crc(one.trace_json) != trace_crc(two.trace_json)
+        assert frames_crc(replay(one.trace_json)) \
+            != frames_crc(replay(two.trace_json))

@@ -82,14 +82,6 @@ class TestSnapshotBytes:
         assert restored.to_json() == text
         assert digest(restored.rewind(1).to_json()) == GOLDEN_REWOUND
 
-    def test_text_twin_writes_the_same_bytes(self):
-        captured = full_snapshot()
-        twin = GraphicsCheckpoint(
-            captured.trace_json, captured.tick, captured.frame_index,
-            captured.topology, rng=captured.rng, job=captured.job,
-            mode=captured.mode, claim=captured.claim)
-        assert digest(twin.to_json()) == GOLDEN_FULL
-
 
 class TestTraceParsedFewestTimes:
     def test_writing_parses_nothing_and_encodes_the_trace_once(

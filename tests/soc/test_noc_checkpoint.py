@@ -146,6 +146,20 @@ class TestCheckpointValidation:
             _load(doc)
         assert excinfo.value.field == "trace.frames"
 
+    def test_draw_naming_an_unknown_buffer(self):
+        """A trace that validates as JSON but cannot be replayed is
+        refused when read, naming the draw-call field that breaks."""
+        from repro.harness.scenes import SceneSession
+        session = SceneSession("cube", 32, 24)
+        doc = json.loads(capture([session.frame(0)], tick=1, frame_index=1,
+                                 topology=MACHINE).to_json())
+        draw = doc["trace"]["frames"][0]["draw_calls"][0]
+        assert "no-such-buffer" not in doc["trace"]["buffers"]
+        draw["indices"] = "no-such-buffer"
+        with pytest.raises(CheckpointError) as excinfo:
+            _load(doc)
+        assert excinfo.value.field == "trace.frames[0].draw_calls[0].indices"
+
     def test_error_is_a_value_error(self):
         """Callers catching ValueError keep working."""
         with pytest.raises(ValueError):

@@ -165,7 +165,7 @@ class TestDashGolden:
         pins DASH arbitration, not FR-FCFS.  There is no DCB case: DCB
         gives the same numbers at this scale.  The two differ only in
         whether TCM's clustering counts IP bandwidth.  TCM reclusters 4
-        times in this 240k-tick run (``SoCRunConfig.dash_quantum_ticks``
+        times in this 240k-tick run (``repro.soc.soc.DASH_QUANTUM_TICKS``
         is 50,000), and DCB calls CPU core 1 intensive in two of those
         quanta where DTB does not, yet both cells make the same 3,554
         picks in the same order.  ``DASH_PINS`` tells them apart."""

@@ -11,7 +11,6 @@ from repro.memory.request import SourceType
 from repro.soc.soc import EmeraldSoC, SoCRunConfig
 from repro.soc.tracedriven import (
     MemoryTrace,
-    MemoryTraceError,
     TraceEntry,
     TraceReplayer,
     record_soc_trace,
@@ -155,13 +154,13 @@ class TestReplay:
 
 
 class TestDeterminism:
-    """Capture and replay are deterministic; corrupt traces die typed."""
+    """Capture and replay are deterministic."""
 
     def test_two_captures_of_the_same_run_digest_identically(self):
         _, _, first = run_recorded_soc()
         _, _, second = run_recorded_soc()
         assert first.digest() == second.digest()
-        assert first.to_json() == second.to_json()
+        assert first.entries == second.entries
 
     def test_two_replays_of_one_trace_are_identical(self):
         _, _, trace = run_recorded_soc()
@@ -177,45 +176,3 @@ class TestDeterminism:
         assert first.total_bytes == second.total_bytes
         assert first.mean_latency == second.mean_latency
         assert first.row_hit_rate == second.row_hit_rate
-
-    def test_serialization_round_trip_preserves_the_digest(self):
-        _, _, trace = run_recorded_soc()
-        restored = MemoryTrace.from_json(trace.to_json())
-        assert restored.digest() == trace.digest()
-        assert restored.entries == trace.entries
-
-
-class TestCorruptTraces:
-    def trace_json(self):
-        _, _, trace = run_recorded_soc(frames=1)
-        return trace.to_json()
-
-    def test_truncated_file_rejected(self):
-        text = self.trace_json()
-        with pytest.raises(MemoryTraceError):
-            MemoryTrace.from_json(text[:len(text) // 2])
-
-    def test_non_object_root_rejected(self):
-        with pytest.raises(MemoryTraceError):
-            MemoryTrace.from_json("[1, 2]")
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(MemoryTraceError) as excinfo:
-            MemoryTrace.from_json('{"version": 99, "entries": []}')
-        assert excinfo.value.detail == "version"
-
-    def test_malformed_entry_names_its_index(self):
-        import json
-        doc = json.loads(self.trace_json())
-        doc["entries"][3] = [1, 2, 3]     # wrong arity
-        with pytest.raises(MemoryTraceError) as excinfo:
-            MemoryTrace.from_json(json.dumps(doc))
-        assert excinfo.value.detail == "entries[3]"
-
-    def test_unknown_source_names_its_entry(self):
-        import json
-        doc = json.loads(self.trace_json())
-        doc["entries"][0][4] = "dma"
-        with pytest.raises(MemoryTraceError) as excinfo:
-            MemoryTrace.from_json(json.dumps(doc))
-        assert excinfo.value.detail == "entries[0].source"
