@@ -268,6 +268,11 @@ class RegionOfInterest:
         return self.last_draw is None or index <= self.last_draw
 
 
+#: The keys :func:`replay` reads from every draw-call object.
+_DRAW_KEYS = ("indices", "mode", "name", "state", "vs_source", "fs_source",
+              "uniforms", "textures")
+
+
 def replay(trace: str | dict,
            roi: Optional[RegionOfInterest] = None) -> list[Frame]:
     """Reconstruct frames from a JSON trace through a fresh GLContext.
@@ -288,7 +293,12 @@ def replay(trace: str | dict,
     def resolve_texture(ref, where: str) -> dict:
         if not isinstance(ref, str) or ref not in texture_table:
             raise TraceDecodeError(f"unknown texture {ref!r}", detail=where)
-        return texture_table[ref]
+        tex_doc = texture_table[ref]
+        for key in ("name", "data"):
+            if not isinstance(tex_doc, dict) or key not in tex_doc:
+                raise TraceDecodeError("missing",
+                                       detail=f"textures.{ref}.{key}")
+        return tex_doc
 
     roi = roi or RegionOfInterest()
     frames: list[Frame] = []
@@ -306,6 +316,13 @@ def replay(trace: str | dict,
             where = f"frames[{frame_index}].draw_calls[{draw_index}]"
             if not isinstance(call_doc, dict) or "attributes" not in call_doc:
                 raise TraceDecodeError("not a draw-call object", detail=where)
+            for key in _DRAW_KEYS:
+                if key not in call_doc:
+                    raise TraceDecodeError("missing", detail=f"{where}.{key}")
+            for key in ("uniforms", "textures"):
+                if not isinstance(call_doc[key], dict):
+                    raise TraceDecodeError("not an object",
+                                           detail=f"{where}.{key}")
             attrs = {
                 k: np.asarray(resolve_buffer(v, f"{where}.attributes.{k}"))
                 for k, v in call_doc["attributes"].items()

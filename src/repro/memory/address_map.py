@@ -14,11 +14,12 @@ unit).  A mapping is an MSB-to-LSB field order; the two from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DramCoord:
+class DramCoord(NamedTuple):
+    """One transaction's DRAM coordinates (an immutable record)."""
+
     channel: int
     rank: int
     bank: int
@@ -46,41 +47,38 @@ class AddressMapping:
     def decode(self, address: int, channels: int, ranks: int, banks: int,
                rows: int, columns: int) -> DramCoord:
         """Decode a byte address into DRAM coordinates."""
-        block = address // self.line_bytes
-        sizes = self.field_sizes(channels, ranks, banks, rows, columns)
-        values: dict[str, int] = {}
-        # LSB-first extraction: iterate the order reversed.
-        for name in reversed(self.order):
-            size = sizes[name]
-            values[name] = block % size
-            block //= size
-        return DramCoord(channel=values["channel"], rank=values["rank"],
-                         bank=values["bank"], row=values["row"],
-                         column=values["column"])
+        return self.compiled(channels, ranks, banks, rows, columns)(address)
 
     def compiled(self, channels: int, ranks: int, banks: int,
                  rows: int, columns: int):
         """A decoder specialized to one geometry: ``fn(address) -> DramCoord``.
 
-        Same arithmetic as :meth:`decode` with the per-call dict building
-        hoisted out — memory controllers decode every transaction, so the
-        geometry-invariant work is paid once here.
+        The line index is split LSB-first along the reversed order, so a
+        field's value is the line index over the product of the sizes
+        below it, modulo its own size.  The strides are computed once
+        here: memory controllers decode every transaction.
         """
         key = (channels, ranks, banks, rows, columns)
         fn = self._compiled.get(key)
         if fn is None:
             sizes = self.field_sizes(channels, ranks, banks, rows, columns)
-            pairs = tuple((name, sizes[name])
-                          for name in reversed(self.order))
+            strides = {}
+            stride = 1
+            for name in reversed(self.order):
+                strides[name] = stride
+                stride *= sizes[name]
+            (ch_div, ch_mod), (rk_div, rk_mod), (bk_div, bk_mod), \
+                (row_div, row_mod), (col_div, col_mod) = [
+                    (strides[name], sizes[name]) for name in DramCoord._fields]
             line_bytes = self.line_bytes
 
             def fn(address: int) -> DramCoord:
                 block = address // line_bytes
-                values = {}
-                for name, size in pairs:
-                    values[name] = block % size
-                    block //= size
-                return DramCoord(**values)
+                return DramCoord(block // ch_div % ch_mod,
+                                 block // rk_div % rk_mod,
+                                 block // bk_div % bk_mod,
+                                 block // row_div % row_mod,
+                                 block // col_div % col_mod)
 
             self._compiled[key] = fn
         return fn

@@ -1,4 +1,4 @@
-"""Compiled per-program dispatch tables: the warp executor's run loop.
+"""Compiled per-program basic blocks: the warp executor's run loop.
 
 Interpreting a program naively decodes every instruction on every dynamic
 execution: isinstance checks per operand, opcode dict probes, a fresh
@@ -8,9 +8,16 @@ arithmetic.
 
 This module performs the decode **once per program**: each instruction is
 compiled to a pre-bound handler closure (operand register indices and
-immediate lane arrays captured at build time), and the run loop walks the
-handler table with a single ``errstate`` around the whole execution.  The
-table is cached per ``(program digest, warp size)`` by
+immediate lane arrays captured at build time), and the handlers are split
+into basic blocks, which start at pc 0, at every branch target and
+reconvergence pc, and after every BRA, EXIT and DISCARD.  The run loop
+executes one whole block per SIMT-stack step under a single ``errstate``:
+it checks the stack entry and counts the active mask once per block and
+recounts only for guarded ops, since no lane joins or leaves the entry
+inside a block.  Handlers write their lanes with one masked copy,
+``np.copyto(dst, value, where=mask, casting="unsafe")``: the lanes, values
+and casting of ``dst[mask] = value[mask]`` without its gather and scatter.
+The compiled program is cached per ``(program digest, warp size)`` by
 :func:`repro.shader.compiler.dispatch_for`;
 :meth:`repro.shader.interpreter.WarpInterpreter.run` always executes
 through it.
@@ -36,8 +43,8 @@ from repro.shader.interpreter import ExecResult, TraceOp, WarpTrace
 from repro.shader.isa import Imm, Instruction, Opcode, Pred, Reg
 from repro.shader.program import Program
 
-# Table-row kinds; control flow is handled by the run loop itself.
-_EXEC, _BRA, _EXIT, _DISCARD = 0, 1, 2, 3
+# The opcodes that end a basic block; the run loop handles them itself.
+_CONTROL = frozenset((Opcode.BRA, Opcode.EXIT, Opcode.DISCARD))
 
 _ALU_BINARY = {
     Opcode.ADD: lambda a, b: a + b,
@@ -106,8 +113,9 @@ def _build_handler(instr: Instruction, width: int):
     """Compile one instruction to ``handler(regs, preds, mask, record, env)``.
 
     Each family mirrors the corresponding branch of the reference
-    interpreter's ``_execute`` exactly (same array expressions, same masked
-    writes, the env's memory record stored as ``record.accesses``).
+    interpreter's ``_execute`` exactly (same array expressions, the same
+    lanes written with the same values, the env's memory record stored as
+    ``record.accesses``).
     """
     op = instr.op
     if op in _ALU_BINARY:
@@ -117,7 +125,8 @@ def _build_handler(instr: Instruction, width: int):
         rb = _make_reader(instr.srcs[1], width)
 
         def handler(regs, preds, mask, record, env):
-            regs[d][mask] = fn(ra(regs, preds), rb(regs, preds))[mask]
+            np.copyto(regs[d], fn(ra(regs, preds), rb(regs, preds)),
+                      where=mask, casting="unsafe")
         return handler
     if op in _ALU_UNARY:
         fn = _ALU_UNARY[op]
@@ -125,7 +134,8 @@ def _build_handler(instr: Instruction, width: int):
         ra = _make_reader(instr.srcs[0], width)
 
         def handler(regs, preds, mask, record, env):
-            regs[d][mask] = np.asarray(fn(ra(regs, preds)))[mask]
+            np.copyto(regs[d], fn(ra(regs, preds)), where=mask,
+                      casting="unsafe")
         return handler
     if op is Opcode.MAD:
         d = instr.dsts[0].index
@@ -134,8 +144,9 @@ def _build_handler(instr: Instruction, width: int):
         rc = _make_reader(instr.srcs[2], width)
 
         def handler(regs, preds, mask, record, env):
-            regs[d][mask] = (ra(regs, preds) * rb(regs, preds)
-                             + rc(regs, preds))[mask]
+            np.copyto(regs[d],
+                      ra(regs, preds) * rb(regs, preds) + rc(regs, preds),
+                      where=mask, casting="unsafe")
         return handler
     if op in _SETP:
         fn = _SETP[op]
@@ -144,7 +155,8 @@ def _build_handler(instr: Instruction, width: int):
         rb = _make_reader(instr.srcs[1], width)
 
         def handler(regs, preds, mask, record, env):
-            preds[d][mask] = fn(ra(regs, preds), rb(regs, preds))[mask]
+            np.copyto(preds[d], fn(ra(regs, preds), rb(regs, preds)),
+                      where=mask, casting="unsafe")
         return handler
     if op is Opcode.SEL:
         d = instr.dsts[0].index
@@ -153,29 +165,32 @@ def _build_handler(instr: Instruction, width: int):
         rb = _make_reader(instr.srcs[2], width)
 
         def handler(regs, preds, mask, record, env):
-            regs[d][mask] = np.where(preds[p], ra(regs, preds),
-                                     rb(regs, preds))[mask]
+            np.copyto(regs[d],
+                      np.where(preds[p], ra(regs, preds), rb(regs, preds)),
+                      where=mask, casting="unsafe")
         return handler
     if op is Opcode.PAND:
         d = instr.dsts[0].index
         a, b = instr.srcs[0].index, instr.srcs[1].index
 
         def handler(regs, preds, mask, record, env):
-            preds[d][mask] = (preds[a] & preds[b])[mask]
+            np.copyto(preds[d], preds[a] & preds[b], where=mask,
+                      casting="unsafe")
         return handler
     if op is Opcode.POR:
         d = instr.dsts[0].index
         a, b = instr.srcs[0].index, instr.srcs[1].index
 
         def handler(regs, preds, mask, record, env):
-            preds[d][mask] = (preds[a] | preds[b])[mask]
+            np.copyto(preds[d], preds[a] | preds[b], where=mask,
+                      casting="unsafe")
         return handler
     if op is Opcode.PNOT:
         d = instr.dsts[0].index
         a = instr.srcs[0].index
 
         def handler(regs, preds, mask, record, env):
-            preds[d][mask] = ~preds[a][mask]
+            np.copyto(preds[d], ~preds[a], where=mask, casting="unsafe")
         return handler
     if op is Opcode.LD_ATTR:
         d = instr.dsts[0].index
@@ -183,14 +198,15 @@ def _build_handler(instr: Instruction, width: int):
 
         def handler(regs, preds, mask, record, env):
             values, record.accesses = env.attribute(slot, mask)
-            regs[d][mask] = np.asarray(values)[mask]
+            np.copyto(regs[d], values, where=mask, casting="unsafe")
         return handler
     if op is Opcode.LD_VARY:
         d = instr.dsts[0].index
         slot = instr.slot
 
         def handler(regs, preds, mask, record, env):
-            regs[d][mask] = np.asarray(env.varying(slot, mask))[mask]
+            np.copyto(regs[d], env.varying(slot, mask), where=mask,
+                      casting="unsafe")
         return handler
     if op is Opcode.LD_CONST:
         d = instr.dsts[0].index
@@ -198,7 +214,7 @@ def _build_handler(instr: Instruction, width: int):
 
         def handler(regs, preds, mask, record, env):
             value, record.accesses = env.constant(slot, mask)
-            regs[d][mask] = np.full(width, value)[mask]
+            np.copyto(regs[d], value, where=mask, casting="unsafe")
         return handler
     if op is Opcode.ST_OUT:
         slot = instr.slot
@@ -217,7 +233,7 @@ def _build_handler(instr: Instruction, width: int):
             rgba, record.accesses = env.tex(slot, ru(regs, preds),
                                             rv(regs, preds), mask)
             for i, d in enumerate(dsts):
-                regs[d][mask] = rgba[:, i][mask]
+                np.copyto(regs[d], rgba[:, i], where=mask, casting="unsafe")
         return handler
     if op is Opcode.ZREAD or op is Opcode.SREAD:
         d = instr.dsts[0].index
@@ -225,7 +241,7 @@ def _build_handler(instr: Instruction, width: int):
 
         def handler(regs, preds, mask, record, env):
             values, record.accesses = getattr(env, call)(mask)
-            regs[d][mask] = np.asarray(values)[mask]
+            np.copyto(regs[d], values, where=mask, casting="unsafe")
         return handler
     if op is Opcode.ZWRITE or op is Opcode.SWRITE:
         ra = _make_reader(instr.srcs[0], width)
@@ -240,7 +256,7 @@ def _build_handler(instr: Instruction, width: int):
         def handler(regs, preds, mask, record, env):
             rgba, record.accesses = env.fb_read(mask)
             for i, d in enumerate(dsts):
-                regs[d][mask] = rgba[:, i][mask]
+                np.copyto(regs[d], rgba[:, i], where=mask, casting="unsafe")
         return handler
     if op is Opcode.FB_WRITE:
         readers = tuple(_make_reader(s, width) for s in instr.srcs)
@@ -255,7 +271,7 @@ def _build_handler(instr: Instruction, width: int):
 
         def handler(regs, preds, mask, record, env):
             values, record.accesses = env.ld_global(ra(regs, preds), mask)
-            regs[d][mask] = np.asarray(values)[mask]
+            np.copyto(regs[d], values, where=mask, casting="unsafe")
         return handler
     if op is Opcode.ST_GLOBAL:
         ra = _make_reader(instr.srcs[0], width)
@@ -269,46 +285,64 @@ def _build_handler(instr: Instruction, width: int):
 
 
 class CompiledProgram:
-    """A program decoded once into a handler table; see module docstring.
+    """A program decoded once into basic blocks of handlers; see module
+    docstring.
 
-    Table rows are plain tuples walked at C speed:
-    ``(kind, guard_index, guard_sense, handler, opcode, target, reconv)``
-    — ``guard_index`` is -1 when unguarded; for ``_BRA`` rows the guard
-    fields describe the branch condition and ``handler`` is ``None``.
+    ``blocks[pc]`` is ``None`` unless a block starts at ``pc``.  A block
+    starts at pc 0, at every branch target and reconvergence pc, and after
+    every BRA, EXIT and DISCARD, so no lane joins or leaves a stack entry
+    inside one.  Each block is ``(body, end, control)``: ``body`` holds one
+    ``(guard_index, guard_sense, handler, opcode, pc)`` row per executing
+    instruction (``guard_index`` is -1 when unguarded), ``end`` is the pc
+    after the block, and ``control`` is its closing ``(opcode, guard_index,
+    guard_sense, pc, target, reconv)`` row, ``None`` when the block falls
+    through into the next one.
     """
 
-    __slots__ = ("program", "width", "exit_pc", "table",
+    __slots__ = ("program", "width", "exit_pc", "blocks",
                  "_num_regs", "_num_preds")
 
     def __init__(self, program: Program, width: int) -> None:
         self.program = program
         self.width = width
-        self.exit_pc = len(program.instructions)
+        instructions = program.instructions
+        self.exit_pc = exit_pc = len(instructions)
         self._num_regs = max(program.num_regs, 1)
         self._num_preds = max(program.num_preds, 1)
-        table = []
-        for instr in program.instructions:
-            op = instr.op
-            gidx = instr.guard.index if instr.guard is not None else -1
-            gsense = instr.guard_sense
-            if op is Opcode.BRA:
-                table.append((_BRA, gidx, gsense, None, op,
-                              instr.target, instr.reconv))
-            elif op is Opcode.EXIT:
-                table.append((_EXIT, gidx, gsense, None, op, None, None))
-            elif op is Opcode.DISCARD:
-                table.append((_DISCARD, gidx, gsense, None, op, None, None))
-            else:
-                table.append((_EXEC, gidx, gsense,
-                              _build_handler(instr, width), op, None, None))
-        self.table = tuple(table)
+        starts = {0}
+        for pc, instr in enumerate(instructions):
+            if instr.op in _CONTROL:
+                starts.add(pc + 1)
+            if instr.op is Opcode.BRA:
+                starts.update((instr.target, instr.reconv))
+        starts = sorted(pc for pc in starts
+                        if pc is not None and pc < exit_pc)
+        blocks = [None] * exit_pc
+        for start, end in zip(starts, starts[1:] + [exit_pc]):
+            body, control = [], None
+            for pc in range(start, end):
+                instr = instructions[pc]
+                gidx = instr.guard.index if instr.guard is not None else -1
+                if instr.op in _CONTROL:        # always the block's last
+                    control = (instr.op, gidx, instr.guard_sense, pc,
+                               instr.target, instr.reconv)
+                else:
+                    body.append((gidx, instr.guard_sense,
+                                 _build_handler(instr, width), instr.op, pc))
+            blocks[start] = (tuple(body), end, control)
+        self.blocks = tuple(blocks)
 
     def run(self, env, initial_mask: Optional[np.ndarray] = None,
             max_dynamic_instructions: int = 100_000) -> ExecResult:
-        """Execute one warp; mirrors the reference loop step for step."""
+        """Execute one warp, a basic block per stack step.
+
+        The trace, masks and env calls are the reference loop's, op for op.
+        Only the dynamic-instruction limit is checked between blocks, so a
+        run that crosses it raises at the end of that block.
+        """
         width = self.width
         exit_pc = self.exit_pc
-        table = self.table
+        blocks = self.blocks
 
         regs = np.zeros((self._num_regs, width))
         preds = np.zeros((self._num_preds, width), dtype=bool)
@@ -339,27 +373,31 @@ class CompiledProgram:
                 # count_nonzero beats ndarray.any() on warp-width bool
                 # arrays (no ufunc-reduce machinery) — same truth value.
                 if pc == entry.rpc or pc >= exit_pc \
-                        or not count_nonzero(active):
+                        or not (count := count_nonzero(active)):
                     stack.pop()
                     continue
-                kind, gidx, gsense, handler, opcode, target, reconv = table[pc]
-                if gidx >= 0 and kind != _BRA:
+                body, end, control = blocks[pc]
+                for gidx, gsense, handler, opcode, op_pc in body:
+                    if gidx < 0:
+                        record = TraceOp(opcode, op_pc, count)
+                        append(record)
+                        handler(regs, preds, active, record, env)
+                        continue
                     guard_values = preds[gidx]
                     effective = (active & guard_values if gsense
                                  else active & ~guard_values)
-                else:
-                    effective = active
-
-                count = count_nonzero(effective)
-                record = TraceOp(opcode, pc, count)
-                append(record)
-
-                if kind == _EXEC:
-                    if count:
+                    lanes = count_nonzero(effective)
+                    record = TraceOp(opcode, op_pc, lanes)
+                    append(record)
+                    if lanes:
                         handler(regs, preds, effective, record, env)
-                    entry.pc = pc + 1
+                entry.pc = end
+                if control is None:
                     continue
-                if kind == _BRA:
+
+                opcode, gidx, gsense, pc, target, reconv = control
+                if opcode is Opcode.BRA:
+                    append(TraceOp(opcode, pc, count))
                     if gidx < 0:
                         entry.pc = target
                         continue
@@ -369,32 +407,34 @@ class CompiledProgram:
                     taken = active & cond
                     fall = active & ~cond
                     if not count_nonzero(taken):
-                        entry.pc = pc + 1
-                    elif not count_nonzero(fall):
+                        continue
+                    if not count_nonzero(fall):
                         entry.pc = target
-                    else:
-                        if reconv is None:
-                            raise RuntimeError(
-                                "divergent branch without reconvergence: "
-                                f"pc={pc}")
-                        entry.pc = reconv   # current entry becomes the join
-                        stack.append(_StackEntry(pc + 1, reconv, fall))
-                        stack.append(_StackEntry(target, reconv, taken))
+                        continue
+                    if reconv is None:
+                        raise RuntimeError(
+                            "divergent branch without reconvergence: "
+                            f"pc={pc}")
+                    entry.pc = reconv   # current entry becomes the join
+                    stack.append(_StackEntry(end, reconv, fall))
+                    stack.append(_StackEntry(target, reconv, taken))
                     continue
-                if kind == _EXIT:
+                if gidx < 0:
+                    effective, lanes = active, count
+                else:
+                    guard_values = preds[gidx]
+                    effective = (active & guard_values if gsense
+                                 else active & ~guard_values)
+                    lanes = count_nonzero(effective)
+                append(TraceOp(opcode, pc, lanes))
+                if opcode is Opcode.EXIT:
                     completed |= active
-                    entry.pc = pc + 1
                     dead = ~active          # materialized before mutation
-                    for frame in stack:
-                        frame.mask &= dead
-                    continue
-                # _DISCARD
-                discarded |= effective
-                entry.pc = pc + 1
-                dead = ~effective
+                else:                       # DISCARD
+                    discarded |= effective
+                    dead = ~effective
                 for frame in stack:
                     frame.mask &= dead
-                continue
 
         return ExecResult(trace=trace, discarded=discarded,
                           completed=completed)

@@ -145,7 +145,7 @@ class WarpInterpreter:
         self.max_dynamic_instructions = max_dynamic_instructions
 
     def run(self, initial_mask: Optional[np.ndarray] = None) -> ExecResult:
-        """Execute one warp through the program's compiled dispatch table
+        """Execute one warp through the program's compiled basic blocks
         (:mod:`repro.shader.dispatch`, cached per program digest and warp
         width by :func:`repro.shader.compiler.dispatch_for`)."""
         return dispatch_for(self.program, self.warp_size).run(

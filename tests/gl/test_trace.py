@@ -229,6 +229,35 @@ class TestTraceDecodeErrors:
         assert excinfo.value.detail \
             == "frames[0].draw_calls[0].textures.albedo"
 
+    @pytest.mark.parametrize("key", ["indices", "mode", "name", "state",
+                                     "vs_source", "fs_source", "uniforms",
+                                     "textures"])
+    def test_missing_draw_key_names_its_location(self, key):
+        import json
+        doc = json.loads(record_two_frames().to_json())
+        del doc["frames"][0]["draw_calls"][0][key]
+        with pytest.raises(self.decode_error()) as excinfo:
+            replay(json.dumps(doc))
+        assert excinfo.value.detail == f"frames[0].draw_calls[0].{key}"
+
+    @pytest.mark.parametrize("key", ["uniforms", "textures"])
+    def test_draw_tables_must_be_objects(self, key):
+        import json
+        doc = json.loads(record_two_frames().to_json())
+        doc["frames"][0]["draw_calls"][0][key] = []
+        with pytest.raises(self.decode_error()) as excinfo:
+            replay(json.dumps(doc))
+        assert excinfo.value.detail == f"frames[0].draw_calls[0].{key}"
+
+    def test_texture_without_its_data_names_its_location(self):
+        import json
+        doc = json.loads(record_two_frames().to_json())
+        ref = doc["frames"][0]["draw_calls"][0]["textures"]["albedo"]
+        del doc["textures"][ref]["data"]
+        with pytest.raises(self.decode_error()) as excinfo:
+            replay(json.dumps(doc))
+        assert excinfo.value.detail == f"textures.{ref}.data"
+
     def test_missing_frame_fields_rejected(self):
         import json
         doc = json.loads(record_two_frames().to_json())

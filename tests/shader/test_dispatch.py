@@ -9,6 +9,8 @@ model replays the trace and any drift changes the event schedule.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.shader.compiler import _DISPATCH_CACHE, dispatch_for
 from repro.shader.dispatch import _ALU_BINARY, _ALU_UNARY, _SETP, _StackEntry
@@ -208,11 +210,14 @@ def env_pair(**kwargs):
     return FakeEnv(**kwargs), FakeEnv(**kwargs)
 
 
-def run_both(asm, stage="fragment", env_kwargs=None, initial_mask=None):
+def run_both(asm, stage="fragment", env_kwargs=None, initial_mask=None,
+             max_dynamic_instructions=100_000):
     program = assemble(asm, stage=stage)
     fast_env, ref_env = env_pair(**(env_kwargs or {}))
-    fast = WarpInterpreter(program, fast_env).run(initial_mask)
-    ref = ReferenceInterpreter(program, ref_env).run(initial_mask)
+    fast = WarpInterpreter(program, fast_env,
+                           max_dynamic_instructions).run(initial_mask)
+    ref = ReferenceInterpreter(program, ref_env,
+                               max_dynamic_instructions).run(initial_mask)
     return fast, ref, fast_env, ref_env
 
 
@@ -235,9 +240,10 @@ def assert_identical(fast, ref, fast_env, ref_env):
         assert memory_footprint(fop) == memory_footprint(rop)
     assert sorted(fast_env.outputs) == sorted(ref_env.outputs)
     for slot, values in fast_env.outputs.items():
-        assert np.array_equal(values, ref_env.outputs[slot])
-    assert np.array_equal(fast_env.depth, ref_env.depth)
-    assert np.array_equal(fast_env.color, ref_env.color)
+        assert values.tobytes() == ref_env.outputs[slot].tobytes()
+    assert fast_env.depth.tobytes() == ref_env.depth.tobytes()
+    assert fast_env.color.tobytes() == ref_env.color.tobytes()
+    assert np.array_equal(fast_env.stencil, ref_env.stencil)
     assert fast_env.global_memory == ref_env.global_memory
 
 
@@ -369,6 +375,245 @@ class TestEquivalence:
             Opcode.ST_GLOBAL, Opcode.LD_CONST}
         assert_identical(fast, ref, fe, re_)
         assert np.array_equal(fe.stencil, re_.stencil)
+
+
+LANES = {"varyings": {0: np.arange(8.0), 1: np.arange(8.0)[::-1] / 2}}
+HALF = np.array([1, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
+
+
+class TestBlockEdges:
+    """Cases where a basic block ends or a stack entry changes inside a
+    run of ops: the compiled program counts the mask once per block, so
+    these are where it could part from the per-op reference."""
+
+    def test_reconvergence_inside_an_alu_run(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v0
+            mov r1, 1.0
+            setp.lt p0, r0, 4.0
+            @!p0 bra skip
+            add r1, r1, r0
+            mul r1, r1, 2.0
+        skip:
+            add r1, r1, 0.5
+            sub r2, r1, r0
+            st.out o0, r2
+            exit
+        """, env_kwargs=LANES)
+        program = assemble("ld.vary r0, v0\nmov r1, 1.0\n"
+                           "setp.lt p0, r0, 4.0\n@!p0 bra skip\n"
+                           "add r1, r1, r0\nmul r1, r1, 2.0\n"
+                           "skip:\nadd r1, r1, 0.5\nexit")
+        assert program.instructions[3].reconv == 6   # mid-run of ALU ops
+        assert [op.active_lanes for op in ref.trace.ops] == [
+            8, 8, 8, 8, 4, 4, 8, 8, 8, 8]
+        assert_identical(fast, ref, fe, re_)
+
+    def test_a_reconvergence_pc_alone_starts_a_block(self):
+        """A reconvergence pc that is no branch target still splits the
+        block (set by hand here: the IPDOM analysis puts joins at targets
+        or after branches)."""
+        program = assemble("""
+            ld.vary r0, v0
+            setp.lt p0, r0, 4.0
+            @p0 bra join
+            add r1, r0, 1.0
+            add r1, r1, 1.0
+        join:
+            mul r2, r1, 2.0
+            add r2, r2, 1.0
+            st.out o0, r2
+            exit
+        """, stage="fragment", name="handset")
+        assert program.instructions[2].reconv == 5
+        program.instructions[2].reconv = 6
+        fast_env, ref_env = env_pair(**LANES)
+        fast = WarpInterpreter(program, fast_env).run()
+        ref = ReferenceInterpreter(program, ref_env).run()
+        assert [op.pc for op in ref.trace.ops] == [
+            0, 1, 2, 5, 3, 4, 5, 6, 7, 8]
+        assert_identical(fast, ref, fast_env, ref_env)
+
+    def test_loop_with_a_back_edge(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v1
+            mov r1, 0.0
+            mov r2, 0.0
+        loop:
+            add r1, r1, 1.0
+            add r2, r2, r1
+            setp.lt p0, r1, r0
+            @p0 bra loop
+            st.out o0, r1
+            st.out o1, r2
+            exit
+        """, env_kwargs=LANES)
+        assert len(ref.trace.ops) > 20          # several trips, diverging
+        assert_identical(fast, ref, fe, re_)
+
+    def test_discard_under_a_partial_mask_then_more_ops(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v0
+            setp.ge p0, r0, 5.0
+            @p0 discard
+            add r1, r0, 1.0
+            mul r1, r1, r1
+            st.out o0, r1
+            zwrite r1
+            exit
+        """, env_kwargs=LANES, initial_mask=HALF)
+        assert fast.discarded.tolist() == [False] * 5 + [True, False, True]
+        assert ref.trace.ops[3].active_lanes == 3
+        assert_identical(fast, ref, fe, re_)
+
+    def test_discard_inside_a_divergent_path(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v0
+            setp.lt p0, r0, 4.0
+            setp.eq p1, r0, 1.0
+            @p0 bra low
+            add r1, r0, 10.0
+            bra join
+        low:
+            @p1 discard
+            add r1, r0, 20.0
+        join:
+            st.out o0, r1
+            exit
+        """, env_kwargs=LANES, initial_mask=HALF)
+        assert_identical(fast, ref, fe, re_)
+
+    def test_guard_reads_a_predicate_written_in_the_same_block(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v0
+            mov r1, 0.0
+            mov r2, 0.0
+            setp.lt p0, r0, 3.0
+            @p0 add r1, r0, 10.0
+            setp.gt p0, r0, 5.0
+            @!p0 mul r1, r1, 2.0
+            @p0 mov r2, 7.0
+            pnot p1, p0
+            @p1 sel r2, p0, r0, r1
+            st.out o0, r1
+            st.out o1, r2
+            exit
+        """, env_kwargs=LANES, initial_mask=HALF)
+        assert [op.active_lanes for op in ref.trace.ops[4:10]] == [
+            2, 5, 4, 1, 5, 4]
+        assert_identical(fast, ref, fe, re_)
+
+    def test_exit_inside_a_divergent_path(self):
+        fast, ref, fe, re_ = run_both("""
+            ld.vary r0, v0
+            setp.lt p0, r0, 4.0
+            setp.eq p1, r0, 5.0
+            @p0 bra early
+            @p1 exit
+            add r1, r0, 1.0
+            st.out o0, r1
+            bra done
+        early:
+            mov r1, 9.0
+            st.out o0, r1
+            exit
+        done:
+            st.out o1, r0
+            exit
+        """, env_kwargs=LANES, initial_mask=HALF)
+        assert fast.completed.tolist() == HALF.tolist()
+        assert_identical(fast, ref, fe, re_)
+
+
+LOOP = """
+    mov r0, 0.0
+loop:
+    add r0, r0, 1.0
+    setp.lt p0, r0, 1000.0
+    @p0 bra loop
+    exit
+"""
+
+
+class TestDynamicInstructionLimit:
+    def test_a_loop_past_the_limit_raises_the_reference_error(self):
+        program = assemble(LOOP, stage="fragment", name="spin")
+        messages = []
+        for interpreter in (WarpInterpreter, ReferenceInterpreter):
+            with pytest.raises(RuntimeError) as excinfo:
+                interpreter(program, FakeEnv(), 50).run()
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1] == (
+            "spin: exceeded 50 dynamic instructions (diverging loop?)")
+
+    @pytest.mark.parametrize("limit", [6, 7])
+    def test_a_run_of_exactly_the_limit_does_not_raise(self, limit):
+        asm = "\n".join(["mov r0, 1.0"] * (limit - 1) + ["exit"])
+        fast, ref, fe, re_ = run_both(asm, max_dynamic_instructions=limit)
+        assert len(fast.trace.ops) == limit
+        assert_identical(fast, ref, fe, re_)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            run_both(asm, max_dynamic_instructions=limit - 1)
+
+
+_BINARY = ("add", "sub", "mul", "div", "min", "max", "pow")
+_UNARY = ("mov", "abs", "neg", "floor", "frac", "rcp", "rsqrt", "sqrt",
+          "sin", "cos", "exp2", "log2")
+_COMPARE = ("lt", "le", "gt", "ge", "eq", "ne")
+
+
+@st.composite
+def straight_line_op(draw):
+    """One random branch-free instruction over r0-r3 and p0-p2."""
+    reg = st.sampled_from(["r0", "r1", "r2", "r3"])
+    pred = st.sampled_from(["p0", "p1", "p2"])
+    source = st.one_of(reg, st.sampled_from(["-1.5", "0.0", "0.5", "3.0"]))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        text = f"{draw(st.sampled_from(_BINARY))} {draw(reg)}, " \
+               f"{draw(source)}, {draw(source)}"
+    elif kind == 1:
+        text = f"{draw(st.sampled_from(_UNARY))} {draw(reg)}, {draw(source)}"
+    elif kind == 2:
+        text = f"mad {draw(reg)}, {draw(source)}, {draw(source)}, " \
+               f"{draw(source)}"
+    elif kind == 3:
+        text = f"setp.{draw(st.sampled_from(_COMPARE))} {draw(pred)}, " \
+               f"{draw(source)}, {draw(source)}"
+    elif kind == 4:
+        text = f"sel {draw(reg)}, {draw(pred)}, {draw(source)}, " \
+               f"{draw(source)}"
+    elif kind == 5:
+        op = draw(st.sampled_from(["pand", "por"]))
+        text = f"{op} {draw(pred)}, {draw(pred)}, {draw(pred)}"
+    elif kind == 6:
+        text = f"pnot {draw(pred)}, {draw(pred)}"
+    elif kind == 7:
+        text = f"ld.vary {draw(reg)}, v{draw(st.integers(0, 1))}"
+    elif kind == 8:
+        text = f"ld.const {draw(reg)}, c0"
+    else:
+        text = draw(st.sampled_from(["discard", "exit",
+                                     f"st.out o{draw(st.integers(0, 3))}, "
+                                     f"{draw(reg)}"]))
+        if text in ("discard", "exit"):   # guarded, or they end the run
+            return f"@{draw(st.sampled_from(['', '!']))}{draw(pred)} {text}"
+    if draw(st.booleans()):
+        text = f"@{draw(st.sampled_from(['', '!']))}{draw(pred)} {text}"
+    return text
+
+
+class TestStraightLineProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(straight_line_op(), min_size=1, max_size=24),
+           mask=st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_compiled_matches_reference(self, ops, mask):
+        stores = [f"st.out o{i + 4}, r{i}" for i in range(4)]
+        asm = "\n".join(ops + stores + ["exit"])
+        fast, ref, fe, re_ = run_both(
+            asm, env_kwargs={**LANES, "constants": {0: -2.25}},
+            initial_mask=np.array(mask))
+        assert_identical(fast, ref, fe, re_)
 
 
 class TestDispatchCache:

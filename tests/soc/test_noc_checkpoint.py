@@ -160,6 +160,18 @@ class TestCheckpointValidation:
             _load(doc)
         assert excinfo.value.field == "trace.frames[0].draw_calls[0].indices"
 
+    def test_draw_without_its_state(self):
+        """A draw call that lacks a key replay reads is refused typed,
+        naming the key, instead of escaping as ``KeyError``."""
+        from repro.harness.scenes import SceneSession
+        session = SceneSession("cube", 32, 24)
+        doc = json.loads(capture([session.frame(0)], tick=1, frame_index=1,
+                                 topology=MACHINE).to_json())
+        del doc["trace"]["frames"][0]["draw_calls"][0]["state"]
+        with pytest.raises(CheckpointError) as excinfo:
+            _load(doc)
+        assert excinfo.value.field == "trace.frames[0].draw_calls[0].state"
+
     def test_error_is_a_value_error(self):
         """Callers catching ValueError keep working."""
         with pytest.raises(ValueError):
