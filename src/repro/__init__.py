@@ -11,8 +11,8 @@ Top-level convenience imports; see DESIGN.md for the full module map.
 from repro.common.config import (
     DRAMConfig,
     GPUConfig,
-    SoCConfig,
-    case_study1_config,
+    SoCTopology,
+    case_study1_gpu_config,
     case_study2_gpu_config,
 )
 from repro.common.events import EventQueue
@@ -27,8 +27,8 @@ __version__ = "1.0.0"
 __all__ = [
     "DRAMConfig",
     "GPUConfig",
-    "SoCConfig",
-    "case_study1_config",
+    "SoCTopology",
+    "case_study1_gpu_config",
     "case_study2_gpu_config",
     "EventQueue",
     "GLContext",

@@ -2,15 +2,17 @@
 
 Two presets mirror the paper's tables:
 
-* :func:`case_study1_config` — Table 5 (full-system SoC: 4 CPUs, 4 SIMT
-  cores, 2-channel LPDDR3).
+* :func:`case_study1_gpu_config` — Table 5's GPU (full-system SoC: 4 SIMT
+  cores at 950 MHz, 128 KB L2).
 * :func:`case_study2_gpu_config` — Table 7 (standalone GPU: 6 SIMT clusters,
-  192 lanes, 4-channel LPDDR3-1600).
+  192 lanes, 2 MB L2).
 
-Both presets also come in ``scaled()`` form: identical structure with a
-smaller framebuffer and cache sizes reduced proportionally, so tests and CI
-benchmarks finish in seconds.  The scaling knob is explicit and documented —
-the paper's absolute sizes remain the default.
+The case-study harnesses derive their resolution-scaled GPUs from these
+presets with :func:`dataclasses.replace`
+(:func:`repro.harness.case_study1._cs1_gpu`,
+:func:`repro.harness.case_study2._scaled_cs2_gpu`); :func:`scaled_gpu` is
+the small-cache variant unit tests use.  Every machine field is read by
+assembly and range-checked on construction (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -24,6 +26,28 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
+class ConfigError(ValueError):
+    """A configuration value or document failed validation.
+
+    ``path`` names the offending field as a dotted path (``$`` is the
+    document root) so sweep tooling can say *which* knob is wrong.
+    """
+
+    def __init__(self, message: str, path: str = "$") -> None:
+        super().__init__(f"{path}: {message}" if path != "$" else message)
+        self.message = message
+        self.path = path
+
+
+def _at_least(config, minimum: int, names: str) -> None:
+    """Refuse any field in ``names`` below ``minimum`` (counts, sizes and
+    rates are at least 1; latencies and timings at least 0)."""
+    for name in names.split():
+        value = getattr(config, name)
+        if value < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {value!r}", name)
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry of a set-associative cache."""
@@ -32,14 +56,15 @@ class CacheConfig:
     line_bytes: int = 128
     ways: int = 4
     hit_latency: int = 1
-    mshr_entries: int = 32
 
     def __post_init__(self) -> None:
+        _at_least(self, 1, "size_bytes line_bytes ways")
+        _at_least(self, 0, "hit_latency")
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"cache size {self.size_bytes} not divisible into "
-                f"{self.ways}-way sets of {self.line_bytes}B lines"
-            )
+                f"{self.ways}-way sets of {self.line_bytes}B lines",
+                "size_bytes")
 
     @property
     def num_sets(self) -> int:
@@ -55,13 +80,15 @@ class SIMTCoreConfig:
     num_schedulers: int = 2
     alu_latency: int = 4
     sfu_latency: int = 16
-    max_threads: int = 2048
-    registers: int = 65536
     l1i: CacheConfig = field(default_factory=lambda: CacheConfig(4 * 1024, ways=4))
     l1d: CacheConfig = field(default_factory=lambda: CacheConfig(16 * 1024, ways=4))
     l1t: CacheConfig = field(default_factory=lambda: CacheConfig(64 * 1024, ways=4))
     l1z: CacheConfig = field(default_factory=lambda: CacheConfig(32 * 1024, ways=4))
     l1c: CacheConfig = field(default_factory=lambda: CacheConfig(8 * 1024, ways=4))
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "warp_size max_warps num_schedulers")
+        _at_least(self, 0, "alu_latency sfu_latency")
 
 
 @dataclass(frozen=True)
@@ -74,30 +101,35 @@ class RasterConfig:
     tc_bins_per_engine: int = 4
     coarse_tiles_per_cycle: int = 1
     fine_tiles_per_cycle: int = 1
-    hiz_tiles_per_cycle: int = 1
     hiz_enabled: bool = True
     tc_flush_timeout: int = 32       # cycles without new raster tiles
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "raster_tile_px tc_tile_raster_tiles "
+                  "tc_engines_per_cluster tc_bins_per_engine "
+                  "coarse_tiles_per_cycle fine_tiles_per_cycle")
+        _at_least(self, 0, "tc_flush_timeout")
 
 
 @dataclass(frozen=True)
 class GPUConfig:
-    """The Emerald GPU: clusters of SIMT cores plus shared L2/AOU."""
+    """The Emerald GPU: clusters of one SIMT core each plus shared L2/AOU."""
 
     num_clusters: int = 4
-    cores_per_cluster: int = 1
     core: SIMTCoreConfig = field(default_factory=SIMTCoreConfig)
     raster: RasterConfig = field(default_factory=RasterConfig)
     l2: CacheConfig = field(default_factory=lambda: CacheConfig(128 * 1024, ways=8, hit_latency=20))
     noc_latency: int = 8             # cluster <-> L2 interconnect latency
-    vertex_batch_warps: int = 2      # vertex warps launched per core per pass
-    output_vertex_buffer_vertices: int = 9 * 1024
     pmrb_entries: int = 64           # primitive-mask reorder buffer per cluster
     work_tile_size: int = 1          # WT: round-robin granularity in TC tiles
     clock_ghz: float = 1.0
 
-    @property
-    def num_cores(self) -> int:
-        return self.num_clusters * self.cores_per_cluster
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "num_clusters pmrb_entries work_tile_size")
+        _at_least(self, 0, "noc_latency")
+        if not self.clock_ghz > 0:
+            raise ConfigError(
+                f"must be positive, got {self.clock_ghz!r}", "clock_ghz")
 
 
 @dataclass(frozen=True)
@@ -107,8 +139,10 @@ class DRAMTiming:
     t_rcd: int = 15     # activate -> column command
     t_rp: int = 15      # precharge
     t_cas: int = 15     # column access strobe
-    t_burst: int = 4    # data burst occupancy per access
     t_wr: int = 12      # write recovery
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "t_rcd t_rp t_cas t_wr")
 
 
 @dataclass(frozen=True)
@@ -122,7 +156,10 @@ class DRAMConfig:
     bus_bytes: int = 4              # 32-bit wide channel
     data_rate_mbps: int = 1333      # per pin
     timing: DRAMTiming = field(default_factory=DRAMTiming)
-    queue_depth: int = 64
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "channels ranks banks row_bytes bus_bytes "
+                  "data_rate_mbps")
 
     @property
     def peak_bytes_per_ctrl_cycle(self) -> float:
@@ -130,72 +167,19 @@ class DRAMConfig:
         return self.bus_bytes * 2
 
 
-@dataclass(frozen=True)
-class DisplayConfig:
-    """Display controller: resolution, refresh deadline, burst size."""
-
-    width: int = 1024
-    height: int = 768
-    bytes_per_pixel: int = 4
-    refresh_fps: int = 60
-    burst_bytes: int = 256
-    abort_fraction: float = 0.5     # abort a scanout this far behind schedule
-
-    @property
-    def frame_bytes(self) -> int:
-        return self.width * self.height * self.bytes_per_pixel
-
-
-@dataclass(frozen=True)
-class CPUConfig:
-    """CPU cluster model for the full-system mode."""
-
-    num_cores: int = 4
-    clock_ghz: float = 2.0
-    l2_kb_per_core: int = 1024
-    # Mean outstanding-miss traffic intensity per phase, requests per 1000
-    # GPU-clock ticks (the workload model modulates around these).
-    busy_intensity: float = 24.0
-    idle_intensity: float = 1.0
-
-
-@dataclass(frozen=True)
-class SoCConfig:
-    """Full-system assembly used by case study I."""
-
-    gpu: GPUConfig = field(default_factory=GPUConfig)
-    cpu: CPUConfig = field(default_factory=CPUConfig)
-    dram: DRAMConfig = field(default_factory=DRAMConfig)
-    display: DisplayConfig = field(default_factory=DisplayConfig)
-    framebuffer_width: int = 1024
-    framebuffer_height: int = 768
-    gpu_frame_period_ms: float = 33.0   # Table 3: GPU frame period (30 FPS)
-    display_frame_period_ms: float = 16.0
-    system_noc_latency: int = 12
-
-
-def case_study1_config() -> SoCConfig:
-    """Table 5: the full-system configuration of case study I."""
+def case_study1_gpu_config() -> GPUConfig:
+    """Table 5: the GPU of case study I's full system."""
     core = SIMTCoreConfig(
         warp_size=32,
         l1d=CacheConfig(16 * 1024, ways=4),
         l1t=CacheConfig(64 * 1024, ways=4),
         l1z=CacheConfig(32 * 1024, ways=4),
     )
-    gpu = GPUConfig(
+    return GPUConfig(
         num_clusters=4,
-        cores_per_cluster=1,
         core=core,
         l2=CacheConfig(128 * 1024, ways=8, hit_latency=20),
         clock_ghz=0.95,
-    )
-    return SoCConfig(
-        gpu=gpu,
-        cpu=CPUConfig(num_cores=4, clock_ghz=2.0),
-        dram=DRAMConfig(channels=2, data_rate_mbps=1333),
-        display=DisplayConfig(width=1024, height=768),
-        framebuffer_width=1024,
-        framebuffer_height=768,
     )
 
 
@@ -203,8 +187,6 @@ def case_study2_gpu_config() -> GPUConfig:
     """Table 7: the standalone GPU configuration of case study II."""
     core = SIMTCoreConfig(
         warp_size=32,
-        max_threads=2048,
-        registers=65536,
         l1d=CacheConfig(32 * 1024, ways=8),
         l1t=CacheConfig(48 * 1024, line_bytes=128, ways=24),
         l1z=CacheConfig(32 * 1024, ways=8),
@@ -217,25 +199,10 @@ def case_study2_gpu_config() -> GPUConfig:
     )
     return GPUConfig(
         num_clusters=6,
-        cores_per_cluster=1,
         core=core,
         raster=raster,
         l2=CacheConfig(2 * 1024 * 1024, ways=32, hit_latency=20),
         clock_ghz=1.0,
-    )
-
-
-def scaled(config: SoCConfig, width: int = 192, height: int = 144) -> SoCConfig:
-    """A structurally identical SoC config with a smaller framebuffer.
-
-    Cache and DRAM geometry are unchanged; only the rendered resolution and
-    display resolution shrink so a full frame simulates in seconds.
-    """
-    return replace(
-        config,
-        display=replace(config.display, width=width, height=height),
-        framebuffer_width=width,
-        framebuffer_height=height,
     )
 
 
@@ -269,18 +236,6 @@ def scaled_gpu(config: GPUConfig) -> GPUConfig:
 # :class:`ConfigError` naming the offending dotted path, never a bare
 # TypeError deep inside a constructor.
 # ---------------------------------------------------------------------------
-
-
-class ConfigError(ValueError):
-    """A configuration value or document failed validation.
-
-    ``path`` names the offending field as a dotted path (``$`` is the
-    document root) so sweep tooling can say *which* knob is wrong.
-    """
-
-    def __init__(self, message: str, path: str = "$") -> None:
-        super().__init__(f"{path}: {message}" if path != "$" else message)
-        self.path = path
 
 
 def config_to_dict(obj):
@@ -346,9 +301,9 @@ def config_from_dict(cls, doc, path: str = "$"):
     """Parse plain data back into config dataclass ``cls``, strictly.
 
     Unknown keys are rejected (a typo'd knob must not silently fall back
-    to its default), types are checked recursively, and any constructor
-    validation error (:class:`ValueError`) is re-raised as a
-    :class:`ConfigError` carrying the dotted path.
+    to its default), types are checked recursively, and a constructor's
+    :class:`ConfigError` (whose path is relative to ``cls``) is re-raised
+    with the dotted path from the document root.
     """
     if not isinstance(doc, dict):
         raise ConfigError(
@@ -371,10 +326,11 @@ def config_from_dict(cls, doc, path: str = "$"):
             raise ConfigError("missing required field", sub)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
+    except ConfigError as exc:
+        if path == "$":
+            raise
+        inner = path if exc.path == "$" else f"{path}.{exc.path}"
+        raise ConfigError(exc.message, inner) from exc
 
 
 #: Memory-endpoint scheduler disciplines (Table 6 column).
@@ -453,10 +409,7 @@ class CPUClusterTopology:
     def __post_init__(self) -> None:
         if isinstance(self.core_types, list):
             object.__setattr__(self, "core_types", tuple(self.core_types))
-        if self.num_cores < 1:
-            raise ConfigError(
-                f"need at least one CPU core, got {self.num_cores}",
-                "num_cores")
+        _at_least(self, 1, "num_cores")
         if self.core_types is not None:
             if len(self.core_types) != self.num_cores:
                 raise ConfigError(
@@ -509,10 +462,7 @@ class NoCTopology:
     def __post_init__(self) -> None:
         if isinstance(self.links, list):
             object.__setattr__(self, "links", tuple(self.links))
-        if self.latency < 0:
-            raise ConfigError(
-                f"latency must be non-negative, got {self.latency}",
-                "latency")
+        _at_least(self, 0, "latency")
         if self.interleave_bytes < 128 or self.interleave_bytes % 128:
             raise ConfigError(
                 f"interleave_bytes must be a positive multiple of the "
@@ -579,9 +529,16 @@ class SoCTopology:
         return cls.from_dict(doc)
 
     def topology_hash(self) -> str:
-        """Digest of the *structure* (the label does not change the
-        machine): two topologies hash equal iff they assemble identical
-        systems."""
+        """Digest of the *structure*: 16 hex digits of the sha256 of the
+        canonical :meth:`to_dict` without ``name`` (a label that changes
+        no machine).
+
+        Every hashed leaf but an endpoint's ``name`` (a label that only
+        has to be unique) is read by assembly: changing one alone changes
+        the simulated system (``tests/common/test_topology_contract.py``
+        pins this).  Identical systems may still hash apart, because
+        equivalent values do: e.g. ``row_bytes`` 2048 and 2049 (both 16
+        columns) or ``noc.interleave_bytes`` on a single endpoint."""
         doc = self.to_dict()
         del doc["name"]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))

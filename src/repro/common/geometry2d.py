@@ -1,4 +1,4 @@
-"""2D integer rectangle and tile arithmetic shared by raster and TC stages.
+"""Screen-tile ownership: which SIMT core shades a TC tile.
 
 Screen space is carved into a hierarchy of tiles:
 
@@ -10,106 +10,6 @@ Screen space is carved into a hierarchy of tiles:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Half-open integer rectangle [x0, x1) x [y0, y1)."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    def __post_init__(self) -> None:
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError(f"degenerate rect {self}")
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
-    def empty(self) -> bool:
-        return self.width == 0 or self.height == 0
-
-    def intersect(self, other: "Rect") -> "Rect":
-        x0 = max(self.x0, other.x0)
-        y0 = max(self.y0, other.y0)
-        x1 = max(x0, min(self.x1, other.x1))
-        y1 = max(y0, min(self.y1, other.y1))
-        return Rect(x0, y0, x1, y1)
-
-    def contains(self, x: int, y: int) -> bool:
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
-
-class TileGrid:
-    """Maps pixel space onto a grid of fixed-size square tiles.
-
-    Tiles are indexed in row-major order.  The grid covers the full screen,
-    rounding up, so edge tiles may be partially outside the framebuffer.
-    """
-
-    def __init__(self, screen_width: int, screen_height: int, tile_px: int):
-        if tile_px <= 0:
-            raise ValueError(f"tile size must be positive, got {tile_px}")
-        if screen_width <= 0 or screen_height <= 0:
-            raise ValueError("screen dimensions must be positive")
-        self.screen_width = screen_width
-        self.screen_height = screen_height
-        self.tile_px = tile_px
-        self.cols = (screen_width + tile_px - 1) // tile_px
-        self.rows = (screen_height + tile_px - 1) // tile_px
-
-    @property
-    def num_tiles(self) -> int:
-        return self.cols * self.rows
-
-    def tile_of_pixel(self, x: int, y: int) -> int:
-        """Row-major tile index containing pixel (x, y)."""
-        if not (0 <= x < self.screen_width and 0 <= y < self.screen_height):
-            raise ValueError(f"pixel ({x}, {y}) outside screen")
-        return (y // self.tile_px) * self.cols + (x // self.tile_px)
-
-    def tile_coords(self, index: int) -> tuple[int, int]:
-        """(col, row) of a tile index."""
-        if not (0 <= index < self.num_tiles):
-            raise ValueError(f"tile index {index} out of range")
-        return index % self.cols, index // self.cols
-
-    def tile_rect(self, index: int) -> Rect:
-        """Pixel rect of a tile, clipped to the screen."""
-        col, row = self.tile_coords(index)
-        return Rect(
-            col * self.tile_px,
-            row * self.tile_px,
-            min((col + 1) * self.tile_px, self.screen_width),
-            min((row + 1) * self.tile_px, self.screen_height),
-        )
-
-    def tiles_overlapping(self, rect: Rect) -> Iterator[int]:
-        """Indices of all tiles intersecting a pixel rect (clipped to screen)."""
-        clipped = rect.intersect(Rect(0, 0, self.screen_width, self.screen_height))
-        if clipped.empty():
-            return
-        col0 = clipped.x0 // self.tile_px
-        col1 = (clipped.x1 - 1) // self.tile_px
-        row0 = clipped.y0 // self.tile_px
-        row1 = (clipped.y1 - 1) // self.tile_px
-        for row in range(row0, row1 + 1):
-            for col in range(col0, col1 + 1):
-                yield row * self.cols + col
 
 
 def work_tile_owner(

@@ -172,21 +172,6 @@ class Mesh:
             name=self.name,
         )
 
-    def unrolled(self) -> "Mesh":
-        """Return an equivalent TRIANGLES mesh (strips/fans expanded)."""
-        if self.mode is PrimitiveMode.TRIANGLES:
-            return self
-        flat = [i for tri in self.triangles() for i in tri]
-        return Mesh(
-            positions=self.positions,
-            indices=np.array(flat, dtype=np.int64),
-            normals=self.normals,
-            uvs=self.uvs,
-            colors=self.colors,
-            mode=PrimitiveMode.TRIANGLES,
-            name=self.name,
-        )
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned (min, max) corners of the mesh."""
         return self.positions.min(axis=0), self.positions.max(axis=0)

@@ -105,14 +105,3 @@ class GLState:
     @property
     def rop_reads_color(self) -> bool:
         return self.blend
-
-
-def blend_factor_value(factor: BlendFactor, src_alpha, dst_alpha):
-    """Numeric blend weight for a factor (scalar or numpy array inputs)."""
-    if factor is BlendFactor.ZERO:
-        return 0.0 * src_alpha
-    if factor is BlendFactor.ONE:
-        return 0.0 * src_alpha + 1.0
-    if factor is BlendFactor.SRC_ALPHA:
-        return src_alpha
-    return 1.0 - src_alpha             # ONE_MINUS_SRC_ALPHA

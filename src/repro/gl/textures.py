@@ -18,7 +18,7 @@ BLOCK = 4             # block-linear tile edge in texels
 
 
 class Texture2D:
-    """An RGBA texture with nearest/bilinear sampling and texel addressing.
+    """An RGBA texture with bilinear sampling and texel addressing.
 
     ``data`` is a float array of shape (height, width, 4) in [0, 1].
     ``base_address`` is assigned when the texture is bound into the GPU
@@ -66,18 +66,6 @@ class Texture2D:
         within = (tys % BLOCK) * BLOCK + (txs % BLOCK)
         return (self.base_address
                 + (block_index * BLOCK * BLOCK + within) * TEXEL_BYTES)
-
-    def _wrap(self, t: np.ndarray, size: int) -> np.ndarray:
-        return np.mod(np.floor(t).astype(np.int64), size)
-
-    def sample_nearest(self, u, v):
-        """Nearest-texel sample; u/v wrap (GL_REPEAT).  Vectorized."""
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        tx = self._wrap(u * self.width, self.width)
-        ty = self._wrap(v * self.height, self.height)
-        return self.data[ty, tx], [(int(x), int(y)) for x, y in
-                                   zip(np.atleast_1d(tx), np.atleast_1d(ty))]
 
     def sample_bilinear(self, u, v):
         """Bilinear sample; returns (rgba, texel coordinate footprint).

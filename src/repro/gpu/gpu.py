@@ -74,10 +74,6 @@ class EmeraldGPU:
                  memory: Optional[MemorySystem] = None,
                  memory_port=None,
                  framebuffer: Optional[Framebuffer] = None) -> None:
-        if config.cores_per_cluster != 1:
-            raise ValueError(
-                "this model uses one SIMT core per cluster (as in both "
-                "case-study configurations)")
         self.events = events
         self.config = config
         self.memory = memory

@@ -8,15 +8,15 @@ behind Figs. 9-14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.common.config import (
+    CacheConfig,
     DRAMConfig,
     GPUConfig,
-    SIMTCoreConfig,
-    CacheConfig,
     SoCTopology,
+    case_study1_gpu_config,
 )
 from repro.harness.scenes import CASE_STUDY1_SCENES, SceneSession
 from repro.memory.builders import MEMORY_CONFIG_NAMES, memory_topology_by_name
@@ -28,20 +28,22 @@ LOADS = ("regular", "high")
 
 
 def _cs1_gpu() -> GPUConfig:
-    """Table 5's GPU (4 SIMT cores @ 0.95 GHz) with resolution-scaled L1s.
+    """Table 5's GPU (4 SIMT cores @ 0.95 GHz) with resolution-scaled L1s
+    and L2.
 
     Same scaling rationale as case study II (see
     :func:`repro.harness.case_study2._scaled_cs2_gpu`).
     """
-    core = SIMTCoreConfig(
+    base = case_study1_gpu_config()
+    core = replace(
+        base.core,
         l1d=CacheConfig(4 * 1024, ways=4),
         l1t=CacheConfig(8 * 1024, ways=4),
         l1z=CacheConfig(4 * 1024, ways=4),
         l1c=CacheConfig(4 * 1024, ways=4),
     )
-    return GPUConfig(num_clusters=4, core=core,
-                     l2=CacheConfig(32 * 1024, ways=8, hit_latency=20),
-                     clock_ghz=0.95)
+    return replace(base, core=core,
+                   l2=CacheConfig(32 * 1024, ways=8, hit_latency=20))
 
 
 @dataclass
@@ -189,21 +191,6 @@ class CS1Sweep:
             out[model] = {
                 name: self.get(model, name).display_requests / max(base, 1)
                 for name in sorted({c for _, c in self.results})
-            }
-        return out
-
-    def row_locality_vs_bas(self) -> dict[str, dict[str, float]]:
-        """Fig. 11: HMC row-hit rate and bytes/activation relative to BAS."""
-        out: dict[str, dict[str, float]] = {}
-        for model in sorted({m for m, _ in self.results}):
-            bas = self.get(model, "BAS")
-            hmc = self.get(model, "HMC")
-            out[model] = {
-                "row_hit_rate": (hmc.row_hit_rate / bas.row_hit_rate
-                                 if bas.row_hit_rate else 0.0),
-                "bytes_per_activation": (
-                    hmc.bytes_per_activation / bas.bytes_per_activation
-                    if bas.bytes_per_activation else 0.0),
             }
         return out
 

@@ -50,8 +50,7 @@ def _scaled_cs2_gpu() -> GPUConfig:
     core = replace(
         base.core,
         l1d=CacheConfig(2 * 1024, ways=8),
-        l1t=CacheConfig(4 * 1024, line_bytes=128, ways=8,
-                        mshr_entries=32),
+        l1t=CacheConfig(4 * 1024, line_bytes=128, ways=8),
         l1z=CacheConfig(2 * 1024, ways=8),
         l1c=CacheConfig(4 * 1024, ways=4),
         max_warps=12,

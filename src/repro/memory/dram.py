@@ -8,7 +8,9 @@ controller pays, in controller cycles:
 * conflict:  ``tRP + tRCD + tCAS`` (precharge the open row first).
 
 Bank preparation overlaps other banks' data bursts; the data bus serializes
-bursts (``t_burst`` cycles per transaction).  At each scheduler wake the
+bursts of ``size // peak_bytes_per_ctrl_cycle`` controller cycles per
+transaction (at least one): ``128 // peak_bytes_per_ctrl_cycle`` for a
+128-byte line.  At each scheduler wake the
 channel commits up to :data:`ISSUE_WINDOW` transactions so bank-level
 parallelism can hide preparation latency — the effect HMC's bank-striped
 IP mapping banks on.

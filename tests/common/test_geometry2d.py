@@ -1,88 +1,9 @@
-"""Tests for 2D tile arithmetic."""
+"""Tests for the work-tile ownership hash."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.geometry2d import Rect, TileGrid, work_tile_owner
-
-
-class TestRect:
-    def test_dimensions(self):
-        r = Rect(2, 3, 10, 7)
-        assert r.width == 8
-        assert r.height == 4
-        assert r.area == 32
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            Rect(5, 0, 4, 10)
-
-    def test_intersect_overlapping(self):
-        a = Rect(0, 0, 10, 10)
-        b = Rect(5, 5, 15, 15)
-        assert a.intersect(b) == Rect(5, 5, 10, 10)
-
-    def test_intersect_disjoint_is_empty(self):
-        a = Rect(0, 0, 4, 4)
-        b = Rect(10, 10, 12, 12)
-        assert a.intersect(b).empty()
-
-    def test_contains(self):
-        r = Rect(0, 0, 4, 4)
-        assert r.contains(0, 0)
-        assert r.contains(3, 3)
-        assert not r.contains(4, 4)
-
-
-class TestTileGrid:
-    def test_grid_shape_rounds_up(self):
-        g = TileGrid(100, 60, 16)
-        assert g.cols == 7
-        assert g.rows == 4
-        assert g.num_tiles == 28
-
-    def test_tile_of_pixel_roundtrip(self):
-        g = TileGrid(64, 64, 8)
-        for idx in range(g.num_tiles):
-            rect = g.tile_rect(idx)
-            assert g.tile_of_pixel(rect.x0, rect.y0) == idx
-
-    def test_edge_tile_clipped_to_screen(self):
-        g = TileGrid(100, 100, 16)
-        rect = g.tile_rect(g.num_tiles - 1)
-        assert rect.x1 == 100
-        assert rect.y1 == 100
-
-    def test_pixel_out_of_range(self):
-        g = TileGrid(32, 32, 8)
-        with pytest.raises(ValueError):
-            g.tile_of_pixel(32, 0)
-
-    def test_tiles_overlapping_full_screen(self):
-        g = TileGrid(32, 32, 8)
-        tiles = list(g.tiles_overlapping(Rect(0, 0, 32, 32)))
-        assert tiles == list(range(16))
-
-    def test_tiles_overlapping_single_tile(self):
-        g = TileGrid(32, 32, 8)
-        assert list(g.tiles_overlapping(Rect(9, 9, 10, 10))) == [5]
-
-    def test_tiles_overlapping_offscreen(self):
-        g = TileGrid(32, 32, 8)
-        assert list(g.tiles_overlapping(Rect(40, 40, 50, 50))) == []
-
-    @given(st.integers(1, 128), st.integers(1, 128), st.integers(1, 32))
-    def test_every_pixel_belongs_to_exactly_one_tile(self, w, h, tile):
-        g = TileGrid(w, h, tile)
-        # Sample corner pixels of each tile and screen corners.
-        for x, y in [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]:
-            idx = g.tile_of_pixel(x, y)
-            assert g.tile_rect(idx).contains(x, y)
-
-    @given(st.integers(8, 64), st.integers(8, 64), st.integers(2, 16))
-    def test_tile_rects_partition_screen_area(self, w, h, tile):
-        g = TileGrid(w, h, tile)
-        assert sum(g.tile_rect(i).area for i in range(g.num_tiles)) == w * h
+from repro.common.geometry2d import work_tile_owner
 
 
 class TestWorkTileOwner:

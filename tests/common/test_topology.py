@@ -5,23 +5,24 @@ import pytest
 from repro.common.config import (CHANNEL_MAPPING_NAMES, CPU_CORE_TYPES,
                                  ConfigError, CPUClusterTopology, DRAMConfig,
                                  GPUConfig, MemoryTopology, NoCLinkBudget,
-                                 NoCTopology, SoCTopology, case_study1_config,
+                                 NoCTopology, SoCTopology,
+                                 case_study1_gpu_config,
                                  case_study2_gpu_config, config_from_dict,
-                                 config_to_dict, scaled, scaled_gpu)
+                                 config_to_dict, scaled_gpu)
 
 
 class TestConfigRoundTrips:
     """Every preset serializes -> parses -> compares equal."""
 
     def test_case_study1_round_trips(self):
-        config = case_study1_config()
+        config = case_study1_gpu_config()
         doc = config_to_dict(config)
-        assert config_from_dict(type(config), doc) == config
+        assert config_from_dict(GPUConfig, doc) == config
 
     def test_case_study1_scaled_round_trips(self):
-        config = scaled(case_study1_config())
+        config = scaled_gpu(case_study1_gpu_config())
         doc = config_to_dict(config)
-        assert config_from_dict(type(config), doc) == config
+        assert config_from_dict(GPUConfig, doc) == config
 
     def test_case_study2_gpu_round_trips(self):
         config = case_study2_gpu_config()
@@ -42,11 +43,31 @@ class TestConfigRoundTrips:
         assert "channels" in str(excinfo.value)       # names what IS valid
 
     def test_wrong_type_names_dotted_path(self):
-        doc = config_to_dict(case_study1_config())
-        doc["dram"]["channels"] = "two"
+        doc = config_to_dict(case_study1_gpu_config())
+        doc["core"]["l1d"]["ways"] = "two"
         with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(type(case_study1_config()), doc)
-        assert "dram.channels" in str(excinfo.value)
+            config_from_dict(GPUConfig, doc)
+        assert "core.l1d.ways" in str(excinfo.value)
+
+    @pytest.mark.parametrize("path,value", [
+        ("gpu.core.l1d.ways", 0),
+        ("gpu.core.max_warps", 0),
+        ("gpu.clock_ghz", 0.0),
+        ("memory[0].dram.banks", 0),
+        ("memory[0].dram.timing.t_cas", -1),
+        ("memory[0].scheduler", "fcfs"),
+        ("noc.latency", -1),
+    ])
+    def test_refusal_names_the_dotted_path(self, path, value):
+        doc = SoCTopology().to_dict()
+        *parents, leaf = path.replace("[0]", ".0").split(".")
+        node = doc
+        for step in parents:
+            node = node[int(step)] if step.isdigit() else node[step]
+        node[leaf] = value
+        with pytest.raises(ConfigError) as excinfo:
+            SoCTopology.from_dict(doc)
+        assert excinfo.value.path == path
 
     def test_cache_config_error_is_actionable(self):
         from repro.common.config import CacheConfig

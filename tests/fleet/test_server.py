@@ -12,12 +12,21 @@ from repro.fleet.journal import JobJournal, replay_journal
 from repro.fleet.server import (ACK_DIR, EXIT_DRAINED, EXIT_DRAINED_PENDING,
                                 JOURNAL_DIR, QUARANTINE_DIR, SPOOL_DIR,
                                 FleetServer)
+from repro.soc.soc import tiny_run_config
 
 FAST_BACKOFF = BackoffPolicy(base=0.01, factor=2.0, cap=0.04)
 
 
 def tiny_spec(name, seed=1, frames=2, **kwargs):
     return JobSpec(name=name, frames=frames, seed=seed, **kwargs)
+
+
+def zero_ways_spec_doc(name):
+    """A spec document whose topology has a 0-way L1D (a division by
+    zero if it reached the cache geometry)."""
+    topology = tiny_run_config().topology.to_dict()
+    topology["gpu"]["core"]["l1d"]["ways"] = 0
+    return {"name": name, "topology": topology}
 
 
 def make_server(tmp_path, *, cache="cache", expect=None, **fleet_kwargs):
@@ -177,6 +186,19 @@ class TestSpoolIntake:
         replay = replay_journal(os.path.join(server.workdir, JOURNAL_DIR))
         kinds = [record["type"] for record in replay.records]
         assert kinds.count("quarantine") == 3
+
+    def test_out_of_range_topology_drop_is_quarantined(self, tmp_path):
+        server = make_server(tmp_path)
+        path = self._drop(server, "zero.json", zero_ways_spec_doc("zero"))
+        assert server.poll_spool() == 1
+        assert not os.path.exists(path)
+        quarantine = os.path.join(server.workdir, SPOOL_DIR, QUARANTINE_DIR)
+        with open(os.path.join(quarantine,
+                               "zero.json.reason.json")) as handle:
+            reason = json.load(handle)["reason"]
+        assert "gpu.core.l1d.ways: must be >= 1, got 0" in reason
+        assert server._jobs == {}
+        server.journal.close()
 
 
 class TestServeEndToEnd:
@@ -360,6 +382,17 @@ class TestUnixSocket:
             os.path.join(server.workdir, JOURNAL_DIR))
         assert replay.clean_shutdown
         assert [job.name for job in replay.pending] == ["sock-job"]
+
+    def test_socket_submit_of_out_of_range_topology_is_refused(
+            self, tmp_path):
+        server = make_server(tmp_path)
+        request = {"op": "submit", "job": zero_ways_spec_doc("zero")}
+        reply = server._dispatch(json.dumps(request).encode())
+        assert reply["ok"] is False
+        assert reply["error"] == "SubmissionError"
+        assert "gpu.core.l1d.ways" in reply["detail"]
+        assert server._jobs == {}
+        server.journal.close()
 
     def test_socket_cancel_of_queued_job(self, tmp_path):
         config = ServerConfig(

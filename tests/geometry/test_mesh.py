@@ -68,12 +68,6 @@ class TestPrimitiveIteration:
         assert PrimitiveMode.TRIANGLE_STRIP.verts_shared == 2
         assert PrimitiveMode.TRIANGLE_FAN.verts_shared == 2
 
-    def test_unrolled_preserves_triangles(self):
-        mesh = quad_mesh(PrimitiveMode.TRIANGLE_STRIP)
-        flat = mesh.unrolled()
-        assert flat.mode is PrimitiveMode.TRIANGLES
-        assert list(flat.triangles()) == list(mesh.triangles())
-
 
 class TestMeshOps:
     def test_computed_normals_flat_quad(self):

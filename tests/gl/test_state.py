@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gl.state import BlendFactor, DepthFunc, GLState, blend_factor_value
+from repro.gl.state import DepthFunc, GLState
 
 
 class TestDepthFunc:
@@ -32,20 +32,6 @@ class TestDepthFunc:
         old = np.array([0.5, 0.5])
         assert DepthFunc.ALWAYS.compare(new, old).tolist() == [True, True]
         assert DepthFunc.NEVER.compare(new, old).tolist() == [False, False]
-
-
-class TestBlendFactors:
-    def test_factor_values(self):
-        assert blend_factor_value(BlendFactor.ZERO, 0.7, 0.2) == 0.0
-        assert blend_factor_value(BlendFactor.ONE, 0.7, 0.2) == 1.0
-        assert blend_factor_value(BlendFactor.SRC_ALPHA, 0.7, 0.2) == 0.7
-        assert blend_factor_value(
-            BlendFactor.ONE_MINUS_SRC_ALPHA, 0.7, 0.2) == pytest.approx(0.3)
-
-    def test_vectorized(self):
-        alpha = np.array([0.0, 0.5, 1.0])
-        out = blend_factor_value(BlendFactor.ONE_MINUS_SRC_ALPHA, alpha, None)
-        assert np.allclose(out, [1.0, 0.5, 0.0])
 
 
 class TestGLState:

@@ -63,18 +63,6 @@ class TestAddressing:
 
 
 class TestSampling:
-    def test_nearest_center_of_texel(self):
-        t = gradient(size=4)
-        rgba, texels = t.sample_nearest(0.125, 0.125)   # texel (0, 0)
-        assert texels == [(0, 0)]
-        assert rgba[0] == pytest.approx(0.0)
-
-    def test_nearest_wraps(self):
-        t = gradient(size=4)
-        a, _ = t.sample_nearest(0.125, 0.125)
-        b, _ = t.sample_nearest(1.125, 0.125)
-        assert np.allclose(a, b)
-
     def test_bilinear_solid_texture_is_exact(self):
         t = solid((0.25, 0.5, 0.75, 1.0))
         rgba, footprint = t.sample_bilinear(0.37, 0.61)

@@ -42,11 +42,6 @@ class TestCS1Sweep:
         normalized = self.make_sweep().normalized_display_service()
         assert normalized["M1"]["HMC"] == 1.5
 
-    def test_row_locality_vs_bas(self):
-        locality = self.make_sweep().row_locality_vs_bas()
-        assert locality["M1"]["row_hit_rate"] == pytest.approx(0.75)
-        assert locality["M1"]["bytes_per_activation"] == pytest.approx(0.5)
-
     def test_get_missing_raises(self):
         with pytest.raises(KeyError):
             self.make_sweep().get("M9", "BAS")

@@ -6,6 +6,11 @@ the encoded trace into the document instead, so every byte (and the
 payload CRC) must stay where it was.  Writing a snapshot parses its
 trace zero times; reading one back and restoring it parses it once and
 never encodes it again.
+
+The snapshots carry the tiny machine's topology hash, so a digest
+changes only with that hash (``tests/soc/test_topology_pins.py``), and
+then only to the previous writer's digest of the same snapshot stamped
+with the new hash.
 """
 
 import hashlib
@@ -20,11 +25,11 @@ from tests.health.full_system import HEIGHT, WIDTH, tiny_config
 
 #: sha256 of ``to_json()`` of the 2-frame 48x36 cube snapshot below.
 GOLDEN_FULL = \
-    "758eb96ba4979ede3f4f9a7de396a9a2611e40bfa10fabcc054a3cb77867afb0"
+    "3b270673f1c988b2db0583c01516787f62f10c30b3ba09b2007b631eccd40d9c"
 GOLDEN_BARE = \
-    "d13d208dd8508987cc9cab7c1561e2856aee12a75c26d37848080e286e2c9a30"
+    "54a1b4a506d3e9315efb86ae402fbf25de8124745ecd057de7521b5c6c2d6f98"
 GOLDEN_REWOUND = \
-    "a66e316991fbdde2d27b898bc57c3c2045007de9b9a8c0216cbdba5cf28b3c4a"
+    "a8273d04fdc1024bc6cd565161bbe7d5ea90844567277e24d0b6370bd363ac17"
 
 
 def snapshot(**fields):

@@ -1,14 +1,17 @@
 """Conformance to the paper's configuration tables (3, 4, 5, 7).
 
 These tests pin the *documented* configurations — the values the paper
-prints — independent of the scaled variants the experiment harness uses.
+prints — and that the case-study harness assembles them, up to the
+resolution-scaled cache capacities.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.common.config import (
     DRAMConfig,
-    case_study1_config,
+    case_study1_gpu_config,
     case_study2_gpu_config,
 )
 from repro.memory.address_map import BASELINE_MAPPING, IP_CHANNEL_MAPPING
@@ -41,27 +44,41 @@ class TestTable4AddressMappings:
 
 class TestTable5CaseStudy1System:
     def test_system_configuration(self):
-        config = case_study1_config()
-        assert config.cpu.num_cores == 4
-        assert config.cpu.clock_ghz == 2.0
-        assert config.gpu.num_clusters == 4           # 4 SIMT cores
-        assert config.gpu.core.warp_size == 32        # 32 lanes (warp size)
-        assert config.gpu.clock_ghz == 0.95           # 950 MHz
-        assert config.gpu.core.l1d.size_bytes == 16 * 1024
-        assert config.gpu.core.l1t.size_bytes == 64 * 1024
-        assert config.gpu.core.l1z.size_bytes == 32 * 1024
-        assert config.gpu.l2.size_bytes == 128 * 1024
-        assert config.dram.channels == 2
-        assert config.dram.data_rate_mbps == 1333
-        assert config.framebuffer_width == 1024
-        assert config.framebuffer_height == 768
-        assert config.display.refresh_fps == 60
+        config = case_study1_gpu_config()
+        assert config.num_clusters == 4               # 4 SIMT cores
+        assert config.core.warp_size == 32            # 32 lanes (warp size)
+        assert config.clock_ghz == 0.95               # 950 MHz
+        assert config.core.l1d.size_bytes == 16 * 1024
+        assert config.core.l1t.size_bytes == 64 * 1024
+        assert config.core.l1z.size_bytes == 32 * 1024
+        assert config.l2.size_bytes == 128 * 1024
+        assert DRAMConfig().data_rate_mbps == 1333
 
     def test_cache_line_sizes(self):
-        config = case_study1_config()
-        for cache in (config.gpu.core.l1d, config.gpu.core.l1t,
-                      config.gpu.core.l1z, config.gpu.l2):
+        config = case_study1_gpu_config()
+        for cache in (config.core.l1d, config.core.l1t, config.core.l1z,
+                      config.l2):
             assert cache.line_bytes == 128
+
+    def test_case_study1_assembles_table5(self):
+        """``make_cs1_setup``'s machine is Table 5's GPU with only the L1
+        and L2 capacities scaled, beside 4 CPU cores and 2 channels."""
+        from repro.harness.case_study1 import make_cs1_setup
+
+        run_config, _ = make_cs1_setup("M1", "BAS")
+        topology = run_config.topology
+        preset = case_study1_gpu_config()
+        gpu = topology.gpu
+        l1s = {name: replace(getattr(preset.core, name),
+                             size_bytes=getattr(gpu.core, name).size_bytes)
+               for name in ("l1i", "l1d", "l1t", "l1z", "l1c")}
+        assert gpu == replace(
+            preset, core=replace(preset.core, **l1s),
+            l2=replace(preset.l2, size_bytes=gpu.l2.size_bytes))
+        assert gpu != preset
+        assert topology.cpu.num_cores == 4
+        assert [endpoint.dram.channels
+                for endpoint in topology.memory] == [2]
 
 
 class TestTable7CaseStudy2GPU:
@@ -70,8 +87,6 @@ class TestTable7CaseStudy2GPU:
         assert config.num_clusters == 6               # 6 SIMT clusters
         assert config.num_clusters * config.core.warp_size == 192
         assert config.clock_ghz == 1.0
-        assert config.core.max_threads == 2048
-        assert config.core.registers == 65536
         assert config.core.l1d.size_bytes == 32 * 1024
         assert config.core.l1d.ways == 8
         assert config.core.l1t.size_bytes == 48 * 1024
@@ -88,7 +103,6 @@ class TestTable7CaseStudy2GPU:
         assert raster.tc_bins_per_engine == 4
         assert raster.coarse_tiles_per_cycle == 1
         assert raster.fine_tiles_per_cycle == 1
-        assert raster.hiz_tiles_per_cycle == 1
 
     def test_dram(self):
         # 4-channel LPDDR3-1600 per Table 7.
