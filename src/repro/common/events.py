@@ -1,13 +1,13 @@
 """Discrete-event simulation kernel.
 
-The whole simulator is driven by a single event heap, in the style of gem5's
-event queue: components never busy-wait on cycles, they schedule callbacks at
+The whole simulator is driven by a single event queue, in the style of
+gem5's: components never busy-wait on cycles, they schedule callbacks at
 future times.  Simulation time is an integer number of *ticks*; each model
 decides its own tick <-> cycle mapping (the GPU model uses one tick per GPU
 cycle, the SoC model converts component clocks into GPU-cycle ticks).
 
 Events scheduled at the same tick fire in FIFO scheduling order, which keeps
-runs deterministic regardless of heap tie-breaking.
+runs deterministic.
 
 Robustness (the ``repro.health`` subsystem builds on these hooks):
 
@@ -19,23 +19,22 @@ Robustness (the ``repro.health`` subsystem builds on these hooks):
   reports it — with a configurable fail-fast vs. quarantine-and-continue
   policy (``propagate`` keeps the seed behaviour of re-raising unchanged).
 
-Performance (DESIGN.md §12): the queue is a calendar kernel that drains
-all same-tick events from a FIFO bucket instead of re-heapifying per
-event — MGSim's kernel idiom.  Ordering proof sketch: the bucket for tick
-T is filled from the heap in ascending ``seq`` order (heap pops at equal
-time break ties on ``seq``), and any event scheduled *at* T while T is
-draining carries a ``seq`` larger than every event already issued, so
-appending it at the tail preserves the global (time, seq) total order of
-a plain one-pop-per-event heap exactly; the golden tests pin this.
+Performance (DESIGN.md §12): the queue is a calendar — one FIFO list per
+pending tick and a heap of the distinct pending ticks, MGSim's same-tick
+bucket extended to every tick.  Scheduling appends the event to its
+tick's list, so each list is in schedule order; ticks drain in ascending
+order, each list front to back.  That is exactly the (time, schedule
+order) total order of a one-pop-per-event heap keyed on a global
+sequence number, with no per-event heap entry and no sequence number;
+the golden tests pin it.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import sys
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
@@ -98,23 +97,21 @@ class RunResult:
 class Event:
     """A scheduled callback.
 
-    The queue orders events by (time, sequence number) so simultaneous
-    events fire in the order they were scheduled; the ordering lives in
-    the heap entries (plain tuples, compared at C speed), not here.
+    The queue keeps simultaneous events in the order they were scheduled:
+    the order lives in the position of the event in its tick's list, not
+    here.
 
     A ``__slots__`` class rather than a dataclass: one is constructed per
     scheduled event — millions per simulated frame — and slot storage both
     shrinks the instance and speeds attribute access on the hot path.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled",
-                 "owner", "site")
+    __slots__ = ("time", "callback", "args", "cancelled", "owner", "site")
 
-    def __init__(self, time: int, seq: int, callback: Callable[..., Any],
+    def __init__(self, time: int, callback: Callable[..., Any],
                  args: tuple = (), owner: Optional[str] = None,
                  site: Optional[str] = None) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -128,8 +125,7 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         flags = " cancelled" if self.cancelled else ""
-        return (f"Event(time={self.time}, seq={self.seq}, "
-                f"callback={name}{flags})")
+        return f"Event(time={self.time}, callback={name}{flags})"
 
 
 #: Error policies for :class:`EventQueue`.
@@ -147,6 +143,11 @@ class EventQueue:
     * ``"quarantine"`` — record the wrapped error in :attr:`errors` and
       keep running (a poisoned component is sidelined, the frame survives).
 
+    A callback may schedule, cancel and peek (:meth:`peek_time`,
+    :meth:`empty`), but not run the queue itself: :meth:`step`,
+    :meth:`run`, and :meth:`run_until` with an event due, raise
+    ``RuntimeError`` there.
+
     >>> q = EventQueue()
     >>> fired = []
     >>> _ = q.schedule(5, fired.append, "a")
@@ -162,19 +163,22 @@ class EventQueue:
         if error_policy not in ERROR_POLICIES:
             raise ValueError(f"error_policy must be one of {ERROR_POLICIES},"
                              f" got {error_policy!r}")
-        # Heap entries are (time, seq, event) tuples: tuple comparison runs
-        # in C, which matters at millions of events per simulated frame.
-        self._heap: list[tuple[int, int, Event]] = []
         self._now: int = 0
-        self._seq: int = 0
         self._events_fired: int = 0
-        # Calendar bucket: the FIFO of events at the tick currently being
-        # drained.  ``_bucket_time`` is the tick the bucket belongs to
-        # (-1 = no bucket yet); schedule() appends same-tick work here
-        # directly, skipping the heap round-trip.
-        self._bucket: deque[Event] = deque()
-        self._bucket_time: int = -1
+        # The calendar.  ``_lists`` maps every tick holding events to its
+        # FIFO list, in schedule order.  ``_ticks`` is a heap of those
+        # ticks except ``_time``, the open tick: its list is read by the
+        # list iterator ``_it`` and stays in ``_lists`` until the next
+        # tick opens, so a schedule at the open tick appends to the list
+        # being read and the iterator yields it in turn.  The open tick is
+        # never later than ``now``: a tick opens when one of its events
+        # fires, and a drained queue opens an empty list at ``now``.
+        self._time: int = 0
+        self._lists: dict[int, list[Event]] = {0: []}
+        self._it = iter(self._lists[0])
+        self._ticks: list[int] = []
         self._stop_requested = False
+        self._running = False
         self.error_policy = error_policy
         self.debug_provenance = debug_provenance
         self.errors: list[SimulationError] = []
@@ -215,27 +219,27 @@ class EventQueue:
 
     def _push(self, time: int, callback: Callable[..., Any], args: tuple,
               owner: Optional[str]) -> Event:
-        seq = self._seq
+        """Append a new event to tick ``time``'s list (``time >= now``,
+        an int: the caller's promise).  The one insertion path: link
+        deliveries and cache-hit responses call it directly, and a
+        :class:`Ticker` re-arms the same way."""
         # Event construction spelled out (__new__ + slot stores) to skip
         # the __init__ call frame — this is the per-event allocation site.
         event = Event.__new__(Event)
         event.time = time
-        event.seq = seq
         event.callback = callback
         event.args = args
         event.cancelled = False
         event.owner = owner
         event.site = None
-        self._seq = seq + 1
         if self.debug_provenance:
             event.site = self._capture_site()
-        if time == self._bucket_time:
-            # Same-tick schedule while (or after) that tick's bucket is
-            # live: the new seq exceeds every pending one, so a tail
-            # append preserves (time, seq) order with no heap traffic.
-            self._bucket.append(event)
+        events = self._lists.get(time)
+        if events is None:
+            self._lists[time] = [event]
+            heappush(self._ticks, time)
         else:
-            heapq.heappush(self._heap, (time, seq, event))
+            events.append(event)
         if self.tracer is not None:
             self.tracer.kernel_scheduled(event)
         return event
@@ -269,72 +273,31 @@ class EventQueue:
         return self.peek_time() is None
 
     def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or ``None`` when the queue is empty."""
-        bucket = self._bucket
-        while bucket and bucket[0].cancelled:
-            bucket.popleft()
-        if bucket:
-            return self._bucket_time
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        """Time of the next live event, or ``None`` when the queue is empty.
+
+        Drops pending ticks whose every event was cancelled; never opens
+        a tick or moves ``now``."""
+        current = self._lists[self._time]
+        # A list iterator's length hint is the count it has yet to yield,
+        # so the open list's unread events start at len - hint.
+        for index in range(len(current) - self._it.__length_hint__(),
+                           len(current)):
+            if not current[index].cancelled:
+                return self._time
+        ticks = self._ticks
+        lists = self._lists
+        while ticks:
+            time = ticks[0]
+            for event in lists[time]:
+                if not event.cancelled:
+                    return time
+            heappop(ticks)
+            del lists[time]
+        return None
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        bucket = self._bucket
-        while bucket:
-            event = bucket.popleft()
-            if not event.cancelled:
-                return self._fire(event)
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return False
-        time, _, event = heapq.heappop(heap)
-        self._now = time
-        self._bucket_time = time
-        # Pull the whole same-tick cohort out of the heap in one pass
-        # (pops at equal time come out in seq order); the drain above
-        # then runs them FIFO with no further heap traffic.
-        while heap and heap[0][0] == time:
-            bucket.append(heapq.heappop(heap)[2])
-        return self._fire(event)
-
-    def _fire(self, event: Event) -> bool:
-        """Execute one event at ``self._now`` under the error policy."""
-        self._events_fired += 1
-        if self.tracer is not None:
-            self.tracer.kernel_fired(event)
-        if self.sanitizer is not None:
-            # May raise a SanitizerViolation; deliberately outside the
-            # error-policy wrapping below — a violation is a verdict, not
-            # a component fault to quarantine.
-            self.sanitizer.on_event(self._now, self._events_fired)
-        # The policy check lives in the except clause so the happy path
-        # pays nothing for it (try/except entry is free on CPython 3.11).
-        try:
-            event.callback(*event.args)
-        except SimulationError:
-            raise               # already wrapped (e.g. a watchdog report)
-        except Exception as exc:
-            self._apply_error_policy(event, exc)
-        return True
-
-    def _apply_error_policy(self, event: Event, exc: Exception) -> None:
-        """Shared except-clause body for :meth:`_fire` and :meth:`run`.
-
-        Must be called from inside an active ``except`` block (the bare
-        ``raise`` re-raises the exception being handled)."""
-        if self.error_policy == "propagate":
-            raise
-        error = SimulationError.from_event(event, self._now, exc)
-        error.__cause__ = exc
-        if self.error_policy == "quarantine":
-            self.errors.append(error)
-        else:
-            raise error from exc
+        return self.run(max_events=1).executed == 1
 
     def run(self, max_events: Optional[int] = None) -> RunResult:
         """Run until the queue drains (or ``max_events`` fire).
@@ -345,49 +308,91 @@ class EventQueue:
         return ``max_events``).  A callback may call :meth:`request_stop`
         to make the loop return (reason ``STOPPED``) after that event.
 
-        This is the whole-simulation hot loop: the pop/fire cycle of
-        step()+_fire() is fused into one frame (no per-event method
-        calls, locals bound once).  It fires the exact same events in the
-        exact same (time, seq) order as repeated :meth:`step` calls.
+        This is the kernel's only fire path (:meth:`step` is a run of
+        one event).  A run started from inside a callback raises
+        ``RuntimeError``: it would drain the open tick under the outer
+        loop, which would then retire the wrong tick and drop its events.
         """
+        if self._running:
+            raise RuntimeError("EventQueue.run() called from inside an "
+                               "event callback")
         budget = sys.maxsize if max_events is None else max_events
-        count = 0
-        heappop = heapq.heappop
-        heap = self._heap
-        bucket = self._bucket
+        if budget <= 0:
+            return RunResult(0, StopReason.BUDGET)
+        self._running = True
+        try:
+            return self._drain(budget)
+        finally:
+            self._running = False
+
+    def _drain(self, budget: int) -> RunResult:
+        """The whole-simulation hot loop: fire up to ``budget`` events.
+
+        It reads the open tick's list through the queue's own list
+        iterator, which also yields the events appended to the list while
+        it drains and keeps the read position across runs."""
+        start = fired = self._events_fired
+        limit = start + budget
+        lists = self._lists
+        ticks = self._ticks
+        it = self._it
         self._stop_requested = False
-        while count < budget:
-            event = None
-            while bucket:
-                head = bucket.popleft()
-                if not head.cancelled:
-                    event = head
-                    break
-            if event is None:
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                if not heap:
-                    return RunResult(count, StopReason.DRAINED)
-                time, _, event = heappop(heap)
-                self._now = time
-                self._bucket_time = time
-                while heap and heap[0][0] == time:
-                    bucket.append(heappop(heap)[2])
-            self._events_fired += 1
-            if self.tracer is not None:
-                self.tracer.kernel_fired(event)
-            if self.sanitizer is not None:
-                self.sanitizer.on_event(self._now, self._events_fired)
-            try:
-                event.callback(*event.args)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                self._apply_error_policy(event, exc)
-            count += 1
-            if self._stop_requested:
-                return RunResult(count, StopReason.STOPPED)
-        return RunResult(count, StopReason.BUDGET)
+        while True:
+            for event in it:
+                if event.cancelled:
+                    continue
+                fired += 1
+                self._events_fired = fired
+                if self.tracer is not None:
+                    self.tracer.kernel_fired(event)
+                if self.sanitizer is not None:
+                    # May raise a SanitizerViolation; deliberately outside
+                    # the error-policy wrapping below — a violation is a
+                    # verdict, not a component fault to quarantine.
+                    self.sanitizer.on_event(self._now, fired)
+                # The policy check lives in the except clause so the happy
+                # path pays nothing for it (try/except entry is free on
+                # CPython 3.11).  The callback is read after kernel_fired:
+                # a tracer may swap it.
+                try:
+                    event.callback(*event.args)
+                except SimulationError:
+                    raise       # already wrapped (e.g. a watchdog report)
+                except Exception as exc:
+                    if self.error_policy == "propagate":
+                        raise
+                    error = SimulationError.from_event(event, self._now, exc)
+                    if self.error_policy == "wrap":
+                        raise error from exc
+                    error.__cause__ = exc
+                    self.errors.append(error)
+                if self._stop_requested:
+                    return RunResult(fired - start, StopReason.STOPPED)
+                if fired == limit:
+                    return RunResult(budget, StopReason.BUDGET)
+            # The open tick is spent: retire it and open the next tick
+            # holding a live event.  A tick whose every event was
+            # cancelled is dropped and never moves ``now``.
+            del lists[self._time]
+            while ticks:
+                time = heappop(ticks)
+                events = lists[time]
+                for event in events:
+                    if not event.cancelled:
+                        break
+                else:
+                    del lists[time]
+                    continue
+                break
+            else:
+                # Drained: an empty list at ``now`` takes what is
+                # scheduled there next (the spent iterator cannot).
+                self._time = time = self._now
+                lists[time] = events = []
+                self._it = iter(events)
+                return RunResult(fired - start, StopReason.DRAINED)
+            self._time = self._now = time
+            self._it = it = iter(events)
 
     def request_stop(self) -> None:
         """Make the active :meth:`run` loop return after the current event.
@@ -403,9 +408,9 @@ class EventQueue:
         Advances ``now`` to ``time`` even if the queue drains earlier.
         Returns a :class:`RunResult` (reason ``HORIZON`` when stopped by
         the time limit with events still pending).  Events scheduled at
-        the current tick *during* a same-tick bucket drain still execute
-        this tick — they join the live bucket, which is re-checked every
-        iteration (no lost wakeup).
+        the current tick while it drains still execute this tick — they
+        join the open tick's list, which is re-checked every iteration
+        (no lost wakeup).
         """
         count = 0
         reason = StopReason.BUDGET
@@ -429,6 +434,13 @@ class EventQueue:
         return RunResult(count, reason)
 
 
+# Ticker firing states.  _KICKED: kick() ran inside the callback, so the
+# ticker re-arms whatever the callback returns; _STOPPED: stop() ran
+# inside the callback, so it stays idle whatever the callback returns
+# (the last of the two calls wins).
+_IDLE, _FIRING, _KICKED, _STOPPED = range(4)
+
+
 class Ticker:
     """Helper that re-schedules a callback at a fixed period while active.
 
@@ -438,7 +450,7 @@ class Ticker:
     """
 
     __slots__ = ("_queue", "_period", "_callback", "_owner", "_pending",
-                 "_firing", "_kick_requested", "_stopped_during_fire")
+                 "_state")
 
     def __init__(self, queue: EventQueue, period: int,
                  callback: Callable[[], bool],
@@ -448,18 +460,16 @@ class Ticker:
             raise ValueError(f"period must be positive, got {period}")
         self._queue = queue
         # schedule() truncates delays with int(); doing it once here keeps
-        # the inlined reschedule in _fire bit-identical for float periods.
+        # the inlined re-arm in _fire bit-identical for float periods.
         self._period = int(period)
         self._callback = callback
         self._owner = owner
         self._pending: Optional[Event] = None
-        self._firing = False
-        self._kick_requested = False
-        self._stopped_during_fire = False
+        self._state = _IDLE
 
     @property
     def active(self) -> bool:
-        return (self._firing
+        return (self._state != _IDLE
                 or (self._pending is not None and not self._pending.cancelled))
 
     def kick(self, delay: int = 0) -> None:
@@ -470,9 +480,8 @@ class Ticker:
         the same tick.  A kick after a stop — including a stop issued from
         inside the callback — restarts the ticker (last call wins).
         """
-        if self._firing:
-            self._kick_requested = True
-            self._stopped_during_fire = False
+        if self._state != _IDLE:
+            self._state = _KICKED
             return
         if self.active:
             return
@@ -483,42 +492,38 @@ class Ticker:
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
-        self._kick_requested = False
         # A stop from inside the callback must win over the callback's
         # return value — otherwise a component cannot shut itself down.
-        self._stopped_during_fire = self._firing
+        if self._state != _IDLE:
+            self._state = _STOPPED
 
     def _fire(self) -> None:
         event = self._pending        # the Event object now firing
         self._pending = None
-        self._firing = True
-        self._kick_requested = False
-        self._stopped_during_fire = False
+        self._state = _FIRING
         keep_going = self._callback()
-        self._firing = False
-        if self._stopped_during_fire:
-            self._stopped_during_fire = False
+        state = self._state
+        self._state = _IDLE
+        if state == _STOPPED or not (keep_going or state == _KICKED):
             return
-        if keep_going or self._kick_requested:
-            # Inlined self._queue.schedule(self._period, ...): this is the
-            # single hottest schedule site (every ticking component, every
-            # cycle), and the period is validated positive at construction.
-            queue = self._queue
-            if event is not None and not queue.debug_provenance:
-                # Recycle the just-fired Event: the kernel dropped its
-                # reference when it popped it (a fired event is never
-                # cancelled), and the period is >= 1 so the new time is
-                # strictly in the future — a plain heap push, never a
-                # same-tick bucket append.  A fresh seq keeps the global
-                # (time, seq) order identical to allocating a new Event.
-                seq = queue._seq
-                queue._seq = seq + 1
-                event.time = time = queue._now + self._period
-                event.seq = seq
-                heapq.heappush(queue._heap, (time, seq, event))
-                if queue.tracer is not None:
-                    queue.tracer.kernel_scheduled(event)
-                self._pending = event
-            else:
-                self._pending = queue._push(queue._now + self._period,
-                                            self._fire, (), self._owner)
+        queue = self._queue
+        time = queue._now + self._period
+        if event is None or queue.debug_provenance:
+            # A fresh event captures its schedule site.
+            self._pending = queue._push(time, self._fire, (), self._owner)
+            return
+        # The single hottest schedule site (every ticking component,
+        # every cycle) re-arms the just-fired Event with _push's insertion
+        # and without its allocation: the kernel is done with the event
+        # (a fired event is never cancelled), and appending it to its
+        # tick's list gives it the place a new event would take.
+        event.time = time
+        events = queue._lists.get(time)
+        if events is None:
+            queue._lists[time] = [event]
+            heappush(queue._ticks, time)
+        else:
+            events.append(event)
+        if queue.tracer is not None:
+            queue.tracer.kernel_scheduled(event)
+        self._pending = event

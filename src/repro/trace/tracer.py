@@ -219,7 +219,7 @@ class Tracer:
     # -- event-kernel sink -------------------------------------------------------
 
     def kernel_scheduled(self, event) -> None:
-        """EventQueue hook: an event entered the heap."""
+        """EventQueue hook: an event was scheduled."""
         owner = event.owner or "(anonymous)"
         self._scheduled[owner] = self._scheduled.get(owner, 0) + 1
         if self.kernel_events:

@@ -373,6 +373,20 @@ class TestTickerEdgeCases:
         q.run()
         assert order == ["already-queued", "tick", "queued-after-kick"]
 
+    def test_debug_provenance_rearms_with_fresh_sited_events(self):
+        """Under debug_provenance a ticker allocates a new event per
+        period, so each carries its own schedule site."""
+        q = EventQueue(debug_provenance=True)
+        t = Ticker(q, period=1, callback=lambda: q.now < 2)
+        t.kick()
+        rearmed = []
+        while q.step():
+            if t._pending is not None:
+                rearmed.append(t._pending)
+        assert len(rearmed) == 2
+        assert rearmed[0] is not rearmed[1]
+        assert all(event.site for event in rearmed)
+
     def test_cancelled_pending_is_not_active(self):
         q = EventQueue()
         t = Ticker(q, period=5, callback=lambda: False)
@@ -493,3 +507,101 @@ class TestRunUntilStopReasons:
         result = q.run_until(10, max_events=1)
         assert result.reason is StopReason.BUDGET
         assert q.now == 10
+
+
+class TestNestedRun:
+    """A callback may not run the queue: the nested run would drain the
+    open tick under the outer loop, which would then retire the wrong
+    tick and drop its events.  It raises instead."""
+
+    @pytest.mark.parametrize("nested", [
+        lambda q: q.step(),
+        lambda q: q.run(),
+        lambda q: q.run(max_events=1),
+        lambda q: q.run_until(q.now + 5),
+    ], ids=["step", "run", "run_budget", "run_until"])
+    def test_run_from_a_callback_raises(self, nested):
+        q = EventQueue()
+        fired = []
+        q.schedule(1, nested, q)
+        q.schedule(1, fired.append, "same-tick")
+        q.schedule(2, fired.append, "next-tick")
+        with pytest.raises(RuntimeError, match="inside an event callback"):
+            q.run()
+        assert fired == []
+        assert q.now == 1
+        # The guard is cleared on the way out: the rest still runs.
+        assert q.run().reason is StopReason.DRAINED
+        assert fired == ["same-tick", "next-tick"]
+        assert q.now == 2
+
+    def test_quarantine_records_the_nested_run_and_loses_no_event(self):
+        q = EventQueue(error_policy="quarantine")
+        fired = []
+        q.schedule(1, q.step)
+        q.schedule(1, fired.append, "same-tick")
+        q.schedule(2, fired.append, "next-tick")
+        assert q.run().reason is StopReason.DRAINED
+        assert fired == ["same-tick", "next-tick"]
+        assert q.events_fired == 3
+        assert len(q.errors) == 1
+        assert isinstance(q.errors[0].__cause__, RuntimeError)
+
+
+class TestTracerSeams:
+    """The seams a host-time ledger rides from outside the program
+    (``perfbench/ledger.py``): it attaches as ``tracer``, swaps
+    ``event.callback`` for a trampoline inside ``kernel_fired``, and
+    charges a ticker's events to the component behind ``Ticker._fire``
+    through the ticker's ``_callback``."""
+
+    class SwappingTracer:
+        """Ledger-shaped: kernel_fired swaps in a trampoline that puts the
+        original callback back, then calls it."""
+
+        def __init__(self):
+            self.fired = []            # the callback each event carried
+            self.trampolined = []      # the args each trampoline got
+
+        def kernel_scheduled(self, event):
+            pass
+
+        def kernel_fired(self, event):
+            callback = event.callback
+            self.fired.append(callback)
+
+            def trampoline(*args):
+                self.trampolined.append(args)
+                event.callback = callback
+                callback(*args)
+
+            event.callback = trampoline
+
+    def test_swapped_callback_is_called_once_with_the_event_args(self):
+        q = EventQueue()
+        tracer = q.tracer = self.SwappingTracer()
+        fired = []
+        q.schedule(2, fired.append, "a")
+        q.schedule(2, lambda x, y: fired.append(x + y), 1, 2)
+        assert q.run().executed == 2
+        assert tracer.trampolined == [("a",), (1, 2)]
+        assert fired == ["a", 3]
+
+    def test_ticker_events_carry_the_bound_fire(self):
+        q = EventQueue()
+        tracer = q.tracer = self.SwappingTracer()
+        ticks = []
+
+        def work():
+            ticks.append(q.now)
+            return len(ticks) < 3
+
+        ticker = Ticker(q, period=2, callback=work)
+        ticker.kick()
+        q.run()
+        assert ticks == [0, 2, 4]
+        assert tracer.trampolined == [(), (), ()]
+        for callback in tracer.fired:
+            assert callback.__func__ is Ticker._fire
+            assert callback.__self__ is ticker
+        assert ticker._callback is work
