@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,6 +269,24 @@ class RegionOfInterest:
         return self.last_draw is None or index <= self.last_draw
 
 
+@contextmanager
+def _rebuilding(where: str):
+    """Re-raise what rebuilding ``where`` from its values throws (a
+    ``KeyError`` for a missing state key, a ``TypeError`` for a list where
+    an object belongs, a ``ValueError`` for an unknown enum value, a
+    ``RuntimeError`` for a draw with no shader source, ...) as a
+    :class:`TraceDecodeError` naming it, chained to the cause."""
+    try:
+        yield
+    except TraceDecodeError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError, RuntimeError) as exc:
+        raise TraceDecodeError(
+            f"does not decode ({type(exc).__name__}: {exc})",
+            detail=where) from exc
+
+
 #: The keys :func:`replay` reads from every draw-call object.
 _DRAW_KEYS = ("indices", "mode", "name", "state", "vs_source", "fs_source",
               "uniforms", "textures")
@@ -279,7 +298,9 @@ def replay(trace: str | dict,
 
     ``trace`` is the JSON text or the document it parses to (which is
     only read).  A truncated, corrupt, or structurally invalid document
-    raises :class:`TraceDecodeError` before any state is rebuilt.
+    raises :class:`TraceDecodeError` before any state is rebuilt; a value
+    that does not decode (an unknown mode, a state that is not an object)
+    raises it naming ``frames[i]`` or ``frames[i].draw_calls[j]``.
     """
     doc = _decode(trace)
     buffer_table = doc["buffers"]
@@ -309,7 +330,8 @@ def replay(trace: str | dict,
         if not roi.includes_frame(frame_index):
             continue
         if context is None:
-            context = GLContext(frame_doc["width"], frame_doc["height"])
+            with _rebuilding(f"frames[{frame_index}]"):
+                context = GLContext(frame_doc["width"], frame_doc["height"])
         for draw_index, call_doc in enumerate(frame_doc["draw_calls"]):
             if not roi.includes_draw(draw_index):
                 continue
@@ -323,44 +345,50 @@ def replay(trace: str | dict,
                 if not isinstance(call_doc[key], dict):
                     raise TraceDecodeError("not an object",
                                            detail=f"{where}.{key}")
-            attrs = {
-                k: np.asarray(resolve_buffer(v, f"{where}.attributes.{k}"))
-                for k, v in call_doc["attributes"].items()
-            }
-            indices = resolve_buffer(call_doc["indices"], f"{where}.indices")
-            # Key on content (not call name) so repeated meshes share
-            # buffers — and therefore addresses — across frames.  Refs
-            # are content digests, so the key stays content-true.
-            mesh_key = json.dumps(
-                {"i": call_doc["indices"], "m": call_doc["mode"],
-                 "a": call_doc["attributes"]}, sort_keys=True)
-            if mesh_key not in mesh_cache:
-                mesh_cache[mesh_key] = Mesh(
-                    positions=attrs["position"],
-                    indices=np.asarray(indices, dtype=np.int64),
-                    normals=attrs.get("normal"),
-                    uvs=attrs.get("uv"),
-                    colors=attrs.get("color"),
-                    mode=PrimitiveMode(call_doc["mode"]),
-                    name=call_doc["name"],
-                )
-            context.state = _state_from_dict(call_doc["state"])
-            context.use_program(call_doc["vs_source"], call_doc["fs_source"])
-            context._uniforms = {
-                k: np.asarray(v) for k, v in call_doc["uniforms"].items()
-            }
-            for tex_name, tex_ref in call_doc["textures"].items():
-                tex_doc = resolve_texture(tex_ref,
-                                          f"{where}.textures.{tex_name}")
-                if tex_doc["name"] not in texture_cache:
-                    texture_cache[tex_doc["name"]] = Texture2D(
-                        np.asarray(tex_doc["data"]), name=tex_doc["name"])
-                context.bind_texture(tex_name, texture_cache[tex_doc["name"]])
-            context.draw_mesh(mesh_cache[mesh_key], name=call_doc["name"])
-        frame = context.end_frame()
-        frame.clear_color = tuple(frame_doc["clear_color"])
-        frame.clear_depth = frame_doc["clear_depth"]
-        frame.clear_stencil = frame_doc.get("clear_stencil", 0)
+            with _rebuilding(where):
+                attrs = {
+                    k: np.asarray(resolve_buffer(
+                        v, f"{where}.attributes.{k}"))
+                    for k, v in call_doc["attributes"].items()
+                }
+                indices = resolve_buffer(call_doc["indices"],
+                                         f"{where}.indices")
+                # Key on content (not call name) so repeated meshes share
+                # buffers — and therefore addresses — across frames.  Refs
+                # are content digests, so the key stays content-true.
+                mesh_key = json.dumps(
+                    {"i": call_doc["indices"], "m": call_doc["mode"],
+                     "a": call_doc["attributes"]}, sort_keys=True)
+                if mesh_key not in mesh_cache:
+                    mesh_cache[mesh_key] = Mesh(
+                        positions=attrs["position"],
+                        indices=np.asarray(indices, dtype=np.int64),
+                        normals=attrs.get("normal"),
+                        uvs=attrs.get("uv"),
+                        colors=attrs.get("color"),
+                        mode=PrimitiveMode(call_doc["mode"]),
+                        name=call_doc["name"],
+                    )
+                context.state = _state_from_dict(call_doc["state"])
+                context.use_program(call_doc["vs_source"],
+                                    call_doc["fs_source"])
+                context._uniforms = {
+                    k: np.asarray(v) for k, v in call_doc["uniforms"].items()
+                }
+                for tex_name, tex_ref in call_doc["textures"].items():
+                    tex_doc = resolve_texture(tex_ref,
+                                              f"{where}.textures.{tex_name}")
+                    if tex_doc["name"] not in texture_cache:
+                        texture_cache[tex_doc["name"]] = Texture2D(
+                            np.asarray(tex_doc["data"]), name=tex_doc["name"])
+                    context.bind_texture(tex_name,
+                                         texture_cache[tex_doc["name"]])
+                context.draw_mesh(mesh_cache[mesh_key], name=call_doc["name"])
+        with _rebuilding(f"frames[{frame_index}]"):
+            frame = context.end_frame()
+            frame.clear_color = tuple(frame_doc["clear_color"])
+            frame.clear_depth = frame_doc["clear_depth"]
+            frame.clear_stencil = frame_doc.get("clear_stencil", 0)
         frames.append(frame)
     return frames
 

@@ -14,6 +14,7 @@ vertex id).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -188,6 +189,9 @@ def launch_kernel(gpu: EmeraldGPU, program: Program, num_threads: int,
             if on_complete is not None:
                 on_complete(stats)
 
+    # A stable program id (I-cache addressing must be run-deterministic):
+    # ``hash(str)`` is salted per process.
+    program_id = zlib.crc32(program.name.encode()) % 1024
     for warp_index in range(stats.num_warps):
         ids = np.arange(warp_index * warp_size,
                         min((warp_index + 1) * warp_size, num_threads))
@@ -196,7 +200,7 @@ def launch_kernel(gpu: EmeraldGPU, program: Program, num_threads: int,
         result = WarpInterpreter(program, env).run(initial_mask=env.active)
         stats.dynamic_instructions += result.trace.dynamic_instructions
         task = WarpTask(result.trace, kind="compute",
-                        program_id=hash(program.name) % 1024,
+                        program_id=program_id,
                         on_complete=warp_done)
         gpu.cores[warp_index % len(gpu.cores)].submit(task)
     return stats

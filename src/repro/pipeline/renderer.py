@@ -2,9 +2,19 @@
 
 Chains the full functional pipeline — vertex shading, assembly/clip/cull,
 viewport transform, rasterization, fragment shading with the in-shader ROP
-epilogue — primitive by primitive, in draw-call order.  The GPU timing
-model reuses exactly these pieces, so its framebuffer must match this
-renderer's pixel-for-pixel; tests assert that.
+epilogue — in draw-call order.  The GPU timing model reuses exactly these
+pieces, so its framebuffer must match this renderer's pixel-for-pixel;
+tests assert that.
+
+Fragments are shaded in batches, by the tile-coalescing rule (paper
+§3.3.5): a batch collects whole primitives, in order, until the next one
+touches a pixel the batch already covers; then the batch is shaded in
+:func:`~repro.pipeline.vertex.shading_passes` and a new one begins.  That
+is exact.  A shader lane reads and writes only its own pixel (the ISA has
+no cross-lane op, fragment shaders reach no global memory, the shader
+language has no loops), and no two fragments of a batch share a pixel, so
+every fragment reads what earlier primitives left, as it would shaded one
+warp at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from repro.pipeline.shading_env import (
     build_varying_link,
     pack_fragments,
 )
-from repro.pipeline.vertex import run_vertex_shading
+from repro.pipeline.vertex import run_vertex_shading, shading_passes
 from repro.shader.compiler import compile_shader
 from repro.shader.interpreter import WarpInterpreter
 from repro.shader.rop_epilogue import attach_rop
@@ -83,6 +93,25 @@ class ReferenceRenderer:
         rop_program = attach_rop(fs_base, draw.state)
         link = build_varying_link(shaded.program, rop_program)
 
+        covered = np.zeros((self.height, self.width), dtype=bool)
+        batch: list = []            # the pending primitives' fragment blocks
+
+        def shade_batch() -> None:
+            columns = [np.concatenate([getattr(b, name) for b in batch])
+                       for name in ("xs", "ys", "z", "inv_w", "varyings")]
+            for start, stop, width in shading_passes(len(columns[0]),
+                                                     self.warp_size):
+                warp, = pack_fragments(*(c[start:stop] for c in columns),
+                                       width)
+                env = FragmentShaderEnv(draw, rop_program, shaded.program,
+                                        warp, fb, link=link)
+                result = WarpInterpreter(rop_program, env).run(
+                    initial_mask=warp.active)
+                stats.fragments_discarded += int(
+                    (result.discarded & warp.active).sum())
+            covered.fill(False)
+            batch.clear()
+
         for prim in prims:
             tri = to_screen(prim, self.width, self.height)
             blocks = rasterize(tri, self.width, self.height,
@@ -91,17 +120,12 @@ class ReferenceRenderer:
                 continue
             xs = np.concatenate([b.xs for b in blocks])
             ys = np.concatenate([b.ys for b in blocks])
-            z = np.concatenate([b.z for b in blocks])
-            inv_w = np.concatenate([b.inv_w for b in blocks])
-            varyings = np.vstack([b.varyings for b in blocks])
-            for warp in pack_fragments(xs, ys, z, inv_w, varyings,
-                                       self.warp_size):
-                env = FragmentShaderEnv(draw, rop_program, shaded.program,
-                                        warp, fb, link=link)
-                result = WarpInterpreter(rop_program, env).run(
-                    initial_mask=warp.active)
-                stats.fragment_warps += 1
-                stats.fragments_shaded += warp.num_fragments
-                stats.fragments_discarded += int(
-                    (result.discarded & warp.active).sum())
+            if batch and covered[ys, xs].any():
+                shade_batch()
+            covered[ys, xs] = True
+            batch.extend(blocks)
+            stats.fragment_warps += -(-len(xs) // self.warp_size)
+            stats.fragments_shaded += len(xs)
+        if batch:
+            shade_batch()
         return stats

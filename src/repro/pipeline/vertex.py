@@ -2,21 +2,21 @@
 
 Provides :class:`VertexShaderEnv` (the ExecEnv backing vertex-stage
 execution — attribute fetches carry real VBO byte addresses, uniform reads
-carry constant-bank addresses) and :func:`run_vertex_shading`, which shades
-every vertex of a draw call in warp-sized batches and returns clip-space
-positions, varyings (in the vertex program's varying layout) and the
-recorded warp traces for the timing model.
+carry constant-bank addresses), :func:`shading_passes`, which splits a
+functional shading job into wide passes, and :func:`run_vertex_shading`,
+which shades every vertex of a draw call in those passes and returns
+clip-space positions and varyings (in the vertex program's varying layout).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.gl.context import DrawCall
 from repro.shader.compiler import compile_shader
-from repro.shader.interpreter import WarpInterpreter, WarpTrace
+from repro.shader.interpreter import WarpInterpreter
 from repro.shader.isa import MemSpace
 from repro.shader.program import Program
 
@@ -115,6 +115,31 @@ class VertexShaderEnv:
             self.varyings[mask, slot - Program.POSITION_SLOTS] = values[mask]
 
 
+#: Widest functional shading pass, in lanes.  The cap bounds a pass's
+#: register file (registers x lanes float64 values) and so the memory a
+#: replay keeps resident.
+MAX_PASS_LANES = 1024
+
+
+def shading_passes(count: int, warp_size: int):
+    """Split ``count`` lanes into functional shading passes.
+
+    Yields ``(start, stop, width)``: lanes ``start:stop`` run as one pass
+    of ``width = warp_size * 2**k`` lanes, the smallest such width that
+    holds them, at most :data:`MAX_PASS_LANES` (or one warp, if wider).
+    Few distinct widths means few compiled dispatch tables per program.
+    """
+    widest = warp_size
+    while widest * 2 <= MAX_PASS_LANES:
+        widest *= 2
+    for start in range(0, count, widest):
+        stop = min(start + widest, count)
+        width = warp_size
+        while width < stop - start:
+            width *= 2
+        yield start, stop, width
+
+
 @dataclass
 class ShadedVertices:
     """All vertex shading results for one draw call."""
@@ -122,8 +147,6 @@ class ShadedVertices:
     clip: np.ndarray              # (N, 4) clip-space positions
     varyings: np.ndarray          # (N, V) in the VS varying layout
     program: Program
-    traces: list[WarpTrace] = field(default_factory=list)
-    warp_vertex_ids: list[np.ndarray] = field(default_factory=list)
 
     @property
     def num_vertices(self) -> int:
@@ -131,20 +154,18 @@ class ShadedVertices:
 
 
 def run_vertex_shading(draw: DrawCall, warp_size: int = 32) -> ShadedVertices:
-    """Shade every VBO vertex of a draw call in warp batches."""
+    """Shade every VBO vertex of a draw call in :func:`shading_passes`.
+
+    Vertex shading is lane-independent, so a pass of many warps writes
+    what those warps would write one at a time.
+    """
     program = compile_shader(draw.vs_source, "vertex", name=f"{draw.name}_vs")
     n = draw.vbo.num_vertices
     clip = np.zeros((n, 4))
     varyings = np.zeros((n, max(program.varyings.total, 1)))
-    traces: list[WarpTrace] = []
-    warp_ids: list[np.ndarray] = []
-    for start in range(0, n, warp_size):
-        ids = np.arange(start, min(start + warp_size, n))
-        env = VertexShaderEnv(draw, program, ids, warp_size)
-        result = WarpInterpreter(program, env).run(initial_mask=env.active)
-        clip[ids] = env.clip[:len(ids)]
-        varyings[ids] = env.varyings[:len(ids)]
-        traces.append(result.trace)
-        warp_ids.append(ids)
-    return ShadedVertices(clip=clip, varyings=varyings, program=program,
-                          traces=traces, warp_vertex_ids=warp_ids)
+    for start, stop, width in shading_passes(n, warp_size):
+        env = VertexShaderEnv(draw, program, np.arange(start, stop), width)
+        WarpInterpreter(program, env).run(initial_mask=env.active)
+        clip[start:stop] = env.clip[:stop - start]
+        varyings[start:stop] = env.varyings[:stop - start]
+    return ShadedVertices(clip=clip, varyings=varyings, program=program)

@@ -146,6 +146,11 @@ class Program:
             for i in self.instructions
         ) or any(i.op is Opcode.ZWRITE for i in self.instructions)
         compute_reconvergence(self.instructions)
+        # The instruction list is final from here on: drop any cache taken
+        # from an earlier draft (or copied along from the program it was
+        # copied from, as the ROP epilogue does).
+        self._digest = None
+        self._has_discard = None
         return self
 
 

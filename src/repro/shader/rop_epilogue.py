@@ -5,7 +5,8 @@ program (paper §3.3.1, stages L/M/N) rather than in atomic units by the
 memory controllers; the TC stage guarantees only one tile per screen
 location is in flight, which makes the read-modify-write race-free.
 
-:func:`attach_rop` clones a compiled fragment program and splices in:
+:func:`attach_rop` builds a copy of a compiled fragment program, once per
+program and render state, with these spliced in:
 
 * **Early-Z** (stage L) — when the shader neither discards nor writes
   depth: a prologue that reads the depth buffer, compares, and discards
@@ -45,16 +46,39 @@ def uses_late_z(program: Program, state: GLState) -> bool:
             or state.stencil_test)
 
 
+# Keyed by the program's content (digest and name), its interface (the
+# slot tables the environments resolve by name) and the frozen GLState:
+# both the reference renderer and the GPU draw engine attach a ROP per
+# draw per frame, and the deep copy costs milliseconds.
+_ROP_CACHE: dict = {}
+_ROP_CACHE_MAX = 512
+
+
 def attach_rop(program: Program, state: GLState) -> Program:
     """Return a copy of ``program`` with the ROP epilogue spliced in.
 
     The input program must be a finalized fragment program whose epilogue
     ends with ``ST_OUT`` slots 0-3 (color) and optionally 4 (depth), as
-    produced by :func:`repro.shader.compiler.compile_shader`.
+    produced by :func:`repro.shader.compiler.compile_shader`.  Memoized,
+    like ``compile_shader``: callers share the result and must not mutate
+    it.
     """
     if program.stage != "fragment":
         raise ValueError("ROP epilogues apply to fragment programs only")
+    key = (program.digest, program.name,
+           tuple(tuple(table.items()) for table in (
+               program.attributes, program.varyings, program.uniforms)),
+           tuple(program.textures.items()), state)
+    rop = _ROP_CACHE.get(key)
+    if rop is None:
+        if len(_ROP_CACHE) >= _ROP_CACHE_MAX:
+            _ROP_CACHE.clear()          # unbounded-growth backstop
+        rop = _ROP_CACHE[key] = _splice_rop(program, state)
+    return rop
 
+
+def _splice_rop(program: Program, state: GLState) -> Program:
+    """The uncached body of :func:`attach_rop`."""
     rop = copy.deepcopy(program)
     rop.name = f"{program.name}+rop"
     # Drop the trailing EXIT; we re-append one at the end.

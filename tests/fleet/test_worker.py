@@ -140,6 +140,31 @@ class TestRunJob:
         assert os.path.exists(checkpoint + ".corrupt")     # evidence kept
         assert doc["payload"]["fb_crc"] == clean["payload"]["fb_crc"]
 
+    def test_checkpoint_with_an_undecodable_draw_falls_back_to_scratch(
+            self, tmp_path):
+        """A CRC-consistent snapshot whose first draw has an unknown
+        primitive mode is quarantined and the attempt reruns from tick 0,
+        where a plain ``ValueError`` used to end the job ``error``."""
+        from repro.soc.checkpoint import _payload_crc
+        jobdir = str(tmp_path)
+        spec = JobSpec(name="x", frames=2)
+        clean = run_job(spec, jobdir)
+
+        checkpoint = os.path.join(jobdir, CHECKPOINT_FILE)
+        with open(checkpoint) as handle:
+            snapshot = json.load(handle)
+        snapshot["trace"]["frames"][0]["draw_calls"][0]["mode"] = 99
+        snapshot["crc"] = _payload_crc(snapshot)
+        with open(checkpoint, "w") as handle:
+            json.dump(snapshot, handle)
+
+        doc = run_job(spec, jobdir)
+        assert doc["outcome"] == "ok", doc["detail"]
+        assert doc["resumed_from"] == 0
+        assert doc["fallback"].startswith("CheckpointError")
+        assert os.path.exists(checkpoint + ".corrupt")     # evidence kept
+        assert doc["payload"]["fb_crc"] == clean["payload"]["fb_crc"]
+
     def test_preempt_flag_stops_at_checkpoint_boundary(self, tmp_path):
         jobdir = str(tmp_path)
         with open(os.path.join(jobdir, PREEMPT_FLAG), "w") as handle:

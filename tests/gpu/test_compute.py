@@ -1,7 +1,14 @@
 """Tests for the GPGPU compute path (unified shader model)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
 from repro.common.events import EventQueue
@@ -112,6 +119,65 @@ class TestKernels:
         kinds = gpu.cores[0].stats.counter("warps.compute").value
         assert kinds > 0
         assert gpu.cores[0].stats.counter("warps.fragment").value > 0
+
+
+# One 64-thread copy on a GPU that just rendered a 32x32 frame; prints its
+# KernelStats, end tick and events fired.
+_KERNEL_AFTER_A_FRAME = """
+import json
+from dataclasses import asdict
+import numpy as np
+from repro.common.config import DRAMConfig, GPUConfig, scaled_gpu
+from repro.common.events import EventQueue
+from repro.geometry.mesh import Mesh
+from repro.gl.context import GLContext
+from repro.gl.state import CullMode
+from repro.gpu.compute import GlobalMemory, run_kernel
+from repro.gpu.gpu import EmeraldGPU
+from repro.gpu.kernels import strided_copy
+from repro.memory.builders import build_memory_by_name
+from repro.shader import builtins
+
+events = EventQueue()
+memory, _ = build_memory_by_name("BAS", events, DRAMConfig(channels=2))
+gpu = EmeraldGPU(events, scaled_gpu(GPUConfig(num_clusters=2)), 32, 32,
+                 memory=memory)
+ctx = GLContext(32, 32)
+ctx.use_program(builtins.BASIC_VERTEX, builtins.FLAT_FRAGMENT)
+ctx.set_state(cull=CullMode.NONE)
+ctx.set_uniform("mvp", np.eye(4))
+ctx.set_uniform("flat_color", [1.0, 0.0, 0.0, 1.0])
+ctx.draw_mesh(Mesh(positions=[[-1, -1, 0.5], [1, -1, 0.5], [-1, 1, 0.5],
+                              [1, 1, 0.5]], indices=[0, 1, 2, 1, 3, 2]))
+gpu.run_frame(ctx.end_frame())
+mem = GlobalMemory(128)
+stats = run_kernel(gpu, strided_copy(mem.base_address,
+                                     mem.base_address + 64 * 4, 1), 64, mem)
+print(json.dumps([asdict(stats), events.now, events.events_fired]))
+"""
+
+
+class TestDeterminismAcrossProcesses:
+    def test_kernel_timing_does_not_follow_the_hash_seed(self):
+        """Instruction-fetch addresses come from the program name; a
+        salted ``hash`` made this kernel take 245 or 275 cycles depending
+        on ``PYTHONHASHSEED`` (seeds 1 and 3 differ)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        runs = []
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=src + os.pathsep
+                       + os.environ.get("PYTHONPATH", ""))
+            done = subprocess.run([sys.executable, "-c",
+                                   _KERNEL_AFTER_A_FRAME], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        assert runs[0] == runs[1]
+        stats, end_tick, fired = runs[0]
+        assert stats["end_tick"] == end_tick and fired > 0
 
 
 class TestComputeEnv:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gl.state import BlendFactor, DepthFunc, GLState
+from repro.gl.state import BlendFactor, DepthFunc, GLState, StencilOp
 from repro.shader.compiler import compile_shader
 from repro.shader.interpreter import WarpInterpreter
 from repro.shader.isa import Opcode
@@ -185,3 +185,63 @@ class TestAttachRopStructure:
         base = compile_shader(SIMPLE_FS, "fragment", name="s4")
         program = attach_rop(base, GLState())
         assert "frag_z" in program.varyings
+
+
+class TestAttachRopCache:
+    """attach_rop is memoized like compile_shader: one ROP program per
+    fragment program and render state."""
+
+    # A state under which every ROP-relevant field shapes the epilogue.
+    STATE = GLState(blend=True, stencil_test=True,
+                    stencil_func=DepthFunc.LESS, stencil_ref=1,
+                    stencil_pass_op=StencilOp.INCR)
+    CHANGES = {
+        "depth_test": False,
+        "depth_write": False,
+        "depth_func": DepthFunc.GREATER,
+        "blend": False,
+        "blend_src": BlendFactor.ONE,
+        "blend_dst": BlendFactor.ZERO,
+        "stencil_test": False,
+        "stencil_func": DepthFunc.GEQUAL,
+        "stencil_ref": 2,
+        "stencil_pass_op": StencilOp.REPLACE,
+    }
+
+    def test_a_repeat_call_returns_the_same_program(self):
+        base = compile_shader(SIMPLE_FS, "fragment", name="c1")
+        assert attach_rop(base, self.STATE) is attach_rop(base, self.STATE)
+        assert attach_rop(base, GLState()) is attach_rop(base, GLState())
+
+    @pytest.mark.parametrize("field", sorted(CHANGES))
+    def test_every_rop_field_gets_its_own_program(self, field):
+        base = compile_shader(SIMPLE_FS, "fragment", name="c2")
+        before = attach_rop(base, self.STATE)
+        after = attach_rop(base, self.STATE.with_(
+            **{field: self.CHANGES[field]}))
+        assert after is not before
+        assert [repr(i) for i in after.instructions] \
+            != [repr(i) for i in before.instructions]
+        assert after.digest != before.digest
+
+    def test_the_rop_program_digests_its_own_instructions(self):
+        """The copy must not inherit the digest the cache key computed on
+        the base program: the dispatch cache is keyed on it."""
+        base = compile_shader(SIMPLE_FS, "fragment", name="c3")
+        rop = attach_rop(base, GLState())
+        assert rop.digest != base.digest
+        assert rop.has_discard
+
+    def test_same_code_under_other_names_gets_its_own_program(self):
+        """Two shaders that compile to the same instructions but read
+        differently named varyings resolve them by name."""
+        first = compile_shader(
+            "in vec4 v_a;\nvoid main() { gl_FragColor = v_a; }",
+            "fragment", name="c4")
+        second = compile_shader(
+            "in vec4 v_b;\nvoid main() { gl_FragColor = v_b; }",
+            "fragment", name="c4")
+        assert first.digest == second.digest
+        rop_a, rop_b = attach_rop(first, GLState()), attach_rop(second,
+                                                                GLState())
+        assert "v_a" in rop_a.varyings and "v_b" in rop_b.varyings

@@ -172,6 +172,29 @@ class TestCheckpointValidation:
             _load(doc)
         assert excinfo.value.field == "trace.frames[0].draw_calls[0].state"
 
+    @pytest.mark.parametrize("mutate", [
+        lambda frame, draw: draw.__setitem__("state", {}),
+        lambda frame, draw: draw.__setitem__("state", []),
+        lambda frame, draw: frame.__setitem__("width", None),
+        lambda frame, draw: draw.__setitem__("mode", 99),
+        lambda frame, draw: draw["state"].__setitem__("depth_func", "nope"),
+    ], ids=["state-empty", "state-list", "width-none", "mode-99",
+            "depth-func-nope"])
+    def test_draw_value_that_does_not_decode(self, mutate):
+        """A value replay cannot rebuild from (a ``KeyError``, ``TypeError``
+        or ``ValueError`` inside the rebuild) is refused typed, naming the
+        frame or draw call it sits in, chained to the cause."""
+        from repro.harness.scenes import SceneSession
+        session = SceneSession("cube", 32, 24)
+        doc = json.loads(capture([session.frame(0)], tick=1, frame_index=1,
+                                 topology=MACHINE).to_json())
+        frame = doc["trace"]["frames"][0]
+        mutate(frame, frame["draw_calls"][0])
+        with pytest.raises(CheckpointError) as excinfo:
+            _load(doc)
+        assert excinfo.value.field.startswith("trace.frames[0]")
+        assert excinfo.value.__cause__ is not None
+
     def test_error_is_a_value_error(self):
         """Callers catching ValueError keep working."""
         with pytest.raises(ValueError):
